@@ -1,13 +1,14 @@
 """A 10M-invocation day, replayed end to end with bounded memory.
 
-The scaling story the vector engine exists for: a full Azure-style day
-(``REPRO_BENCH_DAY_INVOCATIONS``, default 10M invocations) streamed
-through ``FleetTrace.stream_invocations`` and replayed batch-by-batch,
-so peak RSS is bounded by one batch of trace state plus the engine's
-spill-bounded log buffers — never O(day).  The run must finish and stay
-under :data:`RSS_BUDGET_MB` (measured 125 MB at 10M on the reference
-box — per-batch state does not grow with the day, so the curve is flat
-after allocator warm-up; the budget leaves room for platform variance).
+The scaling story the columnar replay loop exists for: a full
+Azure-style day (``REPRO_BENCH_DAY_INVOCATIONS``, default 10M
+invocations) streamed through ``FleetTrace.stream_invocations`` and
+replayed batch-by-batch, so peak RSS is bounded by one batch of trace
+state plus the engine's spill-bounded log buffers — never O(day).  The
+run must finish and stay under :data:`RSS_BUDGET_MB` (measured 125 MB at
+10M on the reference box — per-batch state does not grow with the day,
+so the curve is flat after allocator warm-up; the budget leaves room for
+platform variance).
 
 The replay runs in a subprocess so ``ru_maxrss`` is the workload's own
 high-water mark, not the bench session's.  Numbers land in

@@ -38,8 +38,9 @@ EVENT = {"x": [1.0, 2.0], "y": [3.0, 4.0]}
 
 INVOCATIONS = int(os.environ.get("REPRO_BENCH_INVOCATIONS", "50000"))
 #: Below this size the pool's start-up cost swamps the replay itself.
-#: Break-even is ``startup_s * serial_rate``; the vector engine roughly
-#: halved the serial wall, doubling the trace size where sharding pays.
+#: Break-even is ``startup_s * serial_rate``; the columnar replay loop
+#: roughly halved the serial wall, doubling the trace size where
+#: sharding pays.
 SPEEDUP_GATE_INVOCATIONS = 100_000
 #: --check-floor tolerance: fail when more than 15% below the floor.
 FLOOR_TOLERANCE = 0.85

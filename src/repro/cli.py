@@ -193,14 +193,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit the per-invocation observability event "
                              "(slower; off by default for fleet scale)")
     replay.add_argument("--engine",
-                        choices=("auto", "kernel", "vector", "reference"),
+                        choices=("auto", "reference"),
                         default="auto",
-                        help="replay engine: auto picks the numpy batch "
-                             "engine (or the scalar template kernel without "
-                             "numpy) when the workload is replayable "
-                             "(default), vector/kernel require that engine, "
-                             "reference forces real execution; exports are "
-                             "byte-identical either way")
+                        help="replay engine: auto uses the fast template "
+                             "engine when the workload is replayable "
+                             "(default), reference forces real execution; "
+                             "exports are byte-identical either way")
     replay.add_argument("--min-shard-invocations", type=int, default=None,
                         help="cap the shard count so each worker gets at "
                              "least this many invocations (below the "

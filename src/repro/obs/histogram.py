@@ -114,11 +114,10 @@ class LogLinearHistogram:
         value order, so the resulting sketch state matches N individual
         ``record`` calls bit for bit.  Unlike ``record``, validation runs
         up front: a non-finite or negative value raises before any state
-        changes.  Without numpy this degrades to the sequential loop.
+        changes.  Without numpy every batch takes that scalar fold.
         """
         if _np is None:
-            for value in values:
-                self.record(value)
+            self._observe_small(list(values))
             return
         if isinstance(values, list) and len(values) <= _SMALL_BATCH:
             self._observe_small(values)

@@ -50,6 +50,7 @@ from repro.platform.logs import (
     StartType,
 )
 from repro.platform.billing import BillingLedger
+from repro.platform.kernel import KernelReplayer
 from repro.platform.replay import ReplayResult, TraceReplayer
 from repro.platform.retry import (
     RETRYABLE_DEFAULT,
@@ -65,7 +66,6 @@ from repro.platform.tuning import (
     MemoryRecommendation,
     recommend_memory,
 )
-from repro.platform.vector import VectorReplayer
 
 __all__ = [
     "VirtualClock",
@@ -80,7 +80,7 @@ __all__ = [
     "BillingLedger",
     "ReplayResult",
     "TraceReplayer",
-    "VectorReplayer",
+    "KernelReplayer",
     "replay_fleet",
     "FleetReplayResult",
     "FunctionReplayStats",

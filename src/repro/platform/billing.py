@@ -33,35 +33,27 @@ class FunctionBill:
         statuses,
         costs,
         *,
-        success_status: int,
         throttled_status: int,
         cold_starts: int,
         throttles: int,
-    ) -> tuple[int, int]:
+    ) -> None:
         """Fold one emission batch into the bill, in row order.
 
         The bulk twin of :meth:`BillingLedger.charge_invocation` /
-        :meth:`~BillingLedger.charge_throttle` for the vector replay
-        engine: ``invocation_cost`` stays a sequential float fold (its
-        addition order is observable in exports), while the int counters
-        take segment aggregates.  Returns ``(billed, delivered)`` —
-        non-throttled and successful row counts — so the caller can
-        update its own tallies without a second pass.
+        :meth:`~BillingLedger.charge_throttle` for the fast replay
+        engine's general path: ``invocation_cost`` stays a sequential
+        float fold (its addition order is observable in exports), while
+        the int counters take segment aggregates (*throttles* counts the
+        batch's rows with *throttled_status*).
         """
         total = self.invocation_cost
-        billed = 0
-        delivered = 0
         for status, cost in zip(statuses, costs):
             if status != throttled_status:
                 total += cost
-                billed += 1
-                if status == success_status:
-                    delivered += 1
         self.invocation_cost = total
-        self.invocations += billed
+        self.invocations += len(statuses) - throttles
         self.cold_starts += cold_starts
         self.throttles += throttles
-        return billed, delivered
 
     def charge_block(
         self,
@@ -72,7 +64,7 @@ class FunctionBill:
     ) -> None:
         """Fold an all-billed columnar block into the bill.
 
-        The chain-path twin of :meth:`charge_batch`: no row in the block
+        The columnar-loop twin of :meth:`charge_batch`: no row in the block
         is throttled, so the caller — which holds the cost column as an
         array — continues the sequential ``invocation_cost`` fold itself
         (a seeded ``cumsum`` is bit-identical to the per-row loop) and

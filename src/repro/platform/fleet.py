@@ -76,13 +76,12 @@ from repro.platform.checkpoint import ReplayCheckpoint, sweep_stale
 from repro.platform.emulator import DEFAULT_KEEP_ALIVE_S, LambdaEmulator
 from repro.platform.faults import FaultPlan
 from repro.platform.hosts import HostConfig
-from repro.platform.kernel import KernelReplayer, TemplateStore
+from repro.platform.kernel import KernelReplayer, TemplateStore, _np
 from repro.platform.logs import ExecutionLog, InvocationRecord, iter_jsonl
 from repro.platform.replay import TraceReplayer
 from repro.platform.retry import DeadLetter, RetryPolicy
 from repro.platform.slo import FLEET, SloPolicy, SloRule
 from repro.platform.telemetry import FleetReport, TelemetrySink, WindowRollup
-from repro.platform.vector import HAVE_NUMPY, VectorReplayer, _np
 from repro.traces.fleet import FleetTrace
 
 __all__ = [
@@ -299,26 +298,11 @@ def _replay_one_inner(
         attribution=attribution,
     )
     function = emulator.deploy(bundle, name=name)
-    engine = cfg.get("engine", "auto")
-    use_kernel = False
-    if engine != "reference":
-        replayable = TemplateStore.key_for(function, cfg["event"], None)
-        if replayable is not None:
-            use_kernel = True
-        elif engine in ("kernel", "vector"):
-            raise PlatformError(
-                f"engine={engine!r} cannot replay {name!r}: snapstart or a "
-                "non-JSON event needs engine='reference'"
-            )
-    if use_kernel:
-        # auto prefers the batch engine when numpy is importable; it
-        # falls back to the scalar kernel loop per run when the workload
-        # does not qualify, so exports are identical either way.
-        if engine == "kernel" or not HAVE_NUMPY:
-            engine_cls = KernelReplayer
-        else:
-            engine_cls = VectorReplayer
-        result = engine_cls(emulator, store).replay(
+    if (
+        cfg.get("engine", "auto") != "reference"
+        and TemplateStore.key_for(function, cfg["event"], None) is not None
+    ):
+        result = KernelReplayer(emulator, store).replay(
             name,
             list(timestamps),
             cfg["event"],
@@ -759,15 +743,11 @@ def replay_fleet(
     billing summary).
 
     ``engine`` selects the per-function replay engine: ``"auto"``
-    (default) uses the batch :class:`~repro.platform.vector.
-    VectorReplayer` when numpy is importable (the scalar template
-    :class:`~repro.platform.kernel.KernelReplayer` otherwise) whenever
-    the workload is replayable, and falls back to the reference
-    :class:`~repro.platform.replay.TraceReplayer` for the rest;
-    ``"vector"`` and ``"kernel"`` require their engine (raising when it
-    cannot serve — ``"vector"`` additionally requires numpy);
-    ``"reference"`` forces the reference engine.  All engines produce
-    byte-identical exports.
+    (default) uses the fast :class:`~repro.platform.kernel.
+    KernelReplayer` whenever the workload is replayable and falls back
+    to the reference :class:`~repro.platform.replay.TraceReplayer` for
+    the rest; ``"reference"`` forces the reference engine.  Both
+    engines produce byte-identical exports, with or without numpy.
 
     ``profile_dir`` enables dollar attribution: each worker captures a
     :class:`~repro.obs.attribution.ColdStartProfile` per cold start and
@@ -821,15 +801,9 @@ def replay_fleet(
     """
     if workers < 1:
         raise PlatformError(f"need at least one worker: {workers}")
-    if engine not in ("auto", "kernel", "vector", "reference"):
+    if engine not in ("auto", "reference"):
         raise PlatformError(
-            f"unknown engine {engine!r}: expected auto, kernel, vector, or "
-            "reference"
-        )
-    if engine == "vector" and not HAVE_NUMPY:
-        raise PlatformError(
-            "engine='vector' needs numpy (install the [perf] extra); "
-            "engine='auto' degrades to the scalar kernel without it"
+            f"unknown engine {engine!r}: expected auto or reference"
         )
     if min_shard_invocations is not None and min_shard_invocations < 0:
         raise PlatformError(

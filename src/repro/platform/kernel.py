@@ -1,4 +1,4 @@
-"""The replay kernel: template-capture fast path for trace replay.
+"""The fast replay engine: template capture, synthesis, bulk emission.
 
 :class:`~repro.platform.replay.TraceReplayer` replays every arrival by
 *really* importing and executing the application under the virtual
@@ -21,10 +21,7 @@ every warm invocation from the second onwards replays the same charge
 3. **Synthesize.**  Once verified, further invocations never touch an
    interpreter: the kernel replays the captured charges as the same
    sequence of float additions against a per-instance simulated meter
-   (running time, live MB, peak MB), feeds the decomposed fields
-   straight into the columnar :class:`~repro.platform.logs.ExecutionLog`
-   (:meth:`~repro.platform.logs.ExecutionLog.append_row`), the billing
-   ledger, and the telemetry sink's row path — no
+   (running time, live MB, peak MB) — no
    :class:`~repro.platform.logs.InvocationRecord` objects, no enum
    lookups, no dict churn.
 
@@ -36,8 +33,45 @@ bit-identical to the reference engine.  Clock advancement, fault-RNG
 draw order, request-id consumption, and warm-pool decisions (MRU idle
 stack + busy heap, cloned from ``TraceReplayer``) are replicated
 exactly, so logs, ledgers, telemetry, and dead letters are
-byte-identical at any worker count.  The property tests in
-``tests/platform/test_kernel.py`` pin this down across seeds.
+byte-identical at any worker count.
+
+**Two serve loops, one emitter.**  The *general path* serves one
+attempt at a time through :meth:`KernelReplayer._serve` — capture and
+synthesis, faults, hosts, CPU scaling, retries, checkpoints — and
+buffers every billed or throttled row in one bounded chunk.  The chunk
+reaches the sinks in bulk (:meth:`ExecutionLog.append_rows
+<repro.platform.logs.ExecutionLog.append_rows>`,
+:meth:`TelemetrySink.observe_rows
+<repro.platform.telemetry.TelemetrySink.observe_rows>`,
+:meth:`FunctionBill.charge_batch
+<repro.platform.billing.FunctionBill.charge_batch>`) when it fills,
+before every checkpoint snapshot, before the columnar loop takes over,
+and when :meth:`~KernelReplayer.replay` returns.  Flush boundaries are
+unobservable: every order-dependent float sum continues its sequential
+fold in serve order.
+
+A *homogeneous* retry-free run — numpy importable, no crash faults, no
+throttle rate or outage covering the function, no hosts, no CPU scaling,
+no checkpoint — hands everything after capture to the *columnar loop*,
+which makes only the decisions that depend on the previous invocation
+(the warm-pool MRU stack + busy heap, the clock fold) and gathers the
+rest from per-*j* outcome tables.  Two observations make that exact:
+
+1. *Shared drift sequences.*  Every synthesized instance of a template
+   lives on one float-drift sequence: ``W[0]`` is the cold template's
+   post-exec meter time and ``W[j]`` folds the warm tape onto
+   ``W[j-1]`` with the meter's own addition order.  An instance about to
+   serve its ``j+1``-th invocation has ``t == W[j]`` exactly, so its
+   exec time ``W[j+1] - W[j]``, billed duration, cost, status ladder,
+   and e2e are pure functions of ``j`` — computed once per *j* instead
+   of once per invocation.  The same holds for live/peak memory.  A pool
+   holding an instance off that sequence (adopted from direct
+   ``emulator.invoke()`` calls) keeps the whole run on the general path.
+2. *Order-dependent sums stay sequential.*  The clock, the per-function
+   billing sums, the telemetry histogram ``_sum`` folds, and the log's
+   accounting folds are sequential float additions whose order is
+   observable; the bulk paths keep them as left folds in serve order and
+   vectorize only the order-free work.
 
 Status/billing math that is per-run rather than per-invocation — the
 peak-concurrency sweep — is vectorized with numpy when available
@@ -49,10 +83,10 @@ events, a non-``None`` context, fallback managers, and any workload
 whose capture fails verification.  The host layer
 (:mod:`repro.platform.hosts`) never invalidates a template — placement,
 eviction, and host loss operate on pool state *outside* the captured
-meter tapes — so host chaos runs on the kernel path with the same pool
-hooks, in the same order, as the reference engine; if a workload's
-template is invalid for any of the reasons above, the usual reference
-fallback carries the host semantics unchanged.
+meter tapes — so host chaos runs on the general path with the same pool
+hooks, in the same order, as the reference engine.  The parity suite in
+``tests/platform/test_kernel.py`` pins all of this down, with and
+without the columnar loop.
 """
 
 from __future__ import annotations
@@ -71,6 +105,7 @@ from repro.platform.checkpoint import (
     snapshot_platform_state,
 )
 from repro.platform.emulator import DeployedFunction, LambdaEmulator
+from repro.platform.faults import ANY_FUNCTION
 from repro.platform.instance import FunctionInstance
 from repro.platform.logs import (
     _START_TYPE_INDEX,
@@ -80,17 +115,27 @@ from repro.platform.logs import (
     InvocationRecord,
     InvocationStatus,
     StartType,
+    _intern_key,
 )
 from repro.platform.retry import DeadLetter, RetryPolicy
 from repro.obs.attribution import attribute_cold_start
 from repro.vm import aggregate_charges
 
-try:  # numpy is an optional accelerator; pure Python is the reference
+try:  # numpy is an optional [perf] extra; pure Python is the reference
     import numpy as _np
-except ImportError:  # pragma: no cover - exercised via vectorized=False
+except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     _np = None
 
-__all__ = ["KernelReplayer", "KernelResult", "TemplateStore", "peak_concurrency"]
+#: The columnar loop's gate: without numpy every run takes the general path.
+HAVE_NUMPY = _np is not None
+
+__all__ = [
+    "HAVE_NUMPY",
+    "KernelReplayer",
+    "KernelResult",
+    "TemplateStore",
+    "peak_concurrency",
+]
 
 _COLD = _START_TYPE_INDEX[StartType.COLD]
 _WARM = _START_TYPE_INDEX[StartType.WARM]
@@ -103,6 +148,14 @@ _S_THROTTLED = _STATUS_INDEX[InvocationStatus.THROTTLED]
 _S_CRASHED = _STATUS_INDEX[InvocationStatus.CRASHED]
 _STATUS_VALUES = tuple(s.value for s in _STATUS_TYPES)
 _INF = float("inf")
+
+#: Rows per bulk flush, so a single huge function keeps RSS flat; flush
+#: boundaries are unobservable (sums continue their sequential folds).
+#: A general-path row is a full tuple whose flush may also render it to
+#: the log spill, while a columnar row is one spec index, so the general
+#: path flushes far more often.
+_CHUNK_ROWS = 4096
+_FLUSH_ROWS = 131072
 
 
 def peak_concurrency(
@@ -142,20 +195,6 @@ def peak_concurrency(
         if depth > peak:
             peak = depth
     return peak
-
-
-def _value_key(value: Any) -> Any:
-    """Precompute the ExecutionLog interning key for a template value."""
-    if value is None:
-        return None
-    try:
-        hash(value)
-    except TypeError:
-        try:
-            return json.dumps(value, sort_keys=True)
-        except (TypeError, ValueError):
-            return None
-    return value
 
 
 @dataclass
@@ -216,8 +255,8 @@ class _Entry:
         #: Set when captures disagree or memory frees make the tape
         #: unreplayable: this pair runs on the reference path forever.
         self.disabled = False
-        #: Lazily built per-template drift tables, owned by the vector
-        #: engine (:mod:`repro.platform.vector`); None until it runs.
+        #: Lazily built :class:`_DriftTables`, owned by the columnar
+        #: loop; None until it runs.
         self.drift: Any = None
 
     @property
@@ -228,6 +267,72 @@ class _Entry:
         interpreter behind it, so it must never need a warm capture.
         """
         return self.cold is not None and self.warm is not None and not self.disabled
+
+    def offer_cold(
+        self,
+        init_s: float,
+        init_live: float,
+        init_peak: float,
+        meter: Any,
+        output: Any,
+        modules: tuple | None,
+    ) -> None:
+        """Keep the first captured cold start as the cold template.
+
+        *meter* is the instance meter right after invocation #1, whose
+        *output* it was; *init_live*/*init_peak* were read after init.
+        """
+        if self.cold is not None or self.disabled:
+            return
+        self.cold = _ColdTemplate(
+            init_s=init_s,
+            init_live=init_live,
+            init_peak=init_peak,
+            post_t=meter.time_s,
+            post_live=meter.live_mb,
+            post_peak=meter.peak_mb,
+            exec1_s=output.exec_time_s,
+            value=output.value,
+            value_key=_intern_key(output.value),
+            error_type=output.error_type,
+            modules=modules if modules is not None else (),
+        )
+
+    def offer_warm(
+        self, meter: Any, events_before: int, live_before: float, output: Any
+    ) -> None:
+        """Verify one captured warm invocation against the previous one.
+
+        The charge events past *events_before* are the tape; two equal
+        consecutive tapes become the warm template, any mismatch — or a
+        tape whose memory deltas do not reproduce the live footprint (a
+        handler that frees memory) — disables the pair for good.
+        """
+        if self.warm is not None or self.disabled:
+            return
+        events = meter.events[events_before:]
+        times = tuple(e.time_s for e in events)
+        mems = tuple(e.memory_mb for e in events)
+        live = live_before
+        for mb in mems:
+            if mb:
+                live += mb
+        candidate = (times, mems, output.value, output.error_type)
+        if live != meter.live_mb:
+            self.disabled = True
+        elif self.candidate is None:
+            self.candidate = candidate
+        elif self.candidate == candidate:
+            self.warm = _WarmTemplate(
+                times=times,
+                mems=mems,
+                has_mem=any(mems),
+                value=output.value,
+                value_key=_intern_key(output.value),
+                error_type=output.error_type,
+            )
+        else:
+            self.disabled = True
 
 
 class TemplateStore:
@@ -326,6 +431,63 @@ class _Shadow:
         return f"_Shadow({self.instance_id}, {kind}, used {self.invocations}x)"
 
 
+class _DriftTables:
+    """Per-template meter drift: state after the j-th serve of an instance.
+
+    ``t[j]``/``live[j]``/``peak[j]`` are the meter fields any synthesized
+    instance holds once it has served ``j + 1`` invocations (one cold
+    plus ``j`` warm), computed with the meter's own sequential folds so
+    the floats are bit-identical to per-instance replay.  Cached on
+    ``_Entry.drift`` — the tables are pure template math, shared by every
+    replayer that serves the same (bundle, event) pair.
+    """
+
+    __slots__ = ("t", "live", "peak")
+
+    def __init__(self, cold: _ColdTemplate) -> None:
+        self.t = [cold.post_t]
+        self.live = [cold.post_live]
+        self.peak = [cold.post_peak]
+
+    def extend_array(self, upto: int, warm: _WarmTemplate) -> None:
+        """Grow the tables so index *upto* is valid, as numpy prefix scans.
+
+        ``cumsum`` is a strict left fold, so seeding it with the last
+        table entry and tiling the tape reproduces :meth:`KernelReplayer.
+        _synth_warm`'s additions bit for bit; every L-th prefix is a table
+        entry.  The memory fold includes the tape's zero entries the
+        scalar fold skips — adding ``±0.0`` is a no-op here because the
+        running live value can never be ``-0.0`` (it starts ``>= 0`` and
+        ``a + (-a)`` rounds to ``+0.0``), and the running max only moves
+        on strict increase.
+        """
+        t = self.t
+        need = upto + 1 - len(t)
+        if need <= 0:
+            return
+        times = warm.times
+        count = len(times)
+        if count:
+            folded = _np.cumsum(
+                _np.concatenate(((t[-1],), _np.tile(_np.asarray(times), need)))
+            )
+            t.extend(folded[count::count].tolist())
+        else:
+            t.extend([t[-1]] * need)
+        live = self.live
+        peak = self.peak
+        if warm.has_mem and len(warm.mems):
+            mems = _np.asarray(warm.mems)
+            width = len(warm.mems)
+            lv = _np.cumsum(_np.concatenate(((live[-1],), _np.tile(mems, need))))
+            pk = _np.maximum.accumulate(_np.concatenate(((peak[-1],), lv[1:])))
+            live.extend(lv[width::width].tolist())
+            peak.extend(pk[width::width].tolist())
+        else:
+            live.extend([live[-1]] * need)
+            peak.extend([peak[-1]] * need)
+
+
 @dataclass
 class KernelResult:
     """Aggregate outcome of a kernel replay.
@@ -363,6 +525,8 @@ class KernelResult:
 class KernelReplayer:
     """Replays one function's arrivals through the template kernel.
 
+    The fast engine (see the module docstring): the general serve path
+    with bulk emission, plus the columnar loop for homogeneous runs.
     Bound to a single function name per instance (the warm pool is
     per-function state).  Use :class:`~repro.platform.replay.
     TraceReplayer` when you need fallback managers or non-replayable
@@ -398,6 +562,11 @@ class KernelReplayer:
         #: _emit to price; None outside a cold start or when attribution
         #: is off.
         self._cold_pending: tuple | None = None
+        #: The general path's emission buffer: one row tuple per billed or
+        #: throttled attempt, in :meth:`ExecutionLog.append_rows` column
+        #: order plus ``(e2e, arrival)``, at most ``_CHUNK_ROWS`` long; see
+        #: :meth:`_flush_chunk`.
+        self._chunk: list[tuple] = []
 
     # -- driving -----------------------------------------------------------
 
@@ -470,6 +639,22 @@ class KernelReplayer:
         self._pricing = emulator.pricing
         self._request_ids = emulator._request_ids
         self._attribution = emulator.attribution
+        # Telemetry row heads per (start, status): everything but the
+        # per-row floats and request number.
+        self._row_heads = [
+            [
+                (
+                    function_name,
+                    status_value,
+                    status == _S_SUCCESS,
+                    status != _S_THROTTLED,
+                    start == _COLD,
+                    start == _WARM,
+                )
+                for status, status_value in enumerate(_STATUS_VALUES)
+            ]
+            for start in range(len(_START_TYPES))
+        ]
 
         session = retry.session() if retry is not None else None
         recorder = get_recorder()
@@ -488,17 +673,20 @@ class KernelReplayer:
         with recorder.span(
             "replay.run", label=function_name, arrivals=len(arrivals)
         ) as span:
-            if session is None:
-                self._run_fast(
-                    arrivals, start_index, result, arrival_times,
-                    completion_times, checkpoint,
-                )
-            else:
-                self._replay_with_retries(
-                    arrivals, session, result, arrival_times, completion_times,
-                    checkpoint=checkpoint, heap=heap,
-                    failed_attempts=failed_attempts,
-                )
+            try:
+                if session is None:
+                    self._run_fast(
+                        arrivals, start_index, result, arrival_times,
+                        completion_times, checkpoint,
+                    )
+                else:
+                    self._replay_with_retries(
+                        arrivals, session, result, arrival_times,
+                        completion_times, checkpoint=checkpoint, heap=heap,
+                        failed_attempts=failed_attempts,
+                    )
+            finally:
+                self._flush_chunk()
 
             emulator.flush_obs()
             result.peak_concurrency = peak_concurrency(
@@ -538,12 +726,27 @@ class KernelReplayer:
     ) -> None:
         """The retry-free serve loop: one attempt per arrival, in order.
 
-        Extracted so engine subclasses (the vector engine) can override
-        just the loop while inheriting validation, binding, the retry
-        timeline, and the finalization/accounting epilogue.
+        Serves on the general path until the template is ready; a
+        homogeneous run whose warm pool sits on the drift sequence then
+        hands the rest of the trace to :meth:`_run_columnar`.
         """
+        entry = self._entry
+        columnar = (
+            HAVE_NUMPY
+            and checkpoint is None
+            and start_index == 0
+            and self._homogeneous()
+        )
         serve = self._serve
         for index in range(start_index, len(arrivals)):
+            if columnar and entry.ready:
+                if self._pool_consistent():
+                    self._flush_chunk()
+                    self._run_columnar(
+                        arrivals, index, result, arrival_times, completion_times
+                    )
+                    return
+                columnar = False
             t = arrivals[index]
             status, start, completion, cost, _ = serve(t, False)
             result.attempts += 1
@@ -559,11 +762,8 @@ class KernelReplayer:
             result.total_cost += cost
             arrival_times.append(t)
             completion_times.append(completion)
-            if (
-                checkpoint is not None
-                and checkpoint.tick()
-                and self._entry.ready
-            ):
+            if checkpoint is not None and checkpoint.tick() and entry.ready:
+                self._flush_chunk()
                 checkpoint.write(
                     self._snapshot_state(
                         result, None, index + 1, None, None,
@@ -630,6 +830,7 @@ class KernelReplayer:
                 and checkpoint.tick()
                 and self._entry.ready
             ):
+                self._flush_chunk()
                 checkpoint.write(
                     self._snapshot_state(
                         result, session, None, heap, failed_attempts,
@@ -902,47 +1103,12 @@ class KernelReplayer:
             init_live = meter.live_mb
             init_peak = meter.peak_mb
             output = instance.invoke(self._event, self._context, at=0.0)
-            if entry.cold is None and not entry.disabled:
-                entry.cold = _ColdTemplate(
-                    init_s=init_s,
-                    init_live=init_live,
-                    init_peak=init_peak,
-                    post_t=meter.time_s,
-                    post_live=meter.live_mb,
-                    post_peak=meter.peak_mb,
-                    exec1_s=output.exec_time_s,
-                    value=output.value,
-                    value_key=_value_key(output.value),
-                    error_type=output.error_type,
-                    modules=modules if modules is not None else (),
-                )
+            entry.offer_cold(init_s, init_live, init_peak, meter, output, modules)
             while entry.warm is None and not entry.disabled:
                 events_before = len(meter.events)
                 live_before = meter.live_mb
                 output = instance.invoke(self._event, self._context, at=0.0)
-                events = meter.events[events_before:]
-                times = tuple(e.time_s for e in events)
-                mems = tuple(e.memory_mb for e in events)
-                live = live_before
-                for mb in mems:
-                    if mb:
-                        live += mb
-                candidate = (times, mems, output.value, output.error_type)
-                if live != meter.live_mb:
-                    entry.disabled = True
-                elif entry.candidate is None:
-                    entry.candidate = candidate
-                elif entry.candidate == candidate:
-                    entry.warm = _WarmTemplate(
-                        times=times,
-                        mems=mems,
-                        has_mem=any(mems),
-                        value=output.value,
-                        value_key=_value_key(output.value),
-                        error_type=output.error_type,
-                    )
-                else:
-                    entry.disabled = True
+                entry.offer_warm(meter, events_before, live_before, output)
         finally:
             instance.shutdown()
         if not entry.ready:
@@ -1107,21 +1273,7 @@ class KernelReplayer:
         init_live = meter.live_mb
         init_peak = meter.peak_mb
         output = instance.invoke(self._event, self._context, at=clock.now())
-        entry = self._entry
-        if entry.cold is None and not entry.disabled:
-            entry.cold = _ColdTemplate(
-                init_s=init_s,
-                init_live=init_live,
-                init_peak=init_peak,
-                post_t=meter.time_s,
-                post_live=meter.live_mb,
-                post_peak=meter.peak_mb,
-                exec1_s=output.exec_time_s,
-                value=output.value,
-                value_key=_value_key(output.value),
-                error_type=output.error_type,
-                modules=modules if modules is not None else (),
-            )
+        self._entry.offer_cold(init_s, init_live, init_peak, meter, output, modules)
         if modules is not None:
             self._cold_pending = (modules, True)
         shadow.t = meter.time_s
@@ -1153,33 +1305,7 @@ class KernelReplayer:
         events_before = len(meter.events)
         live_before = meter.live_mb
         output = instance.invoke(self._event, self._context, at=self._clock.now())
-        entry = self._entry
-        if entry.warm is None and not entry.disabled:
-            events = meter.events[events_before:]
-            times = tuple(e.time_s for e in events)
-            mems = tuple(e.memory_mb for e in events)
-            # Replaying deltas must reproduce the live footprint; a
-            # handler that frees memory breaks that and stays real.
-            live = live_before
-            for mb in mems:
-                if mb:
-                    live += mb
-            candidate = (times, mems, output.value, output.error_type)
-            if live != meter.live_mb:
-                entry.disabled = True
-            elif entry.candidate is None:
-                entry.candidate = candidate
-            elif entry.candidate == candidate:
-                entry.warm = _WarmTemplate(
-                    times=times,
-                    mems=mems,
-                    has_mem=any(mems),
-                    value=output.value,
-                    value_key=_value_key(output.value),
-                    error_type=output.error_type,
-                )
-            else:
-                entry.disabled = True
+        self._entry.offer_warm(meter, events_before, live_before, output)
         shadow.t = meter.time_s
         shadow.live = meter.live_mb
         shadow.peak = meter.peak_mb
@@ -1413,51 +1539,22 @@ class KernelReplayer:
         request_num = next(self._request_ids)
         timestamp = self._clock.now()
         routing = self._routing
-        name = self._name
-        self._log.append_row(
-            request_num,
-            name,
-            _THROTTLED_START,
-            _S_THROTTLED,
-            timestamp,
-            None,
-            "-",
-            0.0,
-            0.0,
-            0.0,
-            0.0,
-            0.0,
-            routing,
-            0.0,
-            128,
-            0.0,
-            0.0,
-            error,
-        )
-        self._bill.throttles += 1
-        sink = self._sink
-        if sink is not None:
-            sink.observe_row(
-                (
-                    name,
-                    _STATUS_VALUES[_S_THROTTLED],
-                    False,
-                    False,
-                    False,
-                    False,
-                    routing,
-                    0.0,
-                    0.0,
-                    request_num,
-                ),
-                arrival=arrival,
+        chunk = self._chunk
+        chunk.append(
+            (
+                request_num, _THROTTLED_START, _S_THROTTLED, timestamp, None,
+                None, "-", 0.0, 0.0, 0.0, 0.0, 0.0, 128, 0.0, 0.0, error,
+                routing, arrival,
             )
+        )
+        if len(chunk) >= _CHUNK_ROWS:
+            self._flush_chunk()
         completion = arrival + routing
         record = None
         if want_record:
             record = InvocationRecord(
                 request_id=f"req-{request_num:06d}",
-                function=name,
+                function=self._name,
                 start_type=StartType.THROTTLED,
                 timestamp=timestamp,
                 value=None,
@@ -1489,8 +1586,7 @@ class KernelReplayer:
         shadow: _Shadow | None,
         want_record: bool,
     ):
-        """Log, bill, and observe one billed invocation — straight into
-        the columnar log and the telemetry row path."""
+        """Price one billed invocation and buffer its row for the sinks."""
         billed_s = self._billed(billed_duration)
         cost = self._cost(billed_duration, configured)
         timestamp = self._clock.now()
@@ -1518,51 +1614,19 @@ class KernelReplayer:
                         include_exec=include_exec,
                     )
                 )
-        self._log.append_row(
-            request_num,
-            name,
-            start_index,
-            status_index,
-            timestamp,
-            value,
-            instance_id,
-            instance_init_s,
-            transmission_s,
-            billed_init_s,
-            0.0,
-            exec_s,
-            routing,
-            billed_s,
-            clamped,
-            peak,
-            cost,
-            error_type,
-            value_key=value_key,
-        )
-        bill = self._bill
-        bill.invocation_cost += cost
-        bill.invocations += 1
-        if start_index == _COLD:
-            bill.cold_starts += 1
         # Same addition order as InvocationRecord.e2e_s.
         e2e = routing + instance_init_s + transmission_s + billed_init_s + 0.0 + exec_s
-        sink = self._sink
-        if sink is not None:
-            sink.observe_row(
-                (
-                    name,
-                    _STATUS_VALUES[status_index],
-                    status_index == _S_SUCCESS,
-                    True,
-                    start_index == _COLD,
-                    start_index == _WARM,
-                    e2e,
-                    cost,
-                    billed_s,
-                    request_num,
-                ),
-                arrival=arrival,
+        chunk = self._chunk
+        chunk.append(
+            (
+                request_num, start_index, status_index, timestamp, value,
+                value_key, instance_id, instance_init_s, transmission_s,
+                billed_init_s, exec_s, billed_s, clamped, peak, cost,
+                error_type, e2e, arrival,
             )
+        )
+        if len(chunk) >= _CHUNK_ROWS:
+            self._flush_chunk()
         completion = arrival + e2e
         record = None
         if want_record and status_index != _S_SUCCESS:
@@ -1587,6 +1651,552 @@ class KernelReplayer:
                 status=_STATUS_TYPES[status_index],
             )
         return (status_index, start_index, completion, cost, record, shadow)
+
+    # -- bulk emission -------------------------------------------------------
+
+    def _flush_chunk(self) -> None:
+        """Bulk-emit the buffered rows in serve order.
+
+        One log append, one bill fold, and one telemetry ingest per chunk.
+        Billing and log accounting continue their sequential float folds
+        in row order; only the int counters are chunk aggregates.
+        """
+        chunk = self._chunk
+        if not chunk:
+            return
+        self._chunk = []
+        (
+            request_nums, starts, statuses, timestamps, values, value_keys,
+            instance_ids, instance_init_s, transmission_s, init_s, exec_s,
+            billed_s, clamped, peaks, costs, errors, e2es, arrivals,
+        ) = zip(*chunk)
+        self._log.append_rows(
+            self._name, self._routing, request_nums, starts, statuses,
+            timestamps, values, value_keys, instance_ids, instance_init_s,
+            transmission_s, init_s, exec_s, billed_s, clamped, peaks, costs,
+            errors,
+        )
+        self._bill.charge_batch(
+            statuses,
+            costs,
+            throttled_status=_S_THROTTLED,
+            cold_starts=starts.count(_COLD),
+            throttles=statuses.count(_S_THROTTLED),
+        )
+        sink = self._sink
+        if sink is not None:
+            heads = self._row_heads
+            sink.observe_rows(
+                [
+                    heads[start][status] + (e2e, cost, billed, request_num)
+                    for start, status, e2e, cost, billed, request_num in zip(
+                        starts, statuses, e2es, costs, billed_s, request_nums
+                    )
+                ],
+                arrivals=arrivals,
+            )
+
+    # -- the columnar loop ---------------------------------------------------
+
+    def _homogeneous(self) -> bool:
+        """Is the whole run homogeneous enough for the columnar loop?
+
+        Hosts and CPU scaling thread per-invocation state through the
+        serve, and crash faults draw RNG inside it.  Throttle rates and
+        outages must consult the injector per serve (RNG draw order and
+        injection counters are observable), and throttled rows break the
+        all-billed contract of the columnar emitters.
+        """
+        if self._hosts is not None or self.emulator.cpu_scaling is not None:
+            return False
+        faults = self._faults
+        if faults is None:
+            return True
+        plan = faults.plan
+        name = self._name
+        rates = plan.rates_for(name)
+        if rates.exec_crash != 0.0 or rates.cold_start_crash != 0.0:
+            return False
+        if rates.throttle != 0.0:
+            return False
+        return not any(
+            outage.function in (ANY_FUNCTION, name) for outage in plan.outages
+        )
+
+    def _pool_consistent(self) -> bool:
+        """Every live pool instance must sit exactly on the drift sequence.
+
+        Capture-phase shadows always do (the meter performed the same
+        folds the tables replay), but an instance adopted from direct
+        ``emulator.invoke()`` calls may carry foreign history — e.g. a
+        different event's charge tape.  Any mismatch keeps the whole run
+        on the general path.  Read-only: safe to call before adoption.
+        """
+        entry = self._entry
+        drift = entry.drift
+        if drift is None:
+            drift = entry.drift = _DriftTables(entry.cold)
+        warm = entry.warm
+        t_table = drift.t
+        live_table = drift.live
+        peak_table = drift.peak
+
+        def on_drift(invocations: int, t: float, live: float, peak: float) -> bool:
+            if invocations < 1:
+                return False
+            k = invocations - 1
+            drift.extend_array(k, warm)
+            return t == t_table[k] and live == live_table[k] and peak == peak_table[k]
+
+        for _, _, shadow in self._busy:
+            if not on_drift(shadow.invocations, shadow.t, shadow.live, shadow.peak):
+                return False
+        for _, shadow in self._idle:
+            if shadow.alive and not on_drift(
+                shadow.invocations, shadow.t, shadow.live, shadow.peak
+            ):
+                return False
+        if not self._adopted:
+            for instance in self._function.instances:
+                if not instance.alive:
+                    continue
+                meter = instance.app.meter
+                if not on_drift(
+                    instance.invocations, meter.time_s, meter.live_mb,
+                    meter.peak_mb,
+                ):
+                    return False
+        return True
+
+    def _init_spec_cols(self) -> tuple:
+        """Seed the per-*j* outcome columns with the cold outcome at 0.
+
+        Index 0 is the cold start and index ``j >= 1`` the warm outcome
+        after *j* prior serves (a warm instance always has at least the
+        cold behind it), so a per-row spec-index list gathers every log
+        and telemetry column with one fancy-index per column at flush
+        time.  ``value``/``value_key``/``error_type`` collapse to a tiny
+        class table — which branch of the outcome ladder fired — that
+        run-length encodes for :meth:`ExecutionLog.append_columns`.
+
+        Every synthesized cold start is identical up to its timestamp,
+        request id, and instance id; returns its ``(exec_s, e2e, kill,
+        clamped, billed_s, cost)`` for the loop.
+        """
+        cold = self._entry.cold
+        warm = self._entry.warm
+        peak = cold.post_peak
+        memory_mb = self._memory_mb
+        configured = memory_mb if memory_mb is not None else max(int(peak + 0.999), 1)
+        clamped = self._clamp(configured)
+        exec_s = cold.exec1_s
+        value, value_key, error_type = cold.value, cold.value_key, cold.error_type
+        status = _S_SUCCESS if error_type is None else _S_ERROR
+        kill = False
+        timeout_s = self._timeout_s
+        if timeout_s is not None and exec_s > timeout_s:
+            exec_s = timeout_s
+            value, value_key, error_type = None, None, "TimeoutError"
+            status = _S_TIMEOUT
+        elif memory_mb is not None and peak > clamped:
+            value, value_key, error_type = None, None, "OutOfMemoryError"
+            status = _S_OOM
+            kill = True
+        billed_duration = cold.init_s + exec_s
+        billed_s = self._billed(billed_duration)
+        cost = self._cost(billed_duration, configured)
+        instance_init_s, transmission_s = self._overhead
+        # Same addition order as InvocationRecord.e2e_s.
+        e2e = self._routing + instance_init_s + transmission_s + cold.init_s + 0.0 + exec_s
+        self._sc_exec = [exec_s]
+        self._sc_e2e = [e2e]
+        self._sc_status = [status]
+        self._sc_billed = [billed_s]
+        self._sc_cost = [cost]
+        self._sc_peak = [peak]
+        self._sc_clamped = [clamped]
+        self._sc_cls = [0]
+        self._cls_values = [
+            (value, value_key),
+            (warm.value, warm.value_key),
+            (None, None),
+            (None, None),
+        ]
+        self._cls_errors = [
+            error_type, warm.error_type, "TimeoutError", "OutOfMemoryError",
+        ]
+        self._warm_specs = [(exec_s, e2e, kill)]
+        return exec_s, e2e, kill, clamped, billed_s, cost
+
+    def _extend_spec_cols(self, upto: int) -> None:
+        """Grow the outcome columns so index *upto* is valid.
+
+        Entry *j* is the full billed outcome of an instance's serve when
+        it has already run *j* invocations, computed array-at-a-time:
+        exec times are exact ``diff``\\ s of the drift sequence, the
+        timeout/OOM masks select statuses, and billed duration / cost go
+        through the *scalar* pricing caches once per unique duration
+        (numpy's ``round`` is not Python's correctly-rounded one) and
+        scatter back.  Grows with doubling headroom so repeated
+        one-past-the-end requests stay amortized-vectorized.
+        """
+        specs = self._warm_specs
+        j0 = len(specs)
+        upto = max(upto, 2 * j0)
+        entry = self._entry
+        drift = entry.drift
+        template = entry.warm
+        drift.extend_array(upto, template)
+        w = _np.asarray(drift.t[j0 - 1 : upto + 1])
+        exec_new = _np.diff(w)
+        peaks = _np.asarray(drift.peak[j0 : upto + 1])
+        count = upto + 1 - j0
+        timeout_s = self._timeout_s
+        memory_mb = self._memory_mb
+        base_status = _S_SUCCESS if template.error_type is None else _S_ERROR
+        status = _np.full(count, base_status, dtype=_np.int64)
+        cls = _np.full(count, 1, dtype=_np.int64)
+        kill = None
+        tmask = None
+        if timeout_s is not None:
+            tmask = exec_new > timeout_s
+            if tmask.any():
+                exec_new = _np.where(tmask, timeout_s, exec_new)
+                status[tmask] = _S_TIMEOUT
+                cls[tmask] = 2
+            else:
+                tmask = None
+        if memory_mb is not None:
+            configured = memory_mb
+            clamped_const = self._clamp(configured)
+            omask = peaks > clamped_const
+            if tmask is not None:
+                omask &= ~tmask
+            if omask.any():
+                status[omask] = _S_OOM
+                cls[omask] = 3
+                kill = omask
+            clamped = _np.full(count, clamped_const, dtype=_np.int64)
+            du, dinv = _np.unique(exec_new, return_inverse=True)
+            durations = du.tolist()
+            billed = _np.asarray([self._billed(d) for d in durations])[dinv]
+            cost = _np.asarray([self._cost(d, configured) for d in durations])[dinv]
+        else:
+            conf = _np.maximum((peaks + 0.999).astype(_np.int64), 1)
+            cu, cinv = _np.unique(conf, return_inverse=True)
+            clamped = _np.asarray(
+                [self._clamp(c) for c in cu.tolist()], dtype=_np.int64
+            )[cinv]
+            du, dinv = _np.unique(exec_new, return_inverse=True)
+            durations = du.tolist()
+            billed = _np.asarray([self._billed(d) for d in durations])[dinv]
+            width = len(cu)
+            pu, pinv = _np.unique(dinv * width + cinv, return_inverse=True)
+            cost = _np.asarray(
+                [
+                    self._cost(durations[p // width], int(cu[p % width]))
+                    for p in pu.tolist()
+                ]
+            )[pinv]
+        # Same addition order as InvocationRecord.e2e_s on a warm start:
+        # ((((routing + 0.0) + 0.0) + 0.0) + 0.0) + exec_s.
+        base = self._routing + 0.0 + 0.0 + 0.0 + 0.0
+        e2e = base + exec_new
+        execs = exec_new.tolist()
+        e2es = e2e.tolist()
+        kills = [False] * count if kill is None else kill.tolist()
+        self._sc_exec += execs
+        self._sc_e2e += e2es
+        self._sc_status += status.tolist()
+        self._sc_billed += billed.tolist()
+        self._sc_cost += cost.tolist()
+        self._sc_peak += peaks.tolist()
+        self._sc_clamped += clamped.tolist()
+        self._sc_cls += cls.tolist()
+        specs.extend(zip(execs, e2es, kills))
+
+    def _run_columnar(
+        self, arrivals, index, result, arrival_times, completion_times
+    ) -> None:
+        """The columnar serve loop: one spec index and timestamp per row.
+
+        The same pool/clock/id decisions as the general path (inlined
+        :meth:`_acquire_warm`, the host layer excluded by
+        :meth:`_homogeneous`), but per-row emission shrinks to three list
+        appends (spec index, timestamp, completion) plus run-length
+        tracking of the serving instance; everything else gathers from
+        the outcome columns at flush time.
+        """
+        entry = self._entry
+        name = self._name
+        function = self._function
+        clock = self._clock
+        keep_alive = self.emulator.keep_alive_s
+        instance_seq = function.instance_seq
+        instances = function.instances
+        attribution = self._attribution
+        pricing = self._pricing
+        busy = self._busy
+        idle = self._idle
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        kill_shadow = self._kill
+
+        (
+            cold_exec, cold_e2e, cold_kill, cold_clamped, cold_billed_s,
+            cold_cost,
+        ) = self._init_spec_cols()
+        specs = self._warm_specs
+        extend_specs = self._extend_spec_cols
+        cold = entry.cold
+        cold_init_s = cold.init_s
+        cold_modules = cold.modules
+        post_t = cold.post_t
+        post_live = cold.post_live
+        post_peak = cold.post_peak
+        overhead_sum = self._overhead_sum
+
+        now = clock.now()
+        seq = self._seq.value
+        ids = self._request_ids
+        rid_base = ids.value
+        adopted = self._adopted
+
+        idx_list: list = []
+        ts_list: list = []
+        comps: list = []
+        inst_runs: list = []
+        run_iid = None
+        run_count = 0
+        cold_n = warm_n = 0
+        flushed = index
+        n = len(arrivals)
+        spec_len = len(specs)
+
+        if not adopted and index < n:
+            # Inlined _acquire_warm adoption, hoisted out of the loop: it
+            # can only trigger on the first arrival.
+            adopted = True
+            t0 = arrivals[index]
+            for existing in instances:
+                if existing.alive:
+                    idle.append((t0, self._wrap(existing)))
+
+        for i, t in enumerate(arrivals[index:] if index else arrivals, index):
+            while busy and busy[0][0] <= t:
+                freed = heappop(busy)
+                idle.append((freed[0], freed[2]))
+            shadow = None
+            while idle:
+                freed_at, candidate = idle[-1]
+                if t - freed_at > keep_alive:
+                    idle.clear()
+                    break
+                idle.pop()
+                if candidate.alive:
+                    shadow = candidate
+                    break
+            if shadow is not None:
+                j = shadow.invocations
+                shadow.invocations = j + 1
+                if j >= spec_len:
+                    extend_specs(j)
+                    spec_len = len(specs)
+                exec_eff, e2e, kill = specs[j]
+                now += exec_eff
+                idx_list.append(j)
+                ts_list.append(now)
+                comps.append(t + e2e)
+                warm_n += 1
+                iid = shadow.instance_id
+                if kill:
+                    kill_shadow(shadow)
+                else:
+                    heappush(busy, (t + e2e, seq, shadow))
+                    seq += 1
+            else:
+                now += overhead_sum
+                iid = f"{name}-i{next(instance_seq):05d}"
+                now += cold_init_s
+                now += cold_exec
+                if attribution is not None:
+                    rid = rid_base + len(idx_list)
+                    attribution.record(
+                        attribute_cold_start(
+                            function=name,
+                            request_id=f"req-{rid:06d}",
+                            timestamp=now,
+                            pricing=pricing,
+                            memory_config_mb=cold_clamped,
+                            modules=cold_modules,
+                            billed_init_s=cold_init_s,
+                            restore_s=0.0,
+                            exec_s=cold_exec,
+                            billed_duration_s=cold_billed_s,
+                            cost_usd=cold_cost,
+                            include_exec=True,
+                        )
+                    )
+                idx_list.append(0)
+                ts_list.append(now)
+                comps.append(t + cold_e2e)
+                cold_n += 1
+                if not cold_kill:
+                    shadow = _Shadow(iid, t=post_t, live=post_live, peak=post_peak)
+                    shadow.invocations = 1
+                    instances.append(shadow)
+                    heappush(busy, (t + cold_e2e, seq, shadow))
+                    seq += 1
+            if iid is run_iid:
+                run_count += 1
+            else:
+                if run_count:
+                    inst_runs.append((run_iid, run_count))
+                run_iid = iid
+                run_count = 1
+            if len(idx_list) >= _FLUSH_ROWS:
+                inst_runs.append((run_iid, run_count))
+                run_iid = None
+                run_count = 0
+                self._flush_cols(
+                    result, idx_list, ts_list, comps, inst_runs,
+                    arrivals[flushed : i + 1], rid_base, cold_n, warm_n,
+                    arrival_times, completion_times,
+                )
+                rid_base += len(idx_list)
+                ids.value = rid_base
+                flushed = i + 1
+                idx_list = []
+                ts_list = []
+                comps = []
+                inst_runs = []
+                cold_n = warm_n = 0
+
+        if idx_list:
+            inst_runs.append((run_iid, run_count))
+            self._flush_cols(
+                result, idx_list, ts_list, comps, inst_runs,
+                arrivals[flushed:n], rid_base, cold_n, warm_n,
+                arrival_times, completion_times,
+            )
+            rid_base += len(idx_list)
+            ids.value = rid_base
+
+        self._write_back(now, seq, adopted)
+
+    def _flush_cols(
+        self, result, idx_list, ts_list, comps, inst_runs, served, rid_base,
+        cold_n, warm_n, arrival_times, completion_times,
+    ) -> None:
+        """Gather one chunk's columns from the outcome tables and bulk-emit.
+
+        One fancy-index per column turns the per-row spec indices into
+        full log/telemetry columns; the order-dependent float folds
+        (billing, total cost, sketch sums) continue as seeded ``cumsum``
+        left-folds inside the columnar emitters.
+        """
+        count = len(idx_list)
+        idx = _np.asarray(idx_list, dtype=_np.intp)
+        e2e = _np.asarray(self._sc_e2e)[idx]
+        status = _np.asarray(self._sc_status, dtype=_np.int8)[idx]
+        billed = _np.asarray(self._sc_billed)[idx]
+        cost = _np.asarray(self._sc_cost)[idx]
+        peak = _np.asarray(self._sc_peak)[idx]
+        clamped = _np.asarray(self._sc_clamped, dtype=_np.int64)[idx]
+        exec_col = _np.asarray(self._sc_exec)[idx]
+        cold_mask = idx == 0
+        starts = _np.where(cold_mask, _np.int8(_COLD), _np.int8(_WARM)).astype(
+            _np.int8
+        )
+        instance_init_s, transmission_s = self._overhead
+        iinit = _np.where(cold_mask, instance_init_s, 0.0)
+        trans = _np.where(cold_mask, transmission_s, 0.0)
+        init = _np.where(cold_mask, self._entry.cold.init_s, 0.0)
+        cls = _np.asarray(self._sc_cls, dtype=_np.int64)[idx]
+        bounds = (_np.flatnonzero(cls[1:] != cls[:-1]) + 1).tolist()
+        edges = [0, *bounds, count]
+        cls_values = self._cls_values
+        cls_errors = self._cls_errors
+        value_runs = []
+        error_runs = []
+        for run in range(len(edges) - 1):
+            a, b = edges[run], edges[run + 1]
+            which = int(cls[a])
+            value, value_key = cls_values[which]
+            value_runs.append((value, value_key, b - a))
+            error_runs.append((cls_errors[which], b - a))
+        self._log.append_columns(
+            self._name,
+            self._routing,
+            rid_base,
+            start_types=starts,
+            status_indices=status,
+            timestamps=_np.asarray(ts_list),
+            instance_runs=inst_runs,
+            value_runs=value_runs,
+            error_runs=error_runs,
+            instance_init_s=iinit,
+            transmission_s=trans,
+            init_duration_s=init,
+            exec_duration_s=exec_col,
+            billed_duration_s=billed,
+            memory_config_mb=clamped,
+            peak_memory_mb=peak,
+            cost_usd=cost,
+        )
+        bill = self._bill
+        bill.charge_block(
+            invocation_cost=float(
+                _np.cumsum(_np.concatenate(((bill.invocation_cost,), cost)))[-1]
+            ),
+            invocations=count,
+            cold_starts=cold_n,
+        )
+        result.total_cost = float(
+            _np.cumsum(_np.concatenate(((result.total_cost,), cost)))[-1]
+        )
+        result.attempts += count
+        result.requests += count
+        result.delivered += int((status == _S_SUCCESS).sum())
+        result.cold_starts += cold_n
+        result.warm_starts += warm_n
+        sink = self._sink
+        if sink is not None:
+            sink.observe_columns(
+                self._name,
+                statuses=status,
+                status_names=_STATUS_VALUES,
+                ok=status == _S_SUCCESS,
+                is_cold=cold_mask,
+                e2e=e2e,
+                cost=cost,
+                billed_s=billed,
+                arrivals=_np.asarray(served),
+                rid_start=rid_base,
+            )
+        arrival_times.extend(served)
+        completion_times.extend(comps)
+
+    def _write_back(self, now: float, seq: int, adopted: bool) -> None:
+        """Deferred state write-backs: the local folds are authoritative."""
+        self._clock._now = now
+        self._seq.value = seq
+        self._adopted = adopted
+        drift = self._entry.drift
+        t_table = drift.t
+        live_table = drift.live
+        peak_table = drift.peak
+        for _, _, shadow in self._busy:
+            k = shadow.invocations - 1
+            shadow.t = t_table[k]
+            shadow.live = live_table[k]
+            shadow.peak = peak_table[k]
+        for _, shadow in self._idle:
+            if shadow.alive:
+                k = shadow.invocations - 1
+                shadow.t = t_table[k]
+                shadow.live = live_table[k]
+                shadow.peak = peak_table[k]
 
     # -- pricing caches ----------------------------------------------------
 

@@ -48,7 +48,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import PlatformError
 
-try:  # optional [perf] extra: only append_columns (vector engine) needs it
+try:  # optional [perf] extra: only append_columns (the columnar loop) needs it
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     _np = None
@@ -451,6 +451,21 @@ class GroupedLogQuery:
         return iter(sorted(self.groups, key=str))
 
 
+def _intern_key(value: Any) -> Any:
+    """The value-cache key of a record value: the value itself when it is
+    hashable, else its canonical JSON, else ``None`` (not interned)."""
+    if value is None:
+        return None
+    try:
+        hash(value)
+    except TypeError:
+        try:
+            return json.dumps(value, sort_keys=True)
+        except (TypeError, ValueError):
+            return None
+    return value
+
+
 class _StringTable:
     """Append-only string interner: value -> small int and back."""
 
@@ -663,59 +678,16 @@ class ExecutionLog:
         error_type: str | None,
         value_key: Any = None,
     ) -> None:
-        """Append one invocation straight into the columns.
-
-        The fast-path twin of :meth:`append` for callers (the replay
-        kernel) that already hold the decomposed fields: no
-        :class:`InvocationRecord` is built, no enum lookups run.
-        ``request_num`` must be the regular ``req-NNNNNN`` integer;
-        ``start_index``/``status_index`` are positions in the module
-        tables (``_START_TYPE_INDEX`` / ``_STATUS_INDEX``).  The stored
-        bytes — spill lines, materialised views, summaries — are
-        identical to appending the equivalent record.  ``value_key``
-        optionally carries a precomputed interning key (the hashable
-        value itself, or its canonical JSON) so repeated payloads dedup
-        without re-serialising.
-        """
-        floats = self._floats
-        floats["timestamp"].append(timestamp)
-        floats["instance_init_s"].append(instance_init_s)
-        floats["transmission_s"].append(transmission_s)
-        floats["init_duration_s"].append(init_duration_s)
-        floats["restore_duration_s"].append(restore_duration_s)
-        floats["exec_duration_s"].append(exec_duration_s)
-        floats["routing_s"].append(routing_s)
-        floats["billed_duration_s"].append(billed_duration_s)
-        floats["peak_memory_mb"].append(peak_memory_mb)
-        floats["cost_usd"].append(cost_usd)
-        self._memory_config.append(memory_config_mb)
-        self._start_types.append(start_index)
-        self._statuses.append(status_index)
-        self._functions.append(self._function_table.intern(function))
-        self._instances.append(self._instance_table.intern(instance_id))
-        self._errors.append(
-            -1 if error_type is None else self._error_table.intern(error_type)
+        """Append one invocation from decomposed fields: a one-row
+        :meth:`append_rows` (see there for the argument conventions)."""
+        self.append_rows(
+            function, routing_s, (request_num,), (start_index,),
+            (status_index,), (timestamp,), (value,), (value_key,),
+            (instance_id,), (instance_init_s,), (transmission_s,),
+            (init_duration_s,), (exec_duration_s,), (billed_duration_s,),
+            (memory_config_mb,), (peak_memory_mb,), (cost_usd,),
+            (error_type,), restore_duration_s=(restore_duration_s,),
         )
-        self._request_nums.append(request_num)
-        if value is not None:
-            if value_key is not None:
-                value = self._value_cache.setdefault(value_key, value)
-            else:
-                try:
-                    value = self._value_cache.setdefault(value, value)
-                except TypeError:
-                    try:
-                        key = json.dumps(value, sort_keys=True)
-                    except (TypeError, ValueError):
-                        pass
-                    else:
-                        value = self._value_cache.setdefault(key, value)
-        self._values.append(value)
-        self._account(function, start_index, status_index, cost_usd)
-        self._size += 1
-
-        if self.spill_threshold is not None and self._size >= self.spill_threshold:
-            self._spill()
 
     def append_rows(
         self,
@@ -737,22 +709,34 @@ class ExecutionLog:
         peak_memory_mb: Iterable[float],
         cost_usd: Iterable[float],
         error_types: Iterable[str | None],
+        *,
+        restore_duration_s: Iterable[float] | None = None,
     ) -> None:
         """Append one function's batch of invocations column-at-a-time.
 
-        The bulk twin of :meth:`append_row` for the vector replay engine:
-        typed columns extend in C (one call per column instead of one per
+        The bulk twin of :meth:`append` for the fast replay engine, which
+        already holds the decomposed fields: no
+        :class:`InvocationRecord` is built, no enum lookups run.  Every
+        ``request_nums`` entry must be the regular ``req-NNNNNN``
+        integer; ``start_indices``/``status_indices`` are positions in the
+        module tables (``_START_TYPE_INDEX`` / ``_STATUS_INDEX``).
+        ``value_keys`` may carry precomputed interning keys (the hashable
+        value itself, or its canonical JSON) so repeated payloads dedup
+        without re-serialising; a ``None`` key is derived from its value.
+        ``routing_s`` is constant across the batch (one function, one
+        platform config); ``restore_duration_s`` defaults to all zeros
+        (SnapStart functions never reach the fast engine).
+
+        Typed columns extend in C (one call per column instead of one per
         cell), string/value interning runs through list comprehensions,
         and the per-function accounting folds in a single tight loop —
         with costs still accumulated strictly in row order, so billing
-        sums stay bit-identical to N sequential ``append_row`` calls.
-        ``routing_s`` is constant across the batch (one function, one
-        platform config); ``restore_duration_s`` is always zero on this
-        path (SnapStart functions never reach the batch kernel).  Rows,
-        materialised views, and fully flushed spill bytes are identical
-        to the sequential path; only *when* a spill happens may shift to
-        batch boundaries, which is why the vector engine refuses mid-run
-        checkpoints (their spill watermarks assume row granularity).
+        sums stay bit-identical to appending the equivalent records one
+        by one.  Rows, materialised views, and fully flushed spill bytes
+        are identical to the sequential path; only *when* a spill happens
+        may shift to batch boundaries, which checkpoints never see
+        (:meth:`snapshot` flushes the spill before it records the
+        watermark).
         """
         request_nums = list(request_nums)
         n = len(request_nums)
@@ -763,7 +747,10 @@ class ExecutionLog:
         floats["instance_init_s"].extend(instance_init_s)
         floats["transmission_s"].extend(transmission_s)
         floats["init_duration_s"].extend(init_duration_s)
-        floats["restore_duration_s"].frombytes(bytes(8 * n))  # all 0.0
+        if restore_duration_s is None:
+            floats["restore_duration_s"].frombytes(bytes(8 * n))  # all 0.0
+        else:
+            floats["restore_duration_s"].extend(restore_duration_s)
         floats["exec_duration_s"].extend(exec_duration_s)
         floats["routing_s"].extend(repeat(routing_s, n))
         floats["billed_duration_s"].extend(billed_duration_s)
@@ -784,13 +771,8 @@ class ExecutionLog:
             [-1 if e is None else intern_error(e) for e in error_types]
         )
         self._request_nums.extend(request_nums)
-        cache = self._value_cache
-        self._values.extend(
-            [
-                v if v is None else cache.setdefault(k, v)
-                for v, k in zip(values, value_keys)
-            ]
-        )
+        interned = self._interned
+        self._values.extend([interned(v, k) for v, k in zip(values, value_keys)])
 
         entry = self._billing.get(function)
         if entry is None:
@@ -851,18 +833,19 @@ class ExecutionLog:
     ) -> None:
         """Append one function's batch straight from numpy arrays.
 
-        The zero-copy twin of :meth:`append_rows` for the vector chain
-        path: float/int columns land via ``frombytes`` of the arrays'
-        native little-endian buffers (typed columns and numpy share the
-        same C layout), repetitive string-ish columns arrive run-length
-        encoded — ``instance_runs`` as ``(instance_id, count)`` pairs,
-        ``value_runs`` as ``(value, value_key, count)``, ``error_runs``
-        as ``(error_type_or_None, count)`` — and the accounting folds
-        run as seeded ``cumsum`` left-folds, bit-identical to the
-        sequential loop.  Every request id is regular: row *i* is
-        ``req-{rid_start + i}``.  No row may be throttled (the chain
-        path never buffers throttles); ``restore_duration_s`` is zero as
-        on :meth:`append_rows`.
+        The zero-copy twin of :meth:`append_rows` for the fast engine's
+        columnar loop: float/int columns land via ``frombytes`` of the
+        arrays' native little-endian buffers (typed columns and numpy
+        share the same C layout), repetitive string-ish columns arrive
+        run-length encoded — ``instance_runs`` as ``(instance_id, count)``
+        pairs, ``value_runs`` as ``(value, value_key, count)`` (a ``None``
+        key is derived from its value, as on :meth:`append_rows`),
+        ``error_runs`` as ``(error_type_or_None, count)`` — and the
+        accounting folds run as seeded ``cumsum`` left-folds,
+        bit-identical to the sequential loop.  Every request id is
+        regular: row *i* is ``req-{rid_start + i}``.  No row may be
+        throttled (the columnar loop never serves throttles);
+        ``restore_duration_s`` is zero.
         """
         n = int(len(timestamps))
         if n == 0:
@@ -902,11 +885,9 @@ class ExecutionLog:
         self._request_nums.frombytes(
             _np.arange(rid_start, rid_start + n, dtype=_np.int64).tobytes()
         )
-        cache = self._value_cache
         values_column = self._values
         for value, value_key, count in value_runs:
-            if value is not None:
-                value = cache.setdefault(value_key, value)
+            value = self._interned(value, value_key)
             if count == 1:
                 values_column.append(value)
             else:
@@ -948,6 +929,17 @@ class ExecutionLog:
 
         if self.spill_threshold is not None and self._size >= self.spill_threshold:
             self._spill()
+
+    def _interned(self, value: Any, key: Any) -> Any:
+        """*value*, deduplicated against earlier payloads under *key* (or
+        under :func:`_intern_key` of it when *key* is ``None``)."""
+        if value is None:
+            return None
+        if key is None:
+            key = _intern_key(value)
+            if key is None:
+                return value
+        return self._value_cache.setdefault(key, value)
 
     def _account(
         self, function: str, start_index: int, status_index: int, cost: float

@@ -23,13 +23,11 @@ serves trigger errors from the original function while feeding the
 manager's circuit breaker.  Every arrival ends as exactly one replayed
 request or one dead letter: nothing is silently lost.
 
-This module is the *reference semantics* the fast engines are judged
+This module is the *reference semantics* the fast engine is judged
 against: :class:`~repro.platform.kernel.KernelReplayer` (template
-capture, scalar synthesis) and :class:`~repro.platform.vector.
-VectorReplayer` (batched emission over the same templates) must both be
-byte-identical to a :class:`TraceReplayer` run in every export, and the
-parity suites in ``tests/platform/test_kernel.py`` and
-``tests/platform/test_vector.py`` hold them to it.
+capture, synthesis, bulk emission) must be byte-identical to a
+:class:`TraceReplayer` run in every export, and the parity suite in
+``tests/platform/test_kernel.py`` holds it to that.
 """
 
 from __future__ import annotations

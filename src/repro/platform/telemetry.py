@@ -128,47 +128,6 @@ class WindowRollup:
         if len(exemplars) < EXEMPLAR_K or e2e_s > exemplars[-1][0]:
             self._push_exemplar(e2e_s, f"{record.function}/{record.request_id}")
 
-    def observe_row(
-        self,
-        status: str,
-        ok: bool,
-        billed: bool,
-        is_cold: bool,
-        is_warm: bool,
-        e2e_s: float,
-        cost_usd: float,
-        billed_s: float,
-        function: str = "",
-        request_num: int = -1,
-    ) -> None:
-        """Fold one invocation from already-decomposed fields.
-
-        The record-free twin of :meth:`observe` for the replay kernel:
-        same branches, same accumulation order, so the resulting rollup
-        is bit-identical to observing the equivalent record.
-        """
-        self.invocations += 1
-        self.status_counts[status] = self.status_counts.get(status, 0) + 1
-        if not ok:
-            self.errors += 1
-        if not billed:
-            return
-        if is_cold:
-            self.cold_starts += 1
-            self.cold_e2e.record(e2e_s)
-        elif is_warm:
-            self.warm_starts += 1
-        self.cost_usd += cost_usd
-        self.billed_s_sum += billed_s
-        self.e2e.record(e2e_s)
-        self.billed.record(billed_s)
-        if request_num >= 0:
-            exemplars = self.exemplars
-            if len(exemplars) < EXEMPLAR_K or e2e_s > exemplars[-1][0]:
-                # The ref string is only built on top-K entry, keeping the
-                # kernel's record-free hot path free of formatting.
-                self._push_exemplar(e2e_s, f"{function}/req-{request_num:06d}")
-
     def merge(self, other: "WindowRollup") -> None:
         """Fold *other* into this rollup (sliding windows, run totals)."""
         if other.function != self.function:
@@ -284,10 +243,6 @@ DRAIN_THRESHOLD = 50_000
 #: than looping a handful of rows (see ``_ingest_cols_small``).
 _SMALL_RUN = 128
 
-#: Sentinel tagging a buffered host event so ``_drain`` can tell it apart
-#: from an ``observe_row`` invocation tuple.
-_HOST_EVENT = object()
-
 
 class TelemetrySink:
     """Aggregator of invocation records over the virtual clock.
@@ -337,8 +292,8 @@ class TelemetrySink:
         self._evaluated: set[tuple[str, int]] = set()
         # In-flight completion-time heaps for the concurrency HWM.
         self._in_flight: dict[str, list[float]] = {}
-        # Hot-path buffer: (record-or-row-tuple, explicit arrival or None)
-        # pairs; rows come from observe_row and are plain tuples.
+        # Hot-path buffer: (record, explicit arrival or None) pairs, plus
+        # ((function, kind, util), arrival) host events from observe_host.
         self._pending: list[tuple[Any, float | None]] = []
 
     # -- ingestion ---------------------------------------------------------
@@ -357,24 +312,10 @@ class TelemetrySink:
         if len(self._pending) >= DRAIN_THRESHOLD:
             self._drain()
 
-    def observe_row(
-        self,
-        row: tuple,
-        *,
-        arrival: float,
-    ) -> None:
-        """Buffer one already-decomposed invocation (the kernel hot path).
-
-        *row* is ``(function, status_value, ok, billed, is_cold, is_warm,
-        e2e_s, cost_usd, billed_duration_s[, request_num])`` — everything
-        :meth:`WindowRollup.observe` would have derived from a record.
-        The optional trailing ``request_num`` feeds window exemplars; a
-        9-element row skips them.  Aggregation order and arithmetic match
-        :meth:`observe` exactly.
-        """
-        self._pending.append((row, arrival))
-        if len(self._pending) >= DRAIN_THRESHOLD:
-            self._drain()
+    def observe_row(self, row: tuple, *, arrival: float) -> None:
+        """Fold one already-decomposed invocation: a one-row
+        :meth:`observe_rows` (see there for the row layout)."""
+        self.observe_rows((row,), arrivals=(arrival,))
 
     def observe_rows(
         self,
@@ -382,15 +323,20 @@ class TelemetrySink:
         *,
         arrivals: Sequence[float],
     ) -> None:
-        """Fold many already-decomposed rows at once (the vector-engine path).
+        """Fold many already-decomposed rows at once (the fast-engine path).
 
-        Equivalent to one :meth:`observe_row` call per row followed by a
-        drain, but maximal runs of rows sharing a (function, window) are
+        Each row is ``(function, status_value, ok, billed, is_cold,
+        is_warm, e2e_s, cost_usd, billed_duration_s[, request_num])`` —
+        everything :meth:`WindowRollup.observe` would have derived from a
+        record; the optional trailing ``request_num`` feeds window
+        exemplars (a 9-element row skips them).  Sink state is identical
+        to one :meth:`observe` per equivalent record followed by a drain,
+        but maximal runs of rows sharing a (function, window) are
         aggregated in bulk: histogram inserts go through
         :meth:`~repro.obs.histogram.LogLinearHistogram.observe_many`,
         while every order-dependent float accumulation (``cost_usd``,
         ``billed_s_sum``, the sketches' ``_sum``) stays a sequential fold
-        in row order, so sink state is bit-identical to the per-row path.
+        in row order, so sink state is bit-identical to the per-record path.
         Rows must arrive in non-decreasing arrival order, like every
         other publisher.  The hot-path buffer is drained first so
         previously buffered records keep their publish order.
@@ -502,22 +448,22 @@ class TelemetrySink:
         arrivals,
         rid_start: int,
     ) -> None:
-        """Fold one all-billed columnar batch — the vector chain path.
+        """Fold one all-billed columnar batch — the columnar replay loop.
 
         Arguments are parallel numpy arrays in serve order: ``statuses``
         indexes into ``status_names``, ``ok``/``is_cold`` are bool masks
         (every row is billed and non-throttled, so ``is_warm`` is exactly
         ``~is_cold``), and row *i* carries request number
         ``rid_start + i``.  State after the call is bit-identical to one
-        :meth:`observe_row` per row: order-dependent float folds
+        :meth:`observe` per equivalent record: order-dependent float folds
         (``cost_usd``, ``billed_s_sum``, histogram ``_sum``) run as
         seeded ``cumsum`` left-folds, counters and bucket counts come
         from array aggregates, and the concurrency heap is replaced by
         its surviving multiset (pop/push order inside one batch is
         unobservable — only pops-by-value and depth are).  Requires
-        numpy; callers fall back to :meth:`observe_rows` without it.
+        numpy (the columnar loop only runs with it).
         """
-        if _np is None:  # pragma: no cover - vector engine requires numpy
+        if _np is None:  # pragma: no cover - the columnar loop requires numpy
             raise PlatformError("observe_columns requires numpy")
         n = int(len(e2e))
         if n == 0:
@@ -727,7 +673,7 @@ class TelemetrySink:
         function so per-worker sinks in a sharded fleet replay merge
         identically to a single live sink.
         """
-        self._pending.append(((_HOST_EVENT, function, kind, util), arrival))
+        self._pending.append(((function, kind, util), arrival))
         if len(self._pending) >= DRAIN_THRESHOLD:
             self._drain()
 
@@ -738,10 +684,7 @@ class TelemetrySink:
         pending, self._pending = self._pending, []
         for record, arrival in pending:
             if type(record) is tuple:
-                if record[0] is _HOST_EVENT:
-                    self._ingest_host(record[1], record[2], record[3], arrival)
-                else:
-                    self._ingest_row(record, arrival)
+                self._ingest_host(record[0], record[1], record[2], arrival)
             else:
                 self._ingest(record, arrival)
 
@@ -755,29 +698,6 @@ class TelemetrySink:
             rollup.observe(record)
             depth = self._track_concurrency(name, arrival, completion)
             rollup.concurrency_peak = max(rollup.concurrency_peak, depth)
-
-    def _ingest_row(self, row: tuple, arrival: float) -> None:
-        function = row[0]
-        completion = arrival + row[6]
-        request_num = row[9] if len(row) > 9 else -1
-        names = (function, FLEET) if self.track_fleet else (function,)
-        for name in names:
-            rollup = self._rollup(name, arrival)
-            rollup.observe_row(
-                row[1],
-                row[2],
-                row[3],
-                row[4],
-                row[5],
-                row[6],
-                row[7],
-                row[8],
-                function,
-                request_num,
-            )
-            depth = self._track_concurrency(name, arrival, completion)
-            if depth > rollup.concurrency_peak:
-                rollup.concurrency_peak = depth
 
     def _ingest_host(
         self, function: str, kind: str, util: float, arrival: float

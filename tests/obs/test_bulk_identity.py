@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.histogram import _SMALL_BATCH, _np, LogLinearHistogram
+from repro.obs.histogram import _SMALL_BATCH, LogLinearHistogram
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -73,7 +73,7 @@ class TestObserveManyBitIdentity:
         # Any split into chunks — some short enough for the scalar sweep,
         # some long enough for the vectorized path — folds to the same
         # state as one record() per value, so flush boundaries in the
-        # batch engine can never show through.
+        # fast replay engine can never show through.
         sequential = LogLinearHistogram()
         for value in values:
             sequential.record(value)
@@ -93,11 +93,6 @@ class TestObserveManyBitIdentity:
         batched.observe_many(values)
         assert_state_identical(batched, sequential)
 
-    @pytest.mark.skipif(
-        _np is None,
-        reason="the no-numpy fallback is a plain sequential loop: it "
-        "ingests values up to the bad one, like record() itself",
-    )
     @SETTINGS
     @given(
         values=value_lists,

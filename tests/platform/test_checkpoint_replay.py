@@ -56,14 +56,17 @@ def workspace(tmp_path_factory):
 def _replay(ws, tag, **kwargs):
     out = ws["root"] / tag
     out.mkdir(exist_ok=True)
+    kwargs.setdefault(
+        "retry",
+        RetryPolicy(max_attempts=3, base_delay_s=0.05, jitter=0.3, seed=11),
+    )
+    kwargs.setdefault(
+        "faults", FaultPlan(seed=7, default=FaultRates(throttle=0.05, exec_crash=0.2))
+    )
     result = replay_fleet(
         ws["bundle"],
         ws["trace"],
         EVENT,
-        retry=RetryPolicy(max_attempts=3, base_delay_s=0.05, jitter=0.3, seed=11),
-        faults=FaultPlan(
-            seed=7, default=FaultRates(throttle=0.05, exec_crash=0.2)
-        ),
         dead_letters=out / "dead.jsonl",
         log_dir=out / "logs",
         merged_log=out / "merged.jsonl",
@@ -144,6 +147,54 @@ class TestCrashAndResume:
         assert _artifacts(out) == plain
         assert result.resumed_shards >= 1
         assert result.report.meta["resume"]["resumed_shards"] >= 1
+
+    def test_retry_free_resume_is_byte_identical_at_every_boundary(
+        self, workspace
+    ):
+        # Without retries the fast engine's retry-free loop writes the
+        # checkpoints; the rows it buffers must reach the log before each
+        # snapshot, or a resume loses them.
+        plain = {"retry": None, "faults": None}
+        _, out = _replay(workspace, "plain", **plain)
+        expected = _artifacts(out)
+        boundaries: list[int] = []
+        checkpoint_mod.set_post_checkpoint_hook(boundaries.append)
+        _replay(
+            workspace,
+            "plain-count",
+            checkpoint_dir=workspace["root"] / "cks-plain-count",
+            checkpoint_every=10,
+            **plain,
+        )
+        assert len(boundaries) >= 4
+
+        for boundary in boundaries:
+
+            def crash_at(count, boundary=boundary):
+                if count == boundary:
+                    raise _Crash()
+
+            cks = workspace["root"] / f"cks-plain-{boundary}"
+            checkpoint_mod.set_post_checkpoint_hook(crash_at)
+            with pytest.raises(_Crash):
+                _replay(
+                    workspace,
+                    f"plain-{boundary}",
+                    checkpoint_dir=cks,
+                    checkpoint_every=10,
+                    **plain,
+                )
+            checkpoint_mod.set_post_checkpoint_hook(None)
+            result, out = _replay(
+                workspace,
+                f"plain-{boundary}",
+                checkpoint_dir=cks,
+                checkpoint_every=10,
+                resume=True,
+                **plain,
+            )
+            assert _artifacts(out) == expected, f"boundary {boundary}"
+            assert result.resumed_shards >= 1
 
     def test_orphan_spill_is_counted_and_rerun(self, workspace, baseline):
         """A spill with no checkpoint means zero durable progress."""

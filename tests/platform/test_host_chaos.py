@@ -73,8 +73,11 @@ def chaos_runs(toy_bundles, tmp_path_factory):
     assert total >= 10_000
     root = tmp_path_factory.mktemp("host-chaos")
     runs = {}
-    for engine, workers in (("kernel", 1), ("kernel", 8), ("reference", 1)):
-        key = f"{engine}-{workers}"
+    for key, engine, workers in (
+        ("kernel-1", "auto", 1),
+        ("kernel-8", "auto", 8),
+        ("reference-1", "reference", 1),
+    ):
         runs[key] = replay_fleet(
             original,
             trace,

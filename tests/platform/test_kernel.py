@@ -1,13 +1,19 @@
-"""The replay kernel must be unobservable except in wall-clock time.
+"""The fast replay engine must be unobservable except in wall-clock time.
 
-The contract pinned down here: for any replayable workload, the
-template-capture kernel (:class:`~repro.platform.kernel.KernelReplayer`)
-produces **byte-identical** exports — logs, ledgers, telemetry, stats —
-to the reference :class:`~repro.platform.replay.TraceReplayer`, across
-seeds, under chaos with retries, under warm-pool churn, and regardless
-of worker count.  Plus: the vectorized peak-concurrency sweep equals the
-pure-Python reference, and non-replayable workloads are rejected (or
-silently fall back) rather than silently diverging.
+The contract pinned down here: for any replayable workload, the fast
+engine (:class:`~repro.platform.kernel.KernelReplayer`) produces
+**byte-identical** exports — logs, ledgers, telemetry, stats — to the
+reference :class:`~repro.platform.replay.TraceReplayer`, across seeds,
+under throttle-only faults, under chaos with retries, on host pools,
+under timeout/OOM kills and warm-pool churn, and regardless of worker
+count.  The parity suite runs twice: as is (homogeneous runs take the
+columnar loop) and with the engine's numpy gate off and a tiny emission
+chunk (every run takes the general path, flushing mid-replay), so both
+serve loops are pinned on the same workloads.
+Plus: the general path reaches the sinks only through their bulk entry
+points, the vectorized peak-concurrency sweep equals the pure-Python
+reference, and non-replayable workloads are rejected (or silently fall
+back) rather than silently diverging.
 """
 
 from __future__ import annotations
@@ -21,10 +27,14 @@ from pathlib import Path
 from repro.bundle import AppBundle, BundleManifest
 from repro.errors import PlatformError
 from repro.platform import LambdaEmulator, replay_fleet
+from repro.platform import kernel as kernel_mod
 from repro.platform.faults import FaultPlan, FaultRates
+from repro.platform.hosts import HostConfig
 from repro.platform.kernel import KernelReplayer, TemplateStore, peak_concurrency
+from repro.platform.logs import ExecutionLog
 from repro.platform.replay import TraceReplayer
 from repro.platform.retry import RetryPolicy
+from repro.platform.telemetry import TelemetrySink
 from repro.traces import FleetTrace
 from repro.workloads.synthlib import LibrarySpec, ModuleSpec, func, generate_library
 from repro.workloads.toy import build_toy_torch_app
@@ -99,8 +109,45 @@ class TestKernelVsReferenceFleet:
         trace = FleetTrace.generate_invocations(
             300, seed=seed, max_per_function=200
         )
-        kernel = _fleet_exports(bundle, trace, tmp_path, "kernel")
+        kernel = _fleet_exports(bundle, trace, tmp_path, "auto")
         reference = _fleet_exports(bundle, trace, tmp_path, "reference")
+        assert kernel["log"] == reference["log"]
+        assert kernel["report"] == reference["report"]
+        assert kernel["ledger"] == reference["ledger"]
+        assert kernel["stats"] == reference["stats"]
+
+    def test_throttle_only_fleet_byte_identical(self, tmp_path):
+        # Throttles consult the injector per serve (RNG draw order and
+        # injection counters are observable), so throttled rows share the
+        # general path's chunk with billed ones.
+        bundle = build_toy_torch_app(tmp_path / "toy")
+        trace = FleetTrace.generate_invocations(
+            300, seed=21, max_per_function=200
+        )
+        plan = FaultPlan(seed=23, default=FaultRates(throttle=0.10))
+        kernel = _fleet_exports(bundle, trace, tmp_path, "auto", faults=plan)
+        reference = _fleet_exports(
+            bundle, trace, tmp_path, "reference", faults=plan
+        )
+        assert kernel["log"] == reference["log"]
+        assert kernel["report"] == reference["report"]
+        assert kernel["ledger"] == reference["ledger"]
+        assert kernel["stats"] == reference["stats"]
+        assert kernel["status_counts"].get("throttled", 0) > 0
+
+    def test_hosts_fleet_byte_identical(self, tmp_path):
+        # Host placement threads per-invocation pool state through the
+        # serve: the general path runs the same pool hooks in the same
+        # order as the reference engine.
+        bundle = build_toy_torch_app(tmp_path / "toy")
+        trace = FleetTrace.generate_invocations(
+            200, seed=9, max_per_function=120
+        )
+        hosts = HostConfig(count=3, memory_mb=1024.0)
+        kernel = _fleet_exports(bundle, trace, tmp_path, "auto", hosts=hosts)
+        reference = _fleet_exports(
+            bundle, trace, tmp_path, "reference", hosts=hosts
+        )
         assert kernel["log"] == reference["log"]
         assert kernel["report"] == reference["report"]
         assert kernel["ledger"] == reference["ledger"]
@@ -119,7 +166,7 @@ class TestKernelVsReferenceFleet:
         )
         retry = RetryPolicy(max_attempts=3, seed=5)
         kernel = _fleet_exports(
-            bundle, trace, tmp_path, "kernel", faults=plan, retry=retry
+            bundle, trace, tmp_path, "auto", faults=plan, retry=retry
         )
         reference = _fleet_exports(
             bundle, trace, tmp_path, "reference", faults=plan, retry=retry
@@ -143,7 +190,6 @@ class TestKernelVsReferenceFleet:
                 bundle,
                 trace,
                 EVENT,
-                engine="kernel",
                 workers=workers,
                 log_dir=tmp_path / f"logs-{workers}",
                 merged_log=tmp_path / f"merged-{workers}.jsonl",
@@ -232,6 +278,67 @@ class TestKernelVsReferenceDirect:
         assert len(ref.log.warm_starts()) > 0
 
 
+@pytest.fixture
+def general_path_only(monkeypatch):
+    """Gate the columnar loop off, and shrink the general path's chunk so
+    flush boundaries land inside every replay."""
+    monkeypatch.setattr(kernel_mod, "HAVE_NUMPY", False)
+    monkeypatch.setattr(kernel_mod, "_CHUNK_ROWS", 7)
+
+
+@pytest.mark.usefixtures("general_path_only")
+class TestGeneralPathVsReferenceFleet(TestKernelVsReferenceFleet):
+    """The fleet parity suite again, on the general path only."""
+
+
+@pytest.mark.usefixtures("general_path_only")
+class TestGeneralPathVsReferenceDirect(TestKernelVsReferenceDirect):
+    """The direct parity suite again, on the general path only."""
+
+
+class TestBulkEmission:
+    def test_chaos_fleet_never_takes_the_per_row_entry_points(
+        self, tmp_path, monkeypatch
+    ):
+        # Crash faults, hosts, and retries keep every function on the
+        # general path; its rows must still reach the log and the sink
+        # through their bulk doors only.
+        calls = {"append_row": 0, "observe_row": 0}
+        for cls, name in (
+            (ExecutionLog, "append_row"),
+            (TelemetrySink, "observe_row"),
+        ):
+            original = getattr(cls, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+        bundle = build_toy_torch_app(tmp_path / "toy")
+        trace = FleetTrace.generate_invocations(
+            200, seed=21, max_per_function=120
+        )
+        result = replay_fleet(
+            bundle,
+            trace,
+            EVENT,
+            workers=1,
+            faults=FaultPlan(
+                seed=23,
+                default=FaultRates(
+                    throttle=0.05, exec_crash=0.05, cold_start_crash=0.05
+                ),
+            ),
+            hosts=HostConfig(count=3, memory_mb=1024.0),
+            retry=RetryPolicy(max_attempts=3, seed=5),
+            log_dir=tmp_path / "logs",
+        )
+        counts = result.status_counts()
+        assert counts.get("crashed", 0) > 0  # the fleet really is chaotic
+        assert calls == {"append_row": 0, "observe_row": 0}
+
+
 class TestPeakConcurrency:
     def test_empty_is_zero(self):
         assert peak_concurrency([], []) == 0
@@ -297,14 +404,6 @@ class TestRejection:
         with pytest.raises(PlatformError, match="bound"):
             replayer.replay("b", [0.0], EVENT)
 
-    def test_fleet_engine_kernel_rejects_non_json_event(self, tmp_path):
-        bundle = build_toy_torch_app(tmp_path / "toy")
-        trace = FleetTrace.generate_invocations(10, seed=1, max_per_function=5)
-        with pytest.raises(PlatformError, match="engine='kernel'"):
-            replay_fleet(
-                bundle, trace, dict(EVENT, tag={1, 2}), engine="kernel", workers=1
-            )
-
     def test_fleet_engine_auto_falls_back(self, tmp_path):
         # auto must quietly use the reference engine when the event is
         # not JSON-serializable (the set under "tag"); the handler only
@@ -315,11 +414,27 @@ class TestRejection:
         result = replay_fleet(bundle, trace, event, engine="auto", workers=1)
         assert result.delivered == result.arrivals
 
+    def test_fleet_engine_auto_degrades_without_numpy(self, tmp_path, monkeypatch):
+        # Without numpy auto still serves every replayable function on the
+        # fast engine's general path — same exports, no error.
+        monkeypatch.setattr(kernel_mod, "HAVE_NUMPY", False)
+        bundle = build_toy_torch_app(tmp_path / "toy")
+        trace = FleetTrace.generate_invocations(40, seed=1, max_per_function=20)
+        result = replay_fleet(bundle, trace, EVENT, engine="auto", workers=1)
+        assert result.delivered == result.arrivals
+
     def test_fleet_rejects_unknown_engine(self, tmp_path):
         bundle = build_toy_torch_app(tmp_path / "toy")
         trace = FleetTrace.generate_invocations(10, seed=1, max_per_function=5)
         with pytest.raises(PlatformError, match="engine"):
             replay_fleet(bundle, trace, EVENT, engine="warp")
+
+    @pytest.mark.parametrize("engine", ["kernel", "vector"])
+    def test_fleet_rejects_retired_engine_names(self, tmp_path, engine):
+        bundle = build_toy_torch_app(tmp_path / "toy")
+        trace = FleetTrace.generate_invocations(10, seed=1, max_per_function=5)
+        with pytest.raises(PlatformError, match="expected auto or reference"):
+            replay_fleet(bundle, trace, EVENT, engine=engine)
 
 
 class TestTemplateStoreSharing:

@@ -8,7 +8,13 @@ import tracemalloc
 import pytest
 
 from repro.errors import PlatformError
-from repro.platform.logs import ExecutionLog, StartType
+from repro.platform.logs import (
+    _START_TYPE_INDEX,
+    _STATUS_INDEX,
+    ExecutionLog,
+    InvocationStatus,
+    StartType,
+)
 
 from tests.platform.test_logs_query import make_record
 
@@ -63,6 +69,64 @@ class TestColumnarRoundTrip:
         )
         assert len(log.cold_starts()) == sum(1 for r in log if r.is_cold)
         assert log.status_counts() == {"success": 50}
+
+
+def _append_bulk(log: ExecutionLog, values, value_keys) -> None:
+    """Warm successes carrying *values*, through ``append_rows``."""
+    n = len(values)
+    log.append_rows(
+        "fn", 0.0, range(n),
+        [_START_TYPE_INDEX[StartType.WARM]] * n,
+        [_STATUS_INDEX[InvocationStatus.SUCCESS]] * n,
+        [float(i) for i in range(n)], values, value_keys, ["fn-i00000"] * n,
+        [0.0] * n, [0.0] * n, [0.0] * n, [0.1] * n, [0.1] * n, [128] * n,
+        [1.0] * n, [1e-6] * n, [None] * n,
+    )
+
+
+class TestBulkValueInterning:
+    """Bulk appends dedup payloads exactly like record appends do."""
+
+    def test_uninternable_values_stay_distinct(self):
+        # Unhashable and not JSON: no interning key at all.
+        log = ExecutionLog()
+        _append_bulk(log, [{1, 2}, {3}], [None, None])
+        assert [r.value for r in log] == [{1, 2}, {3}]
+
+    def test_missing_keys_are_derived_from_the_values(self):
+        bulk = ExecutionLog()
+        values = [{"a": [1]}, {"a": [1]}, "x", None, {5}, {6}]
+        _append_bulk(bulk, values, [None] * len(values))
+        record = ExecutionLog()
+        for i, value in enumerate(values):
+            record.append(dataclasses.replace(
+                make_record(f"req-{i:06d}"), value=value
+            ))
+        assert [r.value for r in bulk] == [r.value for r in record] == values
+        # Equal JSON payloads share one interned object, as on append().
+        assert bulk._values[0] is bulk._values[1]
+
+    def test_columns_keep_uninternable_values_distinct(self):
+        np = pytest.importorskip("numpy", reason="append_columns needs numpy")
+        log = ExecutionLog()
+        log.append_columns(
+            "fn", 0.0, 0,
+            start_types=np.full(2, _START_TYPE_INDEX[StartType.WARM], np.int8),
+            status_indices=np.zeros(2, np.int8),
+            timestamps=np.asarray([0.0, 1.0]),
+            instance_runs=[("fn-i00000", 2)],
+            value_runs=[({1, 2}, None, 1), ({3}, None, 1)],
+            error_runs=[(None, 2)],
+            instance_init_s=np.zeros(2),
+            transmission_s=np.zeros(2),
+            init_duration_s=np.zeros(2),
+            exec_duration_s=np.full(2, 0.1),
+            billed_duration_s=np.full(2, 0.1),
+            memory_config_mb=np.full(2, 128, np.int64),
+            peak_memory_mb=np.ones(2),
+            cost_usd=np.full(2, 1e-6),
+        )
+        assert [r.value for r in log] == [{1, 2}, {3}]
 
 
 class TestSpill:

@@ -1,13 +1,14 @@
-"""Property: bulk sink ingestion is state-identical to the per-row path.
+"""Property: bulk sink ingestion is state-identical to the record path.
 
-The vector engine publishes telemetry through two bulk doors —
+The fast replay engine publishes telemetry through two bulk doors —
 ``observe_rows`` (tuple batches, throttle-capable) and ``observe_columns``
 (all-billed numpy columns) — and both promise sink state *bit-identical*
-to one ``observe_row`` per invocation: same window counters, same
-histogram sketches (sums as sequential left folds), same exemplars, same
-concurrency high-water marks.  Hypothesis drives random traces across
-window boundaries, both sides of the small-run cutoff, zero-e2e rows
-(which entangle heap pop order), and throttled/unbilled rows.
+to one ``observe(record)`` per invocation, the reference engine's path:
+same window counters, same histogram sketches (sums as sequential left
+folds), same exemplars, same concurrency high-water marks.  Hypothesis
+drives random traces across window boundaries, both sides of the
+small-run cutoff, zero-e2e rows (which entangle heap pop order), and
+throttled/unbilled rows.
 
 The in-flight heaps are compared as multisets: the columnar path
 rebuilds each heap as its sorted surviving completions, which is a
@@ -24,9 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.platform.logs import InvocationRecord, StartType
 from repro.platform.telemetry import _SMALL_RUN, TelemetrySink
-
-np = pytest.importorskip("numpy", reason="bulk columnar path requires numpy")
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -44,6 +44,33 @@ def _canon(sink: TelemetrySink) -> str:
 
 def _sink() -> TelemetrySink:
     return TelemetrySink(window_s=WINDOW_S, subbuckets=16)
+
+
+def _record(row: tuple) -> InvocationRecord:
+    """The record an engine would log for a decomposed telemetry *row*;
+    its ``e2e_s`` is exactly the row's (a sum of zeros plus routing)."""
+    function, status, _, billed, is_cold, _, e2e, cost, billed_s, rid = row
+    if not billed:
+        start = StartType.THROTTLED
+    else:
+        start = StartType.COLD if is_cold else StartType.WARM
+    return InvocationRecord(
+        request_id=f"req-{rid:06d}",
+        function=function,
+        start_type=start,
+        timestamp=0.0,
+        value=None,
+        instance_id="-",
+        routing_s=e2e,
+        billed_duration_s=billed_s,
+        cost_usd=cost,
+        status=status,
+    )
+
+
+def _observe_records(sink: TelemetrySink, rows, arrivals) -> None:
+    for row, arrival in zip(rows, arrivals):
+        sink.observe(_record(row), arrival=float(arrival))
 
 
 # -- observe_rows (tuple batches, throttles allowed) -------------------------
@@ -84,8 +111,7 @@ class TestObserveRowsIdentity:
     def test_matches_per_row_path(self, raw):
         rows, arrivals = _build_rows(raw)
         reference = _sink()
-        for row, arrival in zip(rows, arrivals):
-            reference.observe_row(row, arrival=arrival)
+        _observe_records(reference, rows, arrivals)
         bulk = _sink()
         bulk.observe_rows(rows, arrivals=arrivals)
         assert _canon(bulk) == _canon(reference)
@@ -133,6 +159,7 @@ col_fields = st.tuples(
 
 class TestObserveColumnsIdentity:
     def _columns(self, raw):
+        np = pytest.importorskip("numpy", reason="observe_columns needs numpy")
         sidx = np.asarray([f[0] for f in raw], dtype=np.int64)
         cold = np.asarray([f[1] for f in raw], dtype=bool)
         e2e = np.asarray([f[2] for f in raw], dtype=np.float64)
@@ -141,14 +168,16 @@ class TestObserveColumnsIdentity:
         arrivals = np.cumsum(np.asarray([f[5] for f in raw], dtype=np.float64))
         return sidx, cold, e2e, cost, billed, arrivals
 
+    def _rows(self, raw, rid_start):
+        return [
+            ("fn-a", STATUS_NAMES[sidx], sidx == 0, True, cold, not cold,
+             e2e, cost, billed_s, rid_start + i)
+            for i, (sidx, cold, e2e, cost, billed_s, _) in enumerate(raw)
+        ]
+
     def _reference(self, raw, arrivals, rid_start):
         sink = _sink()
-        for i, (sidx, cold, e2e, cost, billed_s, _) in enumerate(raw):
-            sink.observe_row(
-                ("fn-a", STATUS_NAMES[sidx], sidx == 0, True, cold,
-                 not cold, e2e, cost, billed_s, rid_start + i),
-                arrival=float(arrivals[i]),
-            )
+        _observe_records(sink, self._rows(raw, rid_start), arrivals)
         return sink
 
     @SETTINGS
@@ -177,9 +206,9 @@ class TestObserveColumnsIdentity:
     @SETTINGS
     @given(raw=st.lists(col_fields, min_size=1, max_size=80))
     def test_interleaves_with_scalar_observations(self, raw):
-        # A columnar flush followed by scalar rows (the engine's
-        # capture/fallback seams) must leave the same state as the
-        # all-scalar timeline — the heap handoff works both ways.
+        # A columnar flush followed by a row batch (the seam between the
+        # engine's two serve loops) must leave the same state as the
+        # per-record timeline — the heap handoff works both ways.
         sidx, cold, e2e, cost, billed, arrivals = self._columns(raw)
         half = len(raw) // 2
         reference = self._reference(raw, arrivals, 0)
@@ -196,10 +225,7 @@ class TestObserveColumnsIdentity:
             arrivals=arrivals[:half],
             rid_start=0,
         )
-        for i in range(half, len(raw)):
-            mixed.observe_row(
-                ("fn-a", STATUS_NAMES[raw[i][0]], raw[i][0] == 0, True,
-                 raw[i][1], not raw[i][1], raw[i][2], raw[i][3], raw[i][4], i),
-                arrival=float(arrivals[i]),
-            )
+        mixed.observe_rows(
+            self._rows(raw, 0)[half:], arrivals=arrivals[half:].tolist()
+        )
         assert _canon(mixed) == _canon(reference)

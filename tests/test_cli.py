@@ -287,6 +287,13 @@ class TestReplayCommand:
         assert code == 2
         assert "checkpoint_dir" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("engine", ["kernel", "vector"])
+    def test_replay_engine_is_auto_or_reference(self, toy_app, engine, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", str(toy_app.root), "--engine", engine])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
 
 class TestProfileCommand:
     @pytest.fixture(scope="class")
