@@ -9,7 +9,8 @@ under timeout/OOM kills and warm-pool churn, and regardless of worker
 count.  The parity suite runs twice: as is (homogeneous runs take the
 columnar loop) and with the engine's numpy gate off and a tiny emission
 chunk (every run takes the general path, flushing mid-replay), so both
-serve loops are pinned on the same workloads.
+serve loops are pinned on the same workloads
+(``tests/platform/test_vector.py`` asserts which loop served each one).
 Plus: the general path reaches the sinks only through their bulk entry
 points, the vectorized peak-concurrency sweep equals the pure-Python
 reference, and non-replayable workloads are rejected (or silently fall
@@ -412,15 +413,6 @@ class TestRejection:
         trace = FleetTrace.generate_invocations(40, seed=1, max_per_function=20)
         event = dict(EVENT, tag={1, 2})
         result = replay_fleet(bundle, trace, event, engine="auto", workers=1)
-        assert result.delivered == result.arrivals
-
-    def test_fleet_engine_auto_degrades_without_numpy(self, tmp_path, monkeypatch):
-        # Without numpy auto still serves every replayable function on the
-        # fast engine's general path — same exports, no error.
-        monkeypatch.setattr(kernel_mod, "HAVE_NUMPY", False)
-        bundle = build_toy_torch_app(tmp_path / "toy")
-        trace = FleetTrace.generate_invocations(40, seed=1, max_per_function=20)
-        result = replay_fleet(bundle, trace, EVENT, engine="auto", workers=1)
         assert result.delivered == result.arrivals
 
     def test_fleet_rejects_unknown_engine(self, tmp_path):
