@@ -273,7 +273,8 @@ class ModuleDebloater:
         removable = decomposition.removable(set(protected))
         if extra_protected is not None:
             removable = [c for c in removable if not extra_protected(c)]
-        pinned = [c for c in decomposition.components if c not in set(removable)]
+        removable_set = set(removable)
+        pinned = [c for c in decomposition.components if c not in removable_set]
 
         if not removable:
             return ModuleDebloatResult(
@@ -408,6 +409,7 @@ class ModuleDebloater:
         """
         final_source = rebuild_source(decomposition, final_keep)
         atomic_write_text(file, final_source, durable=True)
+        keep_set = set(final_keep)
         result = ModuleDebloatResult(
             module=dotted,
             file=file,
@@ -415,9 +417,7 @@ class ModuleDebloater:
             attributes_after=len(final_keep),
             protected=sorted(protected),
             removed=sorted(
-                c.name
-                for c in decomposition.components
-                if c not in set(final_keep)
+                c.name for c in decomposition.components if c not in keep_set
             ),
             kept=sorted(c.name for c in final_keep),
             oracle_calls=oracle_calls,

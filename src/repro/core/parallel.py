@@ -297,7 +297,8 @@ class ParallelModuleDebloater:
             original_source, filename=str(file), granularity=self._granularity
         )
         removable = decomposition.removable(set(protected))
-        pinned = [c for c in decomposition.components if c not in set(removable)]
+        removable_set = set(removable)
+        pinned = [c for c in decomposition.components if c not in removable_set]
         if not removable:
             return ModuleDebloatResult(
                 module=dotted,
@@ -368,6 +369,7 @@ class ParallelModuleDebloater:
         final_keep = pinned + list(outcome.minimal)
         final_source = rebuild_source(decomposition, final_keep)
         atomic_write_text(file, final_source, durable=True)
+        keep_set = set(final_keep)
         result = ModuleDebloatResult(
             module=dotted,
             file=file,
@@ -375,7 +377,7 @@ class ParallelModuleDebloater:
             attributes_after=len(final_keep),
             protected=sorted(protected),
             removed=sorted(
-                c.name for c in decomposition.components if c not in set(final_keep)
+                c.name for c in decomposition.components if c not in keep_set
             ),
             kept=sorted(c.name for c in final_keep),
             oracle_calls=outcome.oracle_calls,

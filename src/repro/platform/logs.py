@@ -611,19 +611,11 @@ class ExecutionLog:
     # -- ingestion ---------------------------------------------------------
 
     def append(self, record: InvocationRecord) -> None:
-        floats = self._floats
-        for name in _FLOAT_COLUMNS:
-            floats[name].append(getattr(record, name))
-        self._memory_config.append(record.memory_config_mb)
-        status_index = _STATUS_INDEX[record.status]
-        start_index = _START_TYPE_INDEX[record.start_type]
-        self._start_types.append(start_index)
-        self._statuses.append(status_index)
-        self._functions.append(self._function_table.intern(record.function))
-        self._instances.append(self._instance_table.intern(record.instance_id))
-        error = record.error_type
-        self._errors.append(-1 if error is None else self._error_table.intern(error))
+        """Append one record: a one-row :meth:`append_rows`.
 
+        An irregular request id (anything but ``req-NNNNNN``) is kept
+        verbatim in ``_request_odd`` and its row stores ``-1``.
+        """
         request_id = record.request_id
         num = -1
         if request_id.startswith("req-"):
@@ -632,29 +624,20 @@ class ExecutionLog:
                 candidate = int(tail)
                 if f"req-{candidate:06d}" == request_id:
                     num = candidate
-        self._request_nums.append(num)
         if num < 0:
             self._request_odd[self._spilled + self._size] = request_id
-
-        value = record.value
-        if value is not None:
-            # Dedup repeated payloads: hashable values directly, others by
-            # canonical JSON.  Interned values are shared between views.
-            try:
-                value = self._value_cache.setdefault(value, value)
-            except TypeError:
-                try:
-                    key = json.dumps(value, sort_keys=True)
-                except (TypeError, ValueError):
-                    pass
-                else:
-                    value = self._value_cache.setdefault(key, value)
-        self._values.append(value)
-        self._account(record.function, start_index, status_index, record.cost_usd)
-        self._size += 1
-
-        if self.spill_threshold is not None and self._size >= self.spill_threshold:
-            self._spill()
+        self.append_rows(
+            record.function, record.routing_s, (num,),
+            (_START_TYPE_INDEX[record.start_type],),
+            (_STATUS_INDEX[record.status],), (record.timestamp,),
+            (record.value,), (None,), (record.instance_id,),
+            (record.instance_init_s,), (record.transmission_s,),
+            (record.init_duration_s,), (record.exec_duration_s,),
+            (record.billed_duration_s,), (record.memory_config_mb,),
+            (record.peak_memory_mb,), (record.cost_usd,),
+            (record.error_type,),
+            restore_duration_s=(record.restore_duration_s,),
+        )
 
     def append_row(
         self,
@@ -714,11 +697,14 @@ class ExecutionLog:
     ) -> None:
         """Append one function's batch of invocations column-at-a-time.
 
-        The bulk twin of :meth:`append` for the fast replay engine, which
-        already holds the decomposed fields: no
-        :class:`InvocationRecord` is built, no enum lookups run.  Every
-        ``request_nums`` entry must be the regular ``req-NNNNNN``
-        integer; ``start_indices``/``status_indices`` are positions in the
+        The log's one Python ingest fold: :meth:`append` and
+        :meth:`append_row` are one-row calls of it, and the fast replay
+        engine, which already holds the decomposed fields, calls it per
+        chunk — no :class:`InvocationRecord` is built, no enum lookups
+        run.  Every ``request_nums`` entry is the regular ``req-NNNNNN``
+        integer, or ``-1`` for an id the caller has already stored in
+        ``_request_odd`` (as :meth:`append` does);
+        ``start_indices``/``status_indices`` are positions in the
         module tables (``_START_TYPE_INDEX`` / ``_STATUS_INDEX``).
         ``value_keys`` may carry precomputed interning keys (the hashable
         value itself, or its canonical JSON) so repeated payloads dedup
@@ -730,10 +716,9 @@ class ExecutionLog:
         Typed columns extend in C (one call per column instead of one per
         cell), string/value interning runs through list comprehensions,
         and the per-function accounting folds in a single tight loop —
-        with costs still accumulated strictly in row order, so billing
-        sums stay bit-identical to appending the equivalent records one
-        by one.  Rows, materialised views, and fully flushed spill bytes
-        are identical to the sequential path; only *when* a spill happens
+        with costs accumulated strictly in row order, so a batch leaves
+        the same rows, views, billing sums and fully flushed spill bytes
+        as appending its rows one at a time; only *when* a spill happens
         may shift to batch boundaries, which checkpoints never see
         (:meth:`snapshot` flushes the spill before it records the
         watermark).
@@ -940,30 +925,6 @@ class ExecutionLog:
             if key is None:
                 return value
         return self._value_cache.setdefault(key, value)
-
-    def _account(
-        self, function: str, start_index: int, status_index: int, cost: float
-    ) -> None:
-        entry = self._billing.get(function)
-        if entry is None:
-            entry = self._billing[function] = [0.0, 0, 0, 0, 0.0]
-        if status_index != _THROTTLED_STATUS:
-            entry[0] += cost
-            entry[1] += 1
-            if start_index == _COLD_START:
-                entry[2] += 1
-                self._cold_costs[function] = (
-                    self._cold_costs.get(function, 0.0) + cost
-                )
-        else:
-            entry[3] += 1
-            if cost:
-                entry[4] += cost
-        counts = self._status_totals.get(function)
-        if counts is None:
-            counts = self._status_totals[function] = {}
-        status = STATUSES[status_index]
-        counts[status] = counts.get(status, 0) + 1
 
     def _row_dict(self, i: int) -> dict[str, Any]:
         """The :meth:`InvocationRecord.to_dict` payload, straight from the

@@ -28,6 +28,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -102,31 +103,6 @@ class WindowRollup:
         exemplars.append((e2e_s, ref))
         exemplars.sort(key=_exemplar_order)
         del exemplars[EXEMPLAR_K:]
-
-    def observe(self, record: InvocationRecord) -> None:
-        self.invocations += 1
-        status = record.status.value
-        self.status_counts[status] = self.status_counts.get(status, 0) + 1
-        if not record.ok:
-            self.errors += 1
-        if not record.billed:
-            # Throttled: rejected before any instance work — counted (it
-            # drives the error rate) but kept out of the start-type and
-            # latency accounting, which describe work that actually ran.
-            return
-        if record.is_cold:
-            self.cold_starts += 1
-            self.cold_e2e.record(record.e2e_s)
-        elif record.start_type is StartType.WARM:
-            self.warm_starts += 1
-        self.cost_usd += record.cost_usd
-        self.billed_s_sum += record.billed_duration_s
-        e2e_s = record.e2e_s
-        self.e2e.record(e2e_s)
-        self.billed.record(record.billed_duration_s)
-        exemplars = self.exemplars
-        if len(exemplars) < EXEMPLAR_K or e2e_s > exemplars[-1][0]:
-            self._push_exemplar(e2e_s, f"{record.function}/{record.request_id}")
 
     def merge(self, other: "WindowRollup") -> None:
         """Fold *other* into this rollup (sliding windows, run totals)."""
@@ -238,9 +214,9 @@ class WindowRollup:
 #: buffered memory stays bounded no matter how long a run streams.
 DRAIN_THRESHOLD = 50_000
 
-#: Columnar (function, window) runs at or below this many rows fold via
-#: the plain-Python row sweep — a dozen numpy kernel launches cost more
-#: than looping a handful of rows (see ``_ingest_cols_small``).
+#: Columnar (function, window) runs at or below this many rows take the
+#: plain-Python fold (:meth:`TelemetrySink._fold`) — a dozen numpy kernel
+#: launches cost more than looping a handful of rows.
 _SMALL_RUN = 128
 
 
@@ -326,20 +302,14 @@ class TelemetrySink:
         """Fold many already-decomposed rows at once (the fast-engine path).
 
         Each row is ``(function, status_value, ok, billed, is_cold,
-        is_warm, e2e_s, cost_usd, billed_duration_s[, request_num])`` —
-        everything :meth:`WindowRollup.observe` would have derived from a
-        record; the optional trailing ``request_num`` feeds window
-        exemplars (a 9-element row skips them).  Sink state is identical
-        to one :meth:`observe` per equivalent record followed by a drain,
-        but maximal runs of rows sharing a (function, window) are
-        aggregated in bulk: histogram inserts go through
-        :meth:`~repro.obs.histogram.LogLinearHistogram.observe_many`,
-        while every order-dependent float accumulation (``cost_usd``,
-        ``billed_s_sum``, the sketches' ``_sum``) stays a sequential fold
-        in row order, so sink state is bit-identical to the per-record path.
-        Rows must arrive in non-decreasing arrival order, like every
-        other publisher.  The hot-path buffer is drained first so
-        previously buffered records keep their publish order.
+        is_warm, e2e_s, cost_usd, billed_duration_s, request_num)`` —
+        everything the sink would derive from a record, with the request
+        number rendered ``req-NNNNNN`` in window exemplars.  Sink state is
+        identical to one :meth:`observe` per equivalent record followed by
+        a drain: both go through :meth:`_fold`, one maximal (function,
+        window) run at a time.  Rows must arrive in non-decreasing arrival
+        order, like every other publisher.  The hot-path buffer is drained
+        first so previously buffered records keep their publish order.
         """
         if len(rows) != len(arrivals):
             raise PlatformError(
@@ -349,83 +319,94 @@ class TelemetrySink:
         if not rows:
             return
         self._drain()
+        self._fold_rows(rows, arrivals)
+
+    def _fold_rows(self, rows: Sequence[tuple], arrivals: Sequence[float]) -> None:
+        """:meth:`_fold` each maximal run of *rows* sharing a (function,
+        window), transposed into per-field columns one run at a time."""
         window_s = self.window_s
         n = len(rows)
         start = 0
         while start < n:
             function = rows[start][0]
-            index = int(arrivals[start] // window_s)
+            index = arrivals[start] // window_s
             end = start + 1
             while (
                 end < n
                 and rows[end][0] == function
-                and int(arrivals[end] // window_s) == index
+                and arrivals[end] // window_s == index
             ):
                 end += 1
-            self._ingest_run(rows, arrivals, start, end)
+            _, *columns = zip(*rows[start:end])
+            self._fold(function, arrivals[start:end], *columns)
             start = end
 
-    def _ingest_run(
+    def _fold(
         self,
-        rows: Sequence[tuple],
+        function: str,
         arrivals: Sequence[float],
-        start: int,
-        end: int,
+        statuses: Sequence[str],
+        ok: Sequence[bool],
+        billed: Sequence[bool],
+        is_cold: Sequence[bool],
+        is_warm: Sequence[bool],
+        e2e: Sequence[float],
+        cost: Sequence[float],
+        billed_s: Sequence[float],
+        rids: Sequence[int | str],
     ) -> None:
-        """Fold rows[start:end] — one (function, window) run — in bulk."""
-        function = rows[start][0]
+        """Fold one (function, window) run, given as parallel per-field
+        sequences in arrival order — the sink's one Python fold.
+
+        Records, rows and short columnar runs all land here.  A request
+        id is an int rendered ``req-NNNNNN`` or a string used verbatim.
+        Unbilled (throttled) rows count toward invocations, statuses,
+        errors and concurrency but not toward start types, cost, latency
+        sketches or exemplars, which describe work that actually ran.
+        The billed rows' sketch values and start types are gathered once
+        and shared by the function and fleet rollups; the per-row walk
+        keeps the float sums (sequential folds in row order), exemplars
+        and the in-flight heap.  Sketches take their values through
+        :meth:`~repro.obs.histogram.LogLinearHistogram.observe_many`,
+        bit-identical to one ``record`` per value.
+        """
+        e2e_values = list(compress(e2e, billed))
+        billed_values = list(compress(billed_s, billed))
+        cold_values = list(compress(e2e_values, compress(is_cold, billed)))
+        warm = sum(compress(is_warm, billed))
         names = (function, FLEET) if self.track_fleet else (function,)
         for name in names:
-            rollup = self._rollup(name, arrivals[start])
+            rollup = self._rollup(name, arrivals[0])
             heap = self._in_flight.setdefault(name, [])
             status_counts = rollup.status_counts
             exemplars = rollup.exemplars
             errors = 0
-            cold = 0
-            warm = 0
-            cost = rollup.cost_usd
+            cost_acc = rollup.cost_usd
             billed_sum = rollup.billed_s_sum
             peak = rollup.concurrency_peak
-            e2e_values: list[float] = []
-            cold_values: list[float] = []
-            billed_values: list[float] = []
-            for i in range(start, end):
-                row = rows[i]
-                arrival = arrivals[i]
-                status = row[1]
+            rows = zip(arrivals, statuses, ok, billed, e2e, cost, billed_s, rids)
+            for arrival, status, row_ok, paid, e2e_s, fee, bill_s, rid in rows:
                 status_counts[status] = status_counts.get(status, 0) + 1
-                if not row[2]:
+                if not row_ok:
                     errors += 1
-                e2e_s = row[6]
-                if row[3]:
-                    if row[4]:
-                        cold += 1
-                        cold_values.append(e2e_s)
-                    elif row[5]:
-                        warm += 1
-                    cost += row[7]
-                    billed_sum += row[8]
-                    e2e_values.append(e2e_s)
-                    billed_values.append(row[8])
-                    request_num = row[9] if len(row) > 9 else -1
-                    if request_num >= 0 and (
-                        len(exemplars) < EXEMPLAR_K or e2e_s > exemplars[-1][0]
-                    ):
-                        rollup._push_exemplar(
-                            e2e_s, f"{function}/req-{request_num:06d}"
-                        )
-                completion = arrival + e2e_s
+                if paid:
+                    cost_acc += fee
+                    billed_sum += bill_s
+                    if len(exemplars) < EXEMPLAR_K or e2e_s > exemplars[-1][0]:
+                        if rid.__class__ is not str:
+                            rid = f"req-{rid:06d}"
+                        rollup._push_exemplar(e2e_s, f"{function}/{rid}")
                 while heap and heap[0] <= arrival:
                     heapq.heappop(heap)
-                heapq.heappush(heap, completion)
+                heapq.heappush(heap, arrival + e2e_s)
                 depth = len(heap)
                 if depth > peak:
                     peak = depth
-            rollup.invocations += end - start
+            rollup.invocations += len(arrivals)
             rollup.errors += errors
-            rollup.cold_starts += cold
+            rollup.cold_starts += len(cold_values)
             rollup.warm_starts += warm
-            rollup.cost_usd = cost
+            rollup.cost_usd = cost_acc
             rollup.billed_s_sum = billed_sum
             rollup.concurrency_peak = peak
             if e2e_values:
@@ -473,86 +454,28 @@ class TelemetrySink:
         widx = _np.floor_divide(arrivals, window_s).astype(_np.int64)
         bounds = (_np.flatnonzero(widx[1:] != widx[:-1]) + 1).tolist()
         edges = [0, *bounds, n]
+        is_warm = ~is_cold
         for run in range(len(edges) - 1):
             a, b = edges[run], edges[run + 1]
             if b - a <= _SMALL_RUN:
-                self._ingest_cols_small(
-                    function, status_names, statuses, ok, is_cold, e2e,
-                    cost, billed_s, arrivals, rid_start, a, b,
+                self._fold(
+                    function,
+                    arrivals[a:b].tolist(),
+                    [status_names[s] for s in statuses[a:b].tolist()],
+                    ok[a:b].tolist(),
+                    (True,) * (b - a),
+                    is_cold[a:b].tolist(),
+                    is_warm[a:b].tolist(),
+                    e2e[a:b].tolist(),
+                    cost[a:b].tolist(),
+                    billed_s[a:b].tolist(),
+                    range(rid_start + a, rid_start + b),
                 )
             else:
                 self._ingest_cols(
                     function, status_names, statuses, ok, is_cold, e2e,
                     cost, billed_s, arrivals, rid_start, a, b,
                 )
-
-    def _ingest_cols_small(
-        self, function, status_names, statuses, ok, is_cold, e2e, cost,
-        billed_s, arrivals, rid_start, a, b,
-    ) -> None:
-        """Row-loop twin of :meth:`_ingest_cols` for short runs.
-
-        Fleet traces cut batches into many small (function, window) runs;
-        below ``_SMALL_RUN`` rows the fixed cost of a dozen numpy
-        kernels exceeds a plain Python sweep.  This is the reference
-        per-row fold verbatim (same arithmetic, same order), so the
-        resulting sink state is bit-identical to both the scalar path
-        and :meth:`_ingest_cols`.
-        """
-        m = b - a
-        st_l = statuses[a:b].tolist()
-        ok_l = ok[a:b].tolist()
-        cold_l = is_cold[a:b].tolist()
-        e2e_l = e2e[a:b].tolist()
-        cost_l = cost[a:b].tolist()
-        bill_l = billed_s[a:b].tolist()
-        arr_l = arrivals[a:b].tolist()
-        rid0 = rid_start + a
-        names = (function, FLEET) if self.track_fleet else (function,)
-        for name in names:
-            rollup = self._rollup(name, arr_l[0])
-            heap = self._in_flight.setdefault(name, [])
-            status_counts = rollup.status_counts
-            exemplars = rollup.exemplars
-            errors = 0
-            cold = 0
-            cost_acc = rollup.cost_usd
-            billed_sum = rollup.billed_s_sum
-            peak = rollup.concurrency_peak
-            cold_values: list[float] = []
-            for i in range(m):
-                status = status_names[st_l[i]]
-                status_counts[status] = status_counts.get(status, 0) + 1
-                if not ok_l[i]:
-                    errors += 1
-                e2e_s = e2e_l[i]
-                if cold_l[i]:
-                    cold += 1
-                    cold_values.append(e2e_s)
-                cost_acc += cost_l[i]
-                billed_sum += bill_l[i]
-                if len(exemplars) < EXEMPLAR_K or e2e_s > exemplars[-1][0]:
-                    rollup._push_exemplar(
-                        e2e_s, f"{function}/req-{rid0 + i:06d}"
-                    )
-                arrival = arr_l[i]
-                while heap and heap[0] <= arrival:
-                    heapq.heappop(heap)
-                heapq.heappush(heap, arrival + e2e_s)
-                depth = len(heap)
-                if depth > peak:
-                    peak = depth
-            rollup.invocations += m
-            rollup.errors += errors
-            rollup.cold_starts += cold
-            rollup.warm_starts += m - cold
-            rollup.cost_usd = cost_acc
-            rollup.billed_s_sum = billed_sum
-            rollup.concurrency_peak = peak
-            rollup.e2e.observe_many(e2e_l)
-            rollup.billed.observe_many(bill_l)
-            if cold_values:
-                rollup.cold_e2e.observe_many(cold_values)
 
     def _ingest_cols(
         self, function, status_names, statuses, ok, is_cold, e2e, cost,
@@ -678,26 +601,36 @@ class TelemetrySink:
             self._drain()
 
     def _drain(self) -> None:
-        """Fold every buffered record into its rollups, in publish order."""
+        """Fold every buffered record into its rollups, in publish order.
+
+        Records become rows and go through :meth:`_fold_rows`; each host
+        event is applied where it was published, between runs."""
         if not self._pending:
             return
         pending, self._pending = self._pending, []
+        rows: list[tuple] = []
+        arrivals: list[float] = []
         for record, arrival in pending:
             if type(record) is tuple:
+                self._fold_rows(rows, arrivals)
+                rows, arrivals = [], []
                 self._ingest_host(record[0], record[1], record[2], arrival)
-            else:
-                self._ingest(record, arrival)
-
-    def _ingest(self, record: InvocationRecord, arrival: float | None) -> None:
-        if arrival is None:
-            arrival = record.timestamp - record.e2e_s
-        completion = arrival + record.e2e_s
-        names = (record.function, FLEET) if self.track_fleet else (record.function,)
-        for name in names:
-            rollup = self._rollup(name, arrival)
-            rollup.observe(record)
-            depth = self._track_concurrency(name, arrival, completion)
-            rollup.concurrency_peak = max(rollup.concurrency_peak, depth)
+                continue
+            e2e_s = record.e2e_s
+            rows.append((
+                record.function,
+                record.status.value,
+                record.ok,
+                record.billed,
+                record.is_cold,
+                record.start_type is StartType.WARM,
+                e2e_s,
+                record.cost_usd,
+                record.billed_duration_s,
+                record.request_id,
+            ))
+            arrivals.append(record.timestamp - e2e_s if arrival is None else arrival)
+        self._fold_rows(rows, arrivals)
 
     def _ingest_host(
         self, function: str, kind: str, util: float, arrival: float
@@ -726,15 +659,6 @@ class TelemetrySink:
                 billed=LogLinearHistogram(subbuckets=self.subbuckets),
             )
         return rollup
-
-    def _track_concurrency(
-        self, function: str, arrival: float, completion: float
-    ) -> int:
-        heap = self._in_flight.setdefault(function, [])
-        while heap and heap[0] <= arrival:
-            heapq.heappop(heap)
-        heapq.heappush(heap, completion)
-        return len(heap)
 
     # -- SLO evaluation ----------------------------------------------------
 

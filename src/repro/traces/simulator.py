@@ -17,6 +17,8 @@ analytically-simulated invocations.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -94,24 +96,37 @@ class TraceSimulator:
         """Per-arrival cold flags via an instance-pool sweep.
 
         An instance can serve a request if it is idle at the arrival time
-        and was last used within the keep-alive window; otherwise a new
-        instance cold-starts.  ``duration_s`` is the per-request busy time.
+        (``0 <= arrival - free_at``) and was last used within the
+        keep-alive window (``arrival - free_at <= keep_alive_s``); the most
+        recently freed such instance serves it, otherwise a new instance
+        cold-starts.  ``duration_s`` is the per-request busy time.
+
+        Arrivals must be sorted.  With one busy time, instances then free
+        up in arrival order, so the pool is a sorted list of free-at
+        times: expired instances leave from the front for good, and the
+        pick is a bisection — O(n log n) instead of a scan of every
+        instance ever started.
         """
-        instances: list[float] = []  # each entry: time the instance frees up
+        keep_alive_s = self.keep_alive_s
+        free: list[float] = []  # free-at time of every live instance, sorted
         flags: list[bool] = []
+        previous = -math.inf
         for arrival in timestamps:
-            best_index = -1
-            best_free_at = -1.0
-            for i, free_at in enumerate(instances):
-                idle_for = arrival - free_at
-                if 0 <= idle_for <= self.keep_alive_s and free_at > best_free_at:
-                    best_index, best_free_at = i, free_at
-            if best_index < 0:
-                flags.append(True)
-                instances.append(arrival + duration_s)
-            else:
-                flags.append(False)
-                instances[best_index] = arrival + duration_s
+            if arrival < previous:
+                raise TraceError(
+                    f"timestamps must be sorted: {arrival} after {previous}"
+                )
+            previous = arrival
+            expired = 0
+            while expired < len(free) and arrival - free[expired] > keep_alive_s:
+                expired += 1
+            if expired:
+                del free[:expired]
+            pick = bisect_right(free, arrival) - 1
+            flags.append(pick < 0)
+            if pick >= 0:
+                del free[pick]
+            free.append(arrival + duration_s)
         return flags
 
     def start_counts(

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import PlatformError
 from repro.platform.logs import InvocationRecord, StartType
 from repro.platform.slo import FLEET, SloBreach, SloPolicy, SloRule, metric_value
-from repro.platform.telemetry import WindowRollup
+from repro.platform.telemetry import TelemetrySink, WindowRollup
 
 
 def make_rollup(
@@ -17,9 +17,9 @@ def make_rollup(
     e2e_values: tuple[float, ...] = (0.1, 0.2, 0.3),
     cold_flags: tuple[bool, ...] = (True, False, False),
 ) -> WindowRollup:
-    rollup = WindowRollup(function=function, start_s=start_s, end_s=start_s + 60.0)
+    sink = TelemetrySink(window_s=60.0, track_fleet=False)
     for i, (e2e, cold) in enumerate(zip(e2e_values, cold_flags)):
-        rollup.observe(InvocationRecord(
+        sink.observe(InvocationRecord(
             request_id=f"r{i}",
             function=function,
             start_type=StartType.COLD if cold else StartType.WARM,
@@ -30,7 +30,8 @@ def make_rollup(
             exec_duration_s=e2e / 2 if cold else e2e,
             billed_duration_s=e2e,
             cost_usd=1e-6,
-        ))
+        ), arrival=start_s)
+    (rollup,) = sink.rollups(function)
     return rollup
 
 

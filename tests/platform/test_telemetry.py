@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bundle import AppBundle
 from repro.cli import main
@@ -26,8 +28,8 @@ from repro.platform import (
     TraceReplayer,
     WindowRollup,
 )
-from repro.platform.logs import InvocationRecord, StartType
-from repro.traces.azure import AzureTraceGenerator
+from repro.platform.logs import InvocationRecord, InvocationStatus, StartType
+from repro.traces.azure import AzureTraceGenerator, FunctionTrace
 from repro.traces.simulator import TraceSimulator
 from repro.workloads.toy import build_toy_torch_app
 
@@ -169,9 +171,10 @@ class TestSinkWindowing:
 def sink_window(
     *, invocations: int, peak: int, start_s: float = 0.0
 ) -> WindowRollup:
-    rollup = WindowRollup(function="api", start_s=start_s, end_s=start_s + 60.0)
+    sink = TelemetrySink(window_s=60.0, track_fleet=False)
     for i in range(invocations):
-        rollup.observe(make_record(timestamp=start_s + 1.0 + i))
+        sink.observe(make_record(timestamp=start_s + 1.0 + i))
+    (rollup,) = sink.rollups("api")
     rollup.concurrency_peak = peak
     return rollup
 
@@ -258,6 +261,107 @@ class TestPublishers:
         # Per-record costs sum to the breakdown's invocation component
         # (the time-based SnapStart cache fee is deliberately excluded).
         assert overall.cost_usd == pytest.approx(breakdown.invocation)
+
+    def test_trace_simulator_ids_name_the_exemplars_verbatim(self):
+        # Arrivals 0 and 42 are the only cold starts (a 200 s gap beyond
+        # the 60 s keep-alive), so they are the two slowest invocations.
+        stamps = [float(i) for i in range(42)] + [242.0 + i for i in range(8)]
+        trace = FunctionTrace(
+            function_id="fn", pattern="rare", memory_mb=128.0,
+            duration_s=0.5, timestamps=tuple(stamps),
+        )
+        sink = TelemetrySink(window_s=3600.0)
+        TraceSimulator(keep_alive_s=60.0).simulate(
+            trace, window_s=3600.0, init_time_s=2.0, snapstart=False,
+            telemetry=sink,
+        )
+        for name in ("fn", FLEET):
+            (rollup,) = sink.rollups(name)
+            assert [ref for _, ref in rollup.exemplars[:2]] == [
+                "fn/fn-000000", "fn/fn-000042",
+            ]
+
+
+# (function, status, cold, e2e, cost, billed_s, request id, explicit
+# arrival?, delta) for a record; (function, kind, util, delta) for a host
+# event.  Integer deltas put many items on one instant and one window.
+_grouping_record = st.tuples(
+    st.sampled_from(["api", "etl"]),
+    st.sampled_from([s.value for s in InvocationStatus]),
+    st.booleans(),
+    st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=30.0)),
+    st.floats(min_value=0.0, max_value=1e-3),
+    st.floats(min_value=0.0, max_value=30.0),
+    st.one_of(
+        st.integers(min_value=0, max_value=999_999).map(lambda n: f"req-{n:06d}"),
+        st.integers(min_value=0, max_value=99).map(lambda n: f"fn-{n:06d}"),
+    ),
+    st.booleans(),
+    st.one_of(
+        st.integers(min_value=0, max_value=3).map(float),
+        st.floats(min_value=0.0, max_value=40.0),
+    ),
+)
+_grouping_host = st.tuples(
+    st.sampled_from(["api", "etl"]),
+    st.sampled_from(["placement", "eviction", "host_loss"]),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=3).map(float),
+)
+
+
+def _publish(sink: TelemetrySink, item, clock: float) -> float:
+    if len(item) == 4:
+        function, kind, util, delta = item
+        clock += delta
+        sink.observe_host(function, kind, util, arrival=clock)
+        return clock
+    function, status, cold, e2e, cost, billed_s, rid, explicit, delta = item
+    clock += delta
+    if status == "throttled":
+        start, e2e = StartType.THROTTLED, 0.0
+    else:
+        start = StartType.COLD if cold else StartType.WARM
+    record = InvocationRecord(
+        request_id=rid,
+        function=function,
+        start_type=start,
+        timestamp=clock + e2e,
+        value=None,
+        instance_id="-",
+        exec_duration_s=e2e,
+        billed_duration_s=billed_s,
+        cost_usd=cost,
+        status=status,
+    )
+    # Without an explicit arrival the sink derives timestamp - e2e.
+    sink.observe(record, arrival=clock if explicit else None)
+    return clock
+
+
+class TestRecordRunGrouping:
+    """Buffered records fold in maximal (function, window) runs between
+    host events; where the drains fall must be unobservable."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        items=st.lists(st.one_of(_grouping_record, _grouping_host), max_size=60),
+        track_fleet=st.booleans(),
+    )
+    def test_draining_after_every_item_matches_one_drain(self, items, track_fleet):
+        eager = TelemetrySink(window_s=10.0, subbuckets=16, track_fleet=track_fleet)
+        lazy = TelemetrySink(window_s=10.0, subbuckets=16, track_fleet=track_fleet)
+        eager_clock = lazy_clock = 0.0
+        for item in items:
+            eager_clock = _publish(eager, item, eager_clock)
+            eager.rollups()
+            lazy_clock = _publish(lazy, item, lazy_clock)
+        assert json.dumps(lazy.snapshot(), sort_keys=True) == json.dumps(
+            eager.snapshot(), sort_keys=True
+        )
+        assert json.dumps(lazy.report().to_dict(), sort_keys=True) == json.dumps(
+            eager.report().to_dict(), sort_keys=True
+        )
 
 
 # -- the acceptance scenario -------------------------------------------------

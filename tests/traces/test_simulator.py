@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import TraceError
 from repro.traces import AzureTraceGenerator, TraceSimulator
 from repro.traces.azure import FunctionTrace
 
@@ -66,6 +68,62 @@ class TestStartCounting:
         short = TraceSimulator(keep_alive_s=60).start_counts(stamps, 1.0)
         long = TraceSimulator(keep_alive_s=3600).start_counts(stamps, 1.0)
         assert long.cold <= short.cold
+
+
+def reference_classify_starts(
+    timestamps: list[float], duration_s: float, keep_alive_s: float
+) -> list[bool]:
+    """The quadratic instance-pool sweep: scan every instance ever started
+    for the most recently freed one that is idle and within keep-alive."""
+    instances: list[float] = []  # each entry: time the instance frees up
+    flags: list[bool] = []
+    for arrival in timestamps:
+        best_index = -1
+        best_free_at = -1.0
+        for i, free_at in enumerate(instances):
+            idle_for = arrival - free_at
+            if 0 <= idle_for <= keep_alive_s and free_at > best_free_at:
+                best_index, best_free_at = i, free_at
+        if best_index < 0:
+            flags.append(True)
+            instances.append(arrival + duration_s)
+        else:
+            flags.append(False)
+            instances[best_index] = arrival + duration_s
+    return flags
+
+
+# Small integer stamps force bursts, exact ties and zero idle gaps.
+stamp = st.one_of(
+    st.integers(min_value=0, max_value=40).map(float),
+    st.floats(min_value=0, max_value=86_400),
+)
+span = st.one_of(
+    st.just(0.0),
+    st.integers(min_value=0, max_value=20).map(float),
+    st.floats(min_value=0, max_value=7200),
+)
+
+
+class TestClassifyStartsMatchesReferenceSweep:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(stamp, max_size=80), span, span)
+    def test_identical_flags(self, stamps, duration, keep_alive):
+        stamps = sorted(stamps)
+        sim = TraceSimulator(keep_alive_s=keep_alive)
+        assert sim.classify_starts(stamps, duration) == reference_classify_starts(
+            stamps, duration, keep_alive
+        )
+
+    def test_zero_keep_alive_reuses_only_at_the_free_instant(self):
+        sim = TraceSimulator(keep_alive_s=0.0)
+        assert sim.classify_starts([0.0, 1.0, 1.5, 3.0], 1.0) == [
+            True, False, True, True,
+        ]
+
+    def test_unsorted_timestamps_are_rejected(self):
+        with pytest.raises(TraceError, match="sorted"):
+            TraceSimulator().classify_starts([5.0, 1.0], 1.0)
 
 
 class TestCostBreakdown:
