@@ -24,8 +24,6 @@ import copy
 from typing import Iterable
 
 from repro.core.granularity import (
-    KIND_FROM_IMPORT,
-    KIND_IMPORT,
     WHOLE_STATEMENT,
     AttributeComponent,
     ModuleDecomposition,

@@ -105,11 +105,6 @@ class DDOutcome(Generic[T]):
         lookups = self.cache_lookups
         return self.cache_hits / lookups if lookups else 0.0
 
-    @property
-    def removed_count(self) -> int | None:
-        """Set by callers that know the original size; None until then."""
-        return getattr(self, "_removed_count", None)
-
 
 class DeltaDebugger(Generic[T]):
     """Algorithm 1: DD-based program minimization with configuration caching.

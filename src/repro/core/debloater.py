@@ -16,10 +16,7 @@ For each module the profiler selects, the debloater:
 
 Module rewrites are transactional: a crash at any boundary leaves the
 file either pristine (recovered from the journal on resume) or exactly
-the committed content — never a torn mix.  The legacy in-place ``.bak``
-backup scheme (``backup_path`` / ``restore_module``) is kept only as a
-compatibility shim; orphaned backups from old interrupted runs are
-removed by :func:`repro.core.journal.cleanup_stale_artifacts`.
+the committed content — never a torn mix.
 
 The winning configuration is left on disk; a
 :class:`ModuleDebloatResult` records the attribute counts before/after
@@ -51,9 +48,7 @@ from repro.core.journal import (
 from repro.core.oracle import OracleRunner
 from repro.errors import DebloatError
 
-__all__ = ["ModuleDebloatResult", "ModuleDebloater", "restore_module"]
-
-BACKUP_SUFFIX = ".lambdatrim.orig"
+__all__ = ["ModuleDebloatResult", "ModuleDebloater"]
 
 #: Journal granularity marker for the single seed-adoption probe
 #: (continuous debloating), which runs outside the DD partition loop.
@@ -158,27 +153,6 @@ class ModuleDebloatResult:
             journal_hits=int(data.get("journal_hits", 0)),
             flaky_probes=int(data.get("flaky_probes", 0)),
         )
-
-
-def backup_path(file: Path) -> Path:
-    """Legacy ``.bak`` location (compatibility shim; no longer written)."""
-    return file.with_name(file.name + BACKUP_SUFFIX)
-
-
-def restore_module(file: Path) -> bool:
-    """Restore a module from a legacy λ-trim backup; True if one existed.
-
-    Kept as a compatibility shim for callers of the pre-journal backup
-    scheme.  New code recovers interrupted runs through
-    :func:`repro.core.journal.recover_workspace`, which also removes any
-    orphaned backups this shim's era left behind.
-    """
-    backup = backup_path(file)
-    if not backup.exists():
-        return False
-    atomic_write_text(file, backup.read_text(encoding="utf-8"), durable=True)
-    backup.unlink()
-    return True
 
 
 class ModuleDebloater:

@@ -9,6 +9,12 @@ load introduced.  Evicted module objects stay alive while a
 instance behaves: the initialized state persists, invisible to other
 instances.
 
+Probe loads compile each bundle source from its current bytes and never
+consult ``__pycache__``: CPython trusts a ``.pyc`` whose recorded source
+size and whole-second mtime match, so a same-size rewrite within one
+second — routine when every DD probe rewrites a module — would otherwise
+run the previous candidate's bytecode.
+
 A subprocess runner with identical semantics lives in
 :mod:`repro.core.subprocess_runner` for callers that want real OS-level
 isolation (the paper's faithful mode).
@@ -16,12 +22,17 @@ isolation (the paper's faithful mode).
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import io
+import os
 import sys
 import traceback
 from contextlib import contextmanager, redirect_stdout
 from dataclasses import dataclass, field
+from importlib.machinery import PathFinder, SourceFileLoader
+from itertools import islice
+from types import CodeType
 from typing import Any, Iterator
 
 from repro.bundle import AppBundle
@@ -91,26 +102,88 @@ class ExecutionResult:
         return observed
 
 
+#: File path -> (SHA-256 of its source, the code compiled from it), least
+#: recently loaded first.  One entry per path: a rewrite replaces it, so a
+#: DD search keeps one code object per module file rather than one per
+#: candidate.  Past ``_CODE_FILES`` paths (about ten bundles) the oldest
+#: goes, so a long-lived process does not keep every bundle it ever ran.
+_CODE: dict[str, tuple[bytes, CodeType]] = {}
+_CODE_FILES = 256
+
+
+class _FreshSourceLoader(SourceFileLoader):
+    """Compiles from the file's current bytes; never reads or writes
+    ``__pycache__``.  Unchanged files reuse their cached code object."""
+
+    def get_code(self, fullname: str) -> CodeType:
+        path = self.get_filename(fullname)
+        source = self.get_data(path)
+        digest = hashlib.sha256(source).digest()
+        cached = _CODE.pop(path, None)
+        if cached is None or cached[0] != digest:
+            cached = (digest, self.source_to_code(source, path))
+        _CODE[path] = cached
+        if len(_CODE) > _CODE_FILES:
+            del _CODE[next(iter(_CODE))]
+        return cached[1]
+
+
+class _FreshSourceFinder:
+    """Routes ``.py`` modules under *paths* to :class:`_FreshSourceLoader`;
+    anything else falls through to the regular import system."""
+
+    def __init__(self, paths: list[str]):
+        self._paths = paths
+
+    def find_spec(self, fullname, path=None, target=None):
+        spec = PathFinder.find_spec(fullname, path, target)
+        if spec is None or type(spec.loader) is not SourceFileLoader:
+            return None
+        origin = os.path.abspath(spec.origin)
+        if not any(
+            origin.startswith(os.path.join(os.path.abspath(root), ""))
+            for root in self._paths
+        ):
+            return None
+        spec.loader = _FreshSourceLoader(fullname, spec.origin)
+        return spec
+
+
+@contextmanager
+def _bundle_sources(paths: list[str]) -> Iterator[None]:
+    """Put *paths* first on ``sys.path``; their ``.py`` files load through
+    :class:`_FreshSourceLoader`."""
+    saved_path = list(sys.path)
+    sys.path[:0] = paths
+    finder = _FreshSourceFinder(paths)
+    # Just ahead of PathFinder, so built-in and frozen modules still win.
+    sys.meta_path.insert(sys.meta_path.index(PathFinder), finder)
+    try:
+        yield
+    finally:
+        sys.meta_path.remove(finder)
+        sys.path[:] = saved_path
+
+
 @contextmanager
 def isolated_imports(paths: list[str]) -> Iterator[dict[str, Any]]:
     """Import-isolation scope: fresh module cache for *paths*.
 
     Yields a dict that, on exit, holds every module the scope introduced
     (the scope's private module cache).  Pre-existing modules — the stdlib,
-    ``repro`` itself — are untouched.
+    ``repro`` itself — are untouched.  Sources under *paths* compile from
+    their current bytes (:class:`_FreshSourceLoader`).
     """
     before = set(sys.modules)
-    saved_path = list(sys.path)
-    sys.path[:0] = paths
-    importlib.invalidate_caches()
     introduced: dict[str, Any] = {}
-    try:
-        yield introduced
-    finally:
-        for name in list(sys.modules):
-            if name not in before:
-                introduced[name] = sys.modules.pop(name)
-        sys.path[:] = saved_path
+    with _bundle_sources(paths):
+        importlib.invalidate_caches()
+        try:
+            yield introduced
+        finally:
+            for name in list(sys.modules):
+                if name not in before:
+                    introduced[name] = sys.modules.pop(name)
 
 
 class LoadedApp:
@@ -198,10 +271,9 @@ class LoadedApp:
             name: sys.modules[name] for name in self._modules if name in sys.modules
         }
         sys.modules.update(self._modules)
-        saved_path = list(sys.path)
-        sys.path[:0] = self._paths()
+        known = len(sys.modules)
         try:
-            with metered(self.meter):
+            with _bundle_sources(self._paths()), metered(self.meter):
                 try:
                     with redirect_stdout(stdout):
                         value = self._handler(event, context if context is not None else {})
@@ -211,12 +283,16 @@ class LoadedApp:
                     ).strip()
                     error_type = type(exc).__name__
         finally:
+            # sys.modules keeps insertion order, so modules the handler
+            # imported lazily sit past ``known``: they join this instance's
+            # private state instead of leaking into the next instance.
+            for name in list(islice(sys.modules, known, None)):
+                self._modules[name] = sys.modules.pop(name)
             for name in self._modules:
                 if name in overlap:
                     sys.modules[name] = overlap[name]
                 else:
                     sys.modules.pop(name, None)
-            sys.path[:] = saved_path
 
         return InvocationOutput(
             value=value,

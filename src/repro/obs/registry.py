@@ -1,7 +1,7 @@
 """Thread-safe in-process metrics: counters and gauges.
 
-The DD loop's oracle probes run from :class:`~concurrent.futures.
-ThreadPoolExecutor` workers (``BatchDeltaDebugger``), so every mutation
+The active recorder is process-wide, so instrumented code running on a
+caller's threads bumps the same instruments; every mutation therefore
 goes through a lock.  One lock per instrument (not per registry) keeps
 contention negligible: distinct counters never serialize against each
 other.

@@ -32,7 +32,6 @@ from repro.workloads.synthlib import (
     ModuleSpec,
     chain,
     deffn,
-    extfrom,
     extimport,
     func,
     klass,

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.debloater import ModuleDebloater, backup_path, restore_module
+from repro.core.debloater import ModuleDebloater
+from repro.core.journal import LEGACY_BACKUP_SUFFIX
 from repro.core.oracle import OracleRunner
 from repro.errors import DebloatError
 
@@ -57,7 +58,7 @@ class TestModuleDebloat:
 
     def test_backup_removed_after_success(self, working, runner):
         ModuleDebloater(working, runner).debloat_module("torch")
-        assert not backup_path(working.module_file("torch")).exists()
+        assert not list(working.root.rglob(f"*{LEGACY_BACKUP_SUFFIX}"))
 
     def test_file_restored_when_dd_raises(self, working, runner, monkeypatch):
         original = working.module_file("torch").read_text()
@@ -76,7 +77,7 @@ class TestModuleDebloat:
         with pytest.raises(RuntimeError):
             debloater.debloat_module("torch")
         assert working.module_file("torch").read_text() == original
-        assert not backup_path(working.module_file("torch")).exists()
+        assert not list(working.root.rglob(f"*{LEGACY_BACKUP_SUFFIX}"))
 
     def test_broken_working_bundle_raises_debloat_error(self, working, runner):
         working.handler_path.write_text("def handler(e, c):\n    return 'wrong'\n")
@@ -111,20 +112,6 @@ class TestModuleDebloat:
         removable_class = {"Linear", "MSELoss"} - surviving - {"Linear"}
         assert set(result.removed) >= removable_class
         assert runner.check(working).passed
-
-
-class TestRestoreModule:
-    def test_restore_round_trip(self, working):
-        file = working.module_file("torch")
-        original = file.read_text()
-        backup_path(file).write_text(original)
-        file.write_text("corrupted = True\n")
-        assert restore_module(file)
-        assert file.read_text() == original
-        assert not backup_path(file).exists()
-
-    def test_restore_without_backup_is_noop(self, working):
-        assert not restore_module(working.module_file("torch"))
 
 
 class TestAtomicRewrites:
@@ -166,15 +153,6 @@ class TestAtomicRewrites:
             p for p in working.root.rglob("*") if ".lambdatrim" in p.name
         ]
         assert strays == []
-
-    def test_restore_module_shim_handles_legacy_backups(self, working):
-        """Old interrupted runs left .bak files; the shim still honours them."""
-        file = working.module_file("torch")
-        original = file.read_text()
-        backup_path(file).write_text(original)
-        file.write_text("half-rewritten garbage")
-        assert restore_module(file)
-        assert file.read_text() == original
 
     def test_result_round_trips_through_journal_dict(self, working, runner):
         from repro.core.debloater import ModuleDebloatResult

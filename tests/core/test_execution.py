@@ -2,12 +2,30 @@
 
 from __future__ import annotations
 
+import importlib
+import os
 import sys
 
 import pytest
 
+from repro.core import execution
 from repro.core.execution import LoadedApp, isolated_imports, run_once
 from repro.errors import InvocationError
+
+
+@pytest.fixture()
+def bytecode_on(monkeypatch):
+    """Write ``.pyc`` files, as a default Python and CI do."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", False)
+
+
+def rewrite_in_place(path, text: str) -> None:
+    """Rewrite *path* with same-size content and its old mtime: exactly
+    what a stale-``.pyc`` check cannot tell apart."""
+    stat = path.stat()
+    assert len(text.encode()) == stat.st_size
+    path.write_text(text)
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
 
 
 class TestIsolatedImports:
@@ -40,6 +58,91 @@ class TestIsolatedImports:
             import handler  # noqa: F401
         assert "handler" in introduced
         assert "torch.nn" in introduced
+
+
+class TestFreshSourceLoads:
+    def test_same_size_rewrite_with_pinned_mtime_is_seen(
+        self, tmp_path, bytecode_on
+    ):
+        module = tmp_path / "probe_mod.py"
+        module.write_text("VALUE = 1\n")
+        with isolated_imports([str(tmp_path)]):
+            assert importlib.import_module("probe_mod").VALUE == 1
+        rewrite_in_place(module, "VALUE = 2\n")
+        with isolated_imports([str(tmp_path)]):
+            assert importlib.import_module("probe_mod").VALUE == 2
+        assert not (tmp_path / "__pycache__").exists()
+
+    def test_bundle_rewrite_is_seen_by_the_next_load(
+        self, toy_app, tmp_path, bytecode_on
+    ):
+        bundle = toy_app.clone(tmp_path / "race")
+        torch_init = bundle.module_file("torch")
+        source = torch_init.read_text()
+        assert run_once(bundle, {"x": [1.0], "y": [2.0]}).ok
+        rewrite_in_place(torch_init, source.replace("\nadd = ", "\nad_ = "))
+        result = run_once(bundle, {"x": [1.0], "y": [2.0]})
+        assert result.invocation.error_type == "AttributeError"
+
+    def test_lazy_handler_imports_load_fresh_and_stay_private(
+        self, toy_app, tmp_path, bytecode_on
+    ):
+        bundle = toy_app.clone(tmp_path / "lazy")
+        lazy = bundle.root / "lazy_mod.py"
+        lazy.write_text("VALUE = 1\n")
+        bundle.handler_path.write_text(
+            "def handler(event, context):\n"
+            "    import lazy_mod\n"
+            "    return lazy_mod.VALUE\n"
+        )
+        first = LoadedApp(bundle)
+        first.load()
+        assert first.invoke({}).value == 1
+        assert "lazy_mod" not in sys.modules
+        assert first.invoke({}).value == 1  # warm: the private module is reused
+        rewrite_in_place(lazy, "VALUE = 2\n")
+        second = LoadedApp(bundle)
+        second.load()
+        assert second.invoke({}).value == 2
+        first.close()
+        second.close()
+
+    def test_module_identity_attributes_are_the_file(self, tmp_path):
+        module = tmp_path / "probe_mod.py"
+        module.write_text("def f():\n    return 1\n")
+        with isolated_imports([str(tmp_path)]):
+            loaded = importlib.import_module("probe_mod")
+        assert loaded.__file__ == str(module)
+        assert loaded.__spec__.origin == str(module)
+        assert loaded.f.__code__.co_filename == str(module)
+
+    def test_one_code_object_per_file(self, tmp_path):
+        module = tmp_path / "probe_mod.py"
+        module.write_text("def f():\n    return 1\n")
+        codes = []
+        for text in ("def f():\n    return 1\n", None, "def f():\n    return 2\n"):
+            if text is not None:
+                module.write_text(text)
+            with isolated_imports([str(tmp_path)]):
+                codes.append(importlib.import_module("probe_mod").f.__code__)
+        assert codes[0] is codes[1]  # unchanged bytes: compiled once
+        assert codes[2] is not codes[0]
+        # the rewrite replaced the file's entry rather than adding one
+        assert codes[2] in execution._CODE[str(module)][1].co_consts
+
+    def test_code_cache_drops_least_recently_loaded_files(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(execution, "_CODE", {})
+        monkeypatch.setattr(execution, "_CODE_FILES", 2)
+        for name in ("m0", "m1", "m0", "m2"):
+            (tmp_path / f"{name}.py").write_text(f"NAME = {name!r}\n")
+            with isolated_imports([str(tmp_path)]):
+                assert importlib.import_module(name).NAME == name
+        assert list(execution._CODE) == [
+            str(tmp_path / "m0.py"),
+            str(tmp_path / "m2.py"),
+        ]
 
 
 class TestLoadedApp:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import sys
+
 import pytest
 
 from repro.core.execution import run_once
@@ -102,6 +105,29 @@ class TestPipeline:
             r.removed for r in b.module_results
         ]
         assert a.oracle_calls == b.oracle_calls
+
+    def test_trim_is_deterministic_with_bytecode_writing_on(
+        self, toy_app, tmp_path, monkeypatch
+    ):
+        """Probe loads ignore ``.pyc`` files, so writing them (a default
+        Python, CI) cannot change a verdict."""
+        monkeypatch.setattr(sys, "dont_write_bytecode", False)
+
+        def trim(name: str):
+            report = LambdaTrim().run(toy_app, tmp_path / name, journal_fsync=False)
+            kept = {r.module: r.kept for r in report.module_results}
+            probes = [
+                (r["module"], r["candidate"], r["verdict"], r["granularity"])
+                for r in map(json.loads, report.journal_path.read_text().splitlines())
+                if r["type"] == "probe"
+            ]
+            return kept, probes
+
+        kept_a, probes_a = trim("a")
+        kept_b, probes_b = trim("b")
+        assert probes_a  # the journal recorded the DD search
+        assert kept_a == kept_b
+        assert probes_a == probes_b
 
 
 class TestGranularityMode:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.debloater import ModuleDebloater
 from repro.core.execution import run_once
 from repro.core.oracle import OracleRunner
 from repro.core.subprocess_runner import run_in_subprocess, subprocess_run
@@ -57,3 +58,27 @@ class TestSubprocessOracleRunner:
             mutated.handler_source().replace("% 10**6", "% 13")
         )
         assert not runner.check(mutated).passed
+
+
+class TestSubprocessDebloat:
+    def test_module_debloater_over_subprocess_probes_matches_in_process(
+        self, toy_app_session, tmp_path
+    ):
+        """The OS-isolation mode drives the one module debloater; it must
+        reach the in-process result with the same probes."""
+        protected = {"tensor", "add", "view", "Linear"}
+        results = []
+        for name, runner in (
+            ("subprocess", OracleRunner(toy_app_session, run=subprocess_run)),
+            ("in-process", OracleRunner(toy_app_session)),
+        ):
+            working = toy_app_session.clone(tmp_path / name)
+            results.append(
+                ModuleDebloater(working, runner).debloat_module(
+                    "torch", protected=protected
+                )
+            )
+        child, local = results
+        assert child.removed == local.removed == ["MSELoss", "SGD"]
+        assert child.kept == local.kept
+        assert child.oracle_calls == local.oracle_calls

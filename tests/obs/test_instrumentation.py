@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 from repro import LambdaEmulator, LambdaTrim
 from repro.cli import main
 from repro.core.dd import DeltaDebugger
-from repro.core.parallel import BatchDeltaDebugger
 from repro.obs import InMemoryRecorder, load_jsonl, use_recorder
 
 
@@ -73,38 +70,6 @@ class TestDDMetrics:
         assert metrics["dd.oracle_calls"] == outcome.oracle_calls
         assert metrics["dd.cache_hits"] == outcome.cache_hits
         assert metrics["dd.components_removed"] == 12 - len(outcome.minimal)
-
-    def test_batch_debugger_counters_aggregate_across_worker_threads(self):
-        recorder = InMemoryRecorder()
-        needed = {3, 11, 19}
-
-        def batch_oracle(candidates):
-            # evaluate each probe on a pool thread, as ParallelModuleDebloater
-            # does, with each worker bumping its own counters
-            def one(candidate):
-                recorder.counter_add("probe.evaluations")
-                return needed.issubset(set(candidate))
-
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                return list(pool.map(one, candidates))
-
-        with use_recorder(recorder):
-            debugger = BatchDeltaDebugger(batch_oracle)
-            outcome = debugger.minimize(list(range(24)))
-
-        assert set(outcome.minimal) == needed
-        metrics = recorder.metrics()
-        # every oracle probe was counted exactly once, with no lost updates
-        assert metrics["probe.evaluations"] == outcome.oracle_calls
-        assert metrics["batch_dd.probes"] == outcome.oracle_calls
-        assert metrics["dd.oracle_calls"] == outcome.oracle_calls
-        assert metrics["batch_dd.batches"] == debugger.batches
-        assert outcome.cache_misses == outcome.oracle_calls
-        assert debugger.cache_size == outcome.oracle_calls
-        # each batch produced one wall-clock span
-        batch_spans = [s for s in recorder.spans if s.name == "dd.batch"]
-        assert len(batch_spans) == debugger.batches
-        assert all(s.duration_s >= 0.0 for s in batch_spans)
 
 
 class TestEmulatorTelemetry:

@@ -20,7 +20,7 @@ import pytest
 
 from repro.analysis.dashboard import render_dashboard
 from repro.obs.attribution import AttributionStore
-from repro.platform import LambdaEmulator, SloRule, TelemetrySink, TraceReplayer
+from repro.platform import LambdaEmulator, SloRule, TraceReplayer
 from repro.platform.faults import FaultPlan, FaultRates
 from repro.platform.fleet import replay_fleet
 from repro.platform.kernel import KernelReplayer
