@@ -8,11 +8,15 @@ platform emulator's invocation path.
 
 from __future__ import annotations
 
+import itertools
+
 from repro.core.ast_transform import rebuild_source
+from repro.core.callgraph import CallGraphCache, build_bundle_call_graph
 from repro.core.dd import ddmin_keep
 from repro.core.granularity import decompose_module
 from repro.core.oracle import OracleRunner
 from repro.platform import LambdaEmulator
+from repro.workloads.apps import build_app
 from repro.workloads.catalog import library_spec
 from repro.workloads.synthlib import render_module
 
@@ -35,6 +39,24 @@ def test_rebuild_numpy_root(benchmark):
     half = decomposition.components[::2]
     source = benchmark(lambda: rebuild_source(decomposition, half))
     assert source
+
+
+def test_bundle_graph_refresh_after_one_rewrite(benchmark, tmp_path):
+    """The whole-program graph after one module commit (per module): a
+    warm per-file cache re-analyses only the rewritten file."""
+    bundle = build_app("huggingface", tmp_path / "huggingface")
+    cache = CallGraphCache()
+    cache.refresh(bundle)
+    path = bundle.module_file("synth_torch")
+    original = path.read_text(encoding="utf-8")
+    variants = itertools.cycle([original + "# rewritten\n", original])
+
+    def rewrite_and_refresh():
+        path.write_text(next(variants), encoding="utf-8")
+        return cache.refresh(bundle)
+
+    graph = benchmark(rewrite_and_refresh)
+    assert graph == build_bundle_call_graph(bundle)
 
 
 def test_dd_search_64_components(benchmark):

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from repro.bundle import AppBundle
 from repro.core.ast_transform import rebuild_source
-from repro.core.callgraph import build_bundle_call_graph
+from repro.core.callgraph import CallGraphCache
 from repro.core.granularity import decompose_module
 
 __all__ = ["FaasLight", "FaasLightReport"]
@@ -73,9 +73,11 @@ class FaasLight:
         # Iterate to a fixpoint: each pass recomputes what the *surviving*
         # code requires.  A surviving ``from m import X`` statement is a
         # hard requirement on ``m.X`` even if X is never otherwise used —
-        # removing it would break the import chain.
+        # removing it would break the import chain.  Only the files a pass
+        # rewrote are analysed again by the next.
+        graphs = CallGraphCache()
         for _ in range(self.MAX_PASSES):
-            graph = build_bundle_call_graph(working)
+            graph = graphs.refresh(working)
             required = self._import_requirements(working)
             removed_this_pass = 0
             for path in sorted(site.rglob("*.py")):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import ast
 import copy
-from typing import Iterable
+from typing import Iterable, Iterator, NamedTuple
 
 from repro.core.granularity import (
     WHOLE_STATEMENT,
@@ -41,46 +41,100 @@ def removed_components(
     return [c for c in decomposition.components if c not in kept]
 
 
+class _Step(NamedTuple):
+    """One top-level statement, as every rebuild of its module sees it."""
+
+    stmt: ast.stmt
+    text: str  # verbatim source, decorators included
+    aliases: frozenset[int] | None  # every alias index; None when pinned
+    always: frozenset[int]  # aliases kept whatever DD keeps (magic names)
+    whole: bool  # statement granularity: all or none
+
+
+class _RebuildPlan:
+    """What :func:`rebuild_source` needs that depends only on the
+    decomposition: each statement's text and alias sets, and where each
+    component sits.  Built on a decomposition's first rebuild and kept on
+    it, so a DD probe only groups its kept components and joins text."""
+
+    def __init__(self, decomposition: ModuleDecomposition) -> None:
+        components = decomposition.components
+        # Keyed by identity: hashing a frozen dataclass is a Python call,
+        # and a DD search rebuilds from this decomposition's own objects.
+        self.by_id = {id(c): c for c in components}
+        self.at_slot = {(c.stmt_index, c.alias_index): c for c in components}
+        removable_by_statement: dict[int, set[int]] = {}
+        for component in components:
+            removable_by_statement.setdefault(component.stmt_index, set()).add(
+                component.alias_index
+            )
+        source_lines = decomposition.source.splitlines()
+        self.steps: list[_Step] = []
+        for index, stmt in enumerate(decomposition.tree.body):
+            text = _statement_text(stmt, source_lines)
+            removable = removable_by_statement.get(index)
+            if removable is None:
+                self.steps.append(_Step(stmt, text, None, frozenset(), False))
+                continue
+            aliases = frozenset(_alias_indices(stmt))
+            whole = WHOLE_STATEMENT in removable
+            # Aliases never offered to DD (magic names) always stay.
+            always = (
+                frozenset(_magic_alias_indices(stmt)) if whole else aliases - removable
+            )
+            self.steps.append(_Step(stmt, text, aliases, always, whole))
+
+    def survivors(
+        self, keep: Iterable[AttributeComponent]
+    ) -> Iterator[tuple[_Step, frozenset[int] | set[int] | None]]:
+        """Each statement that stays, with its surviving alias indices
+        (None for a pinned statement, which stays verbatim)."""
+        kept_by_statement: dict[int, set[int]] = {}
+        for component in keep:
+            if self.by_id.get(id(component)) is not component:
+                # Not one of this decomposition's own objects: it counts
+                # only if it equals the component at its position.
+                slot = (component.stmt_index, component.alias_index)
+                if self.at_slot.get(slot) != component:
+                    continue
+            kept_by_statement.setdefault(component.stmt_index, set()).add(
+                component.alias_index
+            )
+        for index, step in enumerate(self.steps):
+            if step.aliases is None:
+                yield step, None
+                continue
+            kept_aliases = kept_by_statement.get(index)
+            if step.whole:
+                surviving = (
+                    step.aliases
+                    if kept_aliases and WHOLE_STATEMENT in kept_aliases
+                    else step.always
+                )
+            else:
+                surviving = step.always | kept_aliases if kept_aliases else step.always
+            if surviving:
+                yield step, surviving
+
+
+def _plan(decomposition: ModuleDecomposition) -> _RebuildPlan:
+    if decomposition._rebuild_plan is None:
+        decomposition._rebuild_plan = _RebuildPlan(decomposition)
+    return decomposition._rebuild_plan
+
+
 def rebuild_tree(
     decomposition: ModuleDecomposition, keep: Iterable[AttributeComponent]
 ) -> ast.Module:
     """Return a new AST containing only pinned statements and kept components."""
-    kept = set(keep)
-    kept_by_statement: dict[int, set[int]] = {}
-    removable_by_statement: dict[int, set[int]] = {}
-    for component in decomposition.components:
-        removable_by_statement.setdefault(component.stmt_index, set()).add(
-            component.alias_index
-        )
-        if component in kept:
-            kept_by_statement.setdefault(component.stmt_index, set()).add(
-                component.alias_index
-            )
-
     new_body: list[ast.stmt] = []
-    for index, stmt in enumerate(decomposition.tree.body):
-        removable = removable_by_statement.get(index)
-        if removable is None:
-            new_body.append(copy.deepcopy(stmt))  # pinned statement
+    for step, surviving in _plan(decomposition).survivors(keep):
+        if surviving is None:
+            new_body.append(copy.deepcopy(step.stmt))
             continue
-        kept_aliases = kept_by_statement.get(index, set())
-        if WHOLE_STATEMENT in removable:
-            # statement granularity: all-or-none (magic aliases persist)
-            surviving = (
-                _alias_indices(stmt)
-                if WHOLE_STATEMENT in kept_aliases
-                else _magic_alias_indices(stmt)
-            )
-        else:
-            # Aliases never offered to DD (magic names) always stay.
-            always_kept = _alias_indices(stmt) - removable
-            surviving = kept_aliases | always_kept
-        if not surviving:
-            continue  # whole statement removed
-        new_stmt = _filter_statement(stmt, surviving)
+        new_stmt = _filter_statement(step.stmt, surviving)
         if new_stmt is not None:
             new_body.append(new_stmt)
-
     module = ast.Module(body=new_body, type_ignores=[])
     return ast.fix_missing_locations(module)
 
@@ -95,43 +149,14 @@ def rebuild_source(
     is hot); only partially-kept import statements go through the AST
     unparser.
     """
-    kept = set(keep)
-    kept_by_statement: dict[int, set[int]] = {}
-    removable_by_statement: dict[int, set[int]] = {}
-    for component in decomposition.components:
-        removable_by_statement.setdefault(component.stmt_index, set()).add(
-            component.alias_index
-        )
-        if component in kept:
-            kept_by_statement.setdefault(component.stmt_index, set()).add(
-                component.alias_index
-            )
-
-    source_lines = decomposition.source.splitlines()
     chunks: list[str] = []
-    for index, stmt in enumerate(decomposition.tree.body):
-        removable = removable_by_statement.get(index)
-        if removable is None:
-            chunks.append(_statement_text(stmt, source_lines))
+    for step, surviving in _plan(decomposition).survivors(keep):
+        if surviving is None or surviving == step.aliases:
+            chunks.append(step.text)
             continue
-        all_aliases = _alias_indices(stmt)
-        kept_aliases = kept_by_statement.get(index, set())
-        if WHOLE_STATEMENT in removable:
-            surviving = (
-                all_aliases
-                if WHOLE_STATEMENT in kept_aliases
-                else _magic_alias_indices(stmt)
-            )
-        else:
-            surviving = kept_aliases | (all_aliases - removable)
-        if not surviving:
-            continue
-        if surviving == all_aliases:
-            chunks.append(_statement_text(stmt, source_lines))
-        else:
-            filtered = _filter_statement(stmt, surviving)
-            if filtered is not None:
-                chunks.append(ast.unparse(ast.fix_missing_locations(filtered)))
+        filtered = _filter_statement(step.stmt, surviving)
+        if filtered is not None:
+            chunks.append(ast.unparse(ast.fix_missing_locations(filtered)))
     if not chunks:
         return ""
     return "\n".join(chunks) + "\n"

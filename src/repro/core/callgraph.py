@@ -24,15 +24,16 @@ graph is purely an accelerator that shrinks the search space.
 from __future__ import annotations
 
 import ast
+import hashlib
 from dataclasses import dataclass, field
 
-from repro.core.static_analyzer import StaticAnalysis, analyze_source
+from repro.core.static_analyzer import import_bindings
 from repro.errors import AnalysisError
 
 __all__ = [
     "CallGraph",
+    "CallGraphCache",
     "build_call_graph",
-    "build_call_graph_from_analysis",
     "build_bundle_call_graph",
 ]
 
@@ -65,15 +66,14 @@ class CallGraph:
 
 
 def build_call_graph(source: str, *, filename: str = "<application>") -> CallGraph:
-    """Analyze application *source* and return its attribute-access graph."""
-    analysis = analyze_source(source, filename=filename)
-    return build_call_graph_from_analysis(source, analysis, filename=filename)
+    """Analyze application *source* and return its attribute-access graph.
 
-
-def build_call_graph_from_analysis(
-    source: str, analysis: StaticAnalysis, *, filename: str = "<application>"
-) -> CallGraph:
-    """Build the graph reusing an existing static-analysis pass."""
+    One parse and one depth-first walk feed every pass.  Imports bind in
+    the walk's order, which is the static analyzer's; later imports of a
+    name shadow earlier ones.  Simple aliases then resolve in
+    ``ast.walk`` order (by depth, then walk order), and the access
+    candidates the walk collected resolve against the final bindings.
+    """
     try:
         tree = ast.parse(source, filename=filename)
     except SyntaxError as exc:
@@ -82,49 +82,123 @@ def build_call_graph_from_analysis(
     graph = CallGraph()
     bindings: dict[str, str] = {}
     from_bindings: dict[str, tuple[str, str]] = {}
+    assignments: list[tuple[int, int, str, ast.expr]] = []
+    attributes: list[ast.Attribute] = []
+    loads: list[str] = []
+    calls: list[ast.Call] = []
 
-    for imp in analysis.imports:
-        if imp.binding == "*":
-            graph.star_modules.add(imp.module)
-            continue
-        bindings[imp.binding] = imp.target
-        if imp.is_from:
-            from_bindings[imp.binding] = (imp.module, imp.target.rsplit(".", 1)[1])
+    stack: list[tuple[ast.AST, int]] = [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, ast.Attribute):
+            attributes.append(node)
+        elif isinstance(node, ast.Name):
+            if isinstance(node.ctx, ast.Load):
+                loads.append(node.id)
+        elif isinstance(node, ast.Call):
+            calls.append(node)
+        elif isinstance(node, ast.Assign):
+            if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+                assignments.append(
+                    (depth, len(assignments), node.targets[0].id, node.value)
+                )
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for imp in import_bindings(node):
+                if imp.binding == "*":
+                    graph.star_modules.add(imp.module)
+                    continue
+                bindings[imp.binding] = imp.target
+                if imp.is_from:
+                    from_bindings[imp.binding] = (
+                        imp.module,
+                        imp.target.rsplit(".", 1)[1],
+                    )
+        children: list[tuple[ast.AST, int]] = []
+        for name in node._fields:
+            value = getattr(node, name, None)
+            if isinstance(value, ast.AST):
+                children.append((value, depth + 1))
+            elif isinstance(value, list):
+                for item in value:
+                    if isinstance(item, ast.AST):
+                        children.append((item, depth + 1))
+        children.reverse()
+        stack.extend(children)
 
-    _collect_aliases(tree, bindings)
-    _collect_accesses(tree, bindings, from_bindings, graph)
+    assignments.sort()
+    _collect_aliases([(name, value) for _, _, name, value in assignments], bindings)
+    for node in attributes:
+        base = _resolve_chain(node.value, bindings)
+        if base is not None:
+            graph._mark(base, node.attr)
+    for name in loads:
+        hit = from_bindings.get(name)
+        if hit is not None:
+            graph._mark(*hit)
+    for node in calls:
+        literal = _constant_getattr(node, bindings)
+        if literal is not None:
+            graph._mark(*literal)
     return graph
+
+
+class CallGraphCache:
+    """Whole-program graphs of a bundle, refreshed file by file.
+
+    PyCG analyzes the entire program, so attributes one library accesses on
+    another (squiggle using numpy) are protected too.  A refresh reflects
+    the bundle's *current* files: once the debloater removes a re-export,
+    the next refresh releases the attributes only that re-export needed.
+    Each file's graph is kept under its path and checked against the
+    SHA-256 of the file's current bytes, so after a module rewrite only
+    that file is analysed again.  Files that disappear leave the cache.
+    """
+
+    def __init__(self) -> None:
+        self._files: dict[str, tuple[bytes, CallGraph]] = {}
+
+    def refresh(self, bundle) -> CallGraph:
+        """The graph of handler plus every library file in *bundle*.
+
+        Backup files left by an in-flight DD run are not ``.py`` files and
+        are skipped."""
+        paths = [bundle.handler_path]
+        if not paths[0].exists():
+            bundle.handler_source()  # raises the bundle's missing-handler error
+        site = bundle.site_packages
+        if site.is_dir():
+            paths.extend(sorted(site.rglob("*.py")))
+        graph = CallGraph()
+        files: dict[str, tuple[bytes, CallGraph]] = {}
+        for path in paths:
+            filename = str(path)
+            data = path.read_bytes()
+            digest = hashlib.sha256(data).digest()
+            entry = self._files.get(filename)
+            if entry is None or entry[0] != digest:
+                entry = (
+                    digest,
+                    build_call_graph(data.decode("utf-8"), filename=filename),
+                )
+            files[filename] = entry
+            graph.merge(entry[1])
+        self._files = files
+        return graph
 
 
 def build_bundle_call_graph(bundle) -> CallGraph:
-    """Whole-program graph: handler plus every library file in the bundle.
+    """Whole-program graph of *bundle*, built from scratch.
 
-    PyCG analyzes the entire program, so attributes one library accesses on
-    another (squiggle using numpy) are protected too.  The graph reflects
-    the bundle's *current* files: once the debloater removes a re-export,
-    recomputing the graph releases the attributes only that re-export
-    needed.  Backup files left by an in-flight DD run are skipped.
+    The same builder as :meth:`CallGraphCache.refresh`, from an empty
+    cache.
     """
-    graph = build_call_graph(
-        bundle.handler_source(), filename=str(bundle.handler_path)
-    )
-    site = bundle.site_packages
-    if site.is_dir():
-        for path in sorted(site.rglob("*.py")):
-            source = path.read_text(encoding="utf-8")
-            graph.merge(build_call_graph(source, filename=str(path)))
-    return graph
+    return CallGraphCache().refresh(bundle)
 
 
-def _collect_aliases(tree: ast.Module, bindings: dict[str, str]) -> None:
+def _collect_aliases(
+    assignments: list[tuple[str, ast.expr]], bindings: dict[str, str]
+) -> None:
     """Fixpoint over simple ``name = <attribute chain>`` aliases."""
-    assignments: list[tuple[str, ast.expr]] = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            if isinstance(target, ast.Name):
-                assignments.append((target.id, node.value))
-
     for _ in range(_MAX_ALIAS_PASSES):
         changed = False
         for name, value in assignments:
@@ -134,29 +208,6 @@ def _collect_aliases(tree: ast.Module, bindings: dict[str, str]) -> None:
                 changed = True
         if not changed:
             break
-
-
-def _collect_accesses(
-    tree: ast.Module,
-    bindings: dict[str, str],
-    from_bindings: dict[str, tuple[str, str]],
-    graph: CallGraph,
-) -> None:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
-            base = _resolve_chain(node.value, bindings)
-            if base is not None:
-                graph._mark(base, node.attr)
-        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            hit = from_bindings.get(node.id)
-            if hit is not None:
-                module, attribute = hit
-                graph._mark(module, attribute)
-        elif isinstance(node, ast.Call):
-            literal = _constant_getattr(node, bindings)
-            if literal is not None:
-                module, attribute = literal
-                graph._mark(module, attribute)
 
 
 def _resolve_chain(node: ast.expr, bindings: dict[str, str]) -> str | None:

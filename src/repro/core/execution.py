@@ -133,17 +133,13 @@ class _FreshSourceFinder:
     anything else falls through to the regular import system."""
 
     def __init__(self, paths: list[str]):
-        self._paths = paths
+        self._roots = tuple(os.path.join(os.path.abspath(root), "") for root in paths)
 
     def find_spec(self, fullname, path=None, target=None):
         spec = PathFinder.find_spec(fullname, path, target)
         if spec is None or type(spec.loader) is not SourceFileLoader:
             return None
-        origin = os.path.abspath(spec.origin)
-        if not any(
-            origin.startswith(os.path.join(os.path.abspath(root), ""))
-            for root in self._paths
-        ):
+        if not os.path.abspath(spec.origin).startswith(self._roots):
             return None
         spec.loader = _FreshSourceLoader(fullname, spec.origin)
         return spec
@@ -152,8 +148,15 @@ class _FreshSourceFinder:
 @contextmanager
 def _bundle_sources(paths: list[str]) -> Iterator[None]:
     """Put *paths* first on ``sys.path``; their ``.py`` files load through
-    :class:`_FreshSourceLoader`."""
+    :class:`_FreshSourceLoader`.
+
+    On exit the path-entry finders the scope cached are dropped again:
+    ``sys.path_importer_cache`` would otherwise keep one per bundle
+    directory ever loaded, and ``importlib.invalidate_caches()`` walks it
+    on every load.
+    """
     saved_path = list(sys.path)
+    cached = set(sys.path_importer_cache)
     sys.path[:0] = paths
     finder = _FreshSourceFinder(paths)
     # Just ahead of PathFinder, so built-in and frozen modules still win.
@@ -163,6 +166,8 @@ def _bundle_sources(paths: list[str]) -> Iterator[None]:
     finally:
         sys.meta_path.remove(finder)
         sys.path[:] = saved_path
+        for entry in [e for e in sys.path_importer_cache if e not in cached]:
+            del sys.path_importer_cache[entry]
 
 
 @contextmanager

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.errors import DebloatError
 
@@ -92,6 +93,9 @@ class ModuleDecomposition:
     tree: ast.Module
     components: list[AttributeComponent]
     pinned_statements: list[int] = field(default_factory=list)
+    #: What every rebuild of this decomposition shares; built on its first
+    #: rebuild by :mod:`repro.core.ast_transform`.
+    _rebuild_plan: Any = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def attribute_names(self) -> list[str]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.bundle import AppBundle
-from repro.core.callgraph import CallGraph, build_bundle_call_graph, build_call_graph
+from repro.core.callgraph import CallGraph, CallGraphCache, build_call_graph
 from repro.core.cost_model import ProfileReport, ScoringMethod, rank_modules
 from repro.core.debloater import ModuleDebloater, ModuleDebloatResult
 from repro.core.granularity import GRANULARITY_ATTRIBUTE, GRANULARITY_STATEMENT
@@ -269,7 +269,7 @@ class LambdaTrim:
 
         with recorder.span("pipeline.run", label=bundle.name, k=self.config.k):
             with recorder.span("analyze") as span:
-                external, graph = self.analyze(bundle)
+                external, _ = self.analyze(bundle)
                 if span is not None:
                     span.set_attr("external_modules", len(external))
 
@@ -331,6 +331,9 @@ class LambdaTrim:
                 quorum=self.config.probe_quorum,
             )
 
+            # Per-file graphs live for this run only: a module commit
+            # rewrites one file, and only that file is analysed again.
+            graphs = CallGraphCache()
             try:
                 results: list[ModuleDebloatResult] = []
                 for module in selected:
@@ -342,10 +345,10 @@ class LambdaTrim:
                         recorder.counter_add("pipeline.modules_resumed")
                         continue
                     with recorder.span("debloat", label=module) as span:
-                        outcome, graph = self._debloat_one(
+                        outcome = self._debloat_one(
                             working,
                             debloater,
-                            graph,
+                            graphs,
                             module,
                             seeds,
                             journal_seeds=(
@@ -466,51 +469,41 @@ class LambdaTrim:
         self,
         working: AppBundle,
         debloater: ModuleDebloater,
-        graph: CallGraph,
+        graphs: CallGraphCache,
         module: str,
         seeds: dict[str, list[str]] | None,
         *,
         journal_seeds: dict[str, bool] | None = None,
-    ) -> tuple[ModuleDebloatResult, CallGraph]:
+    ) -> ModuleDebloatResult:
         """Debloat one selected module against the current working bundle."""
-        # Recompute the whole-program graph against the *current* state
-        # of the working bundle: attributes that were only referenced by
-        # an already-removed re-export are now free to go.
-        if self.config.use_call_graph:
-            graph = build_bundle_call_graph(working)
+        # Refresh the whole-program graph against the *current* state of
+        # the working bundle: attributes that were only referenced by an
+        # already-removed re-export are now free to go.
+        graph = graphs.refresh(working) if self.config.use_call_graph else CallGraph()
         protected = self._protected_attributes(graph, module)
         if protected is None:
             # Star import: every attribute may be used; skip the module.
-            return (
-                ModuleDebloatResult(
-                    module=module,
-                    file=working.module_file(module),
-                    attributes_before=0,
-                    attributes_after=0,
-                    skipped_reason="star-imported: all attributes protected",
-                ),
-                graph,
+            return ModuleDebloatResult(
+                module=module,
+                file=working.module_file(module),
+                attributes_before=0,
+                attributes_after=0,
+                skipped_reason="star-imported: all attributes protected",
             )
-        current_graph = graph
 
         def reexport_protected(component) -> bool:
             # Keep ``from m import a`` when the program definitely
             # accesses attribute ``a`` of module ``m`` (PyCG guidance).
             if not component.source or not self.config.use_call_graph:
                 return False
-            return component.name in current_graph.accessed_attributes(
-                component.source
-            )
+            return component.name in graph.accessed.get(component.source, ())
 
-        return (
-            debloater.debloat_module(
-                module,
-                protected,
-                extra_protected=reexport_protected,
-                seed_keep=seeds.get(module) if seeds else None,
-                journal_seeds=journal_seeds,
-            ),
-            graph,
+        return debloater.debloat_module(
+            module,
+            protected,
+            extra_protected=reexport_protected,
+            seed_keep=seeds.get(module) if seeds else None,
+            journal_seeds=journal_seeds,
         )
 
     def _protected_attributes(self, graph: CallGraph, module: str) -> set[str] | None:

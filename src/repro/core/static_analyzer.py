@@ -20,7 +20,13 @@ from dataclasses import dataclass, field
 
 from repro.errors import AnalysisError
 
-__all__ = ["ImportedModule", "StaticAnalysis", "analyze_source", "analyze_file"]
+__all__ = [
+    "ImportedModule",
+    "StaticAnalysis",
+    "analyze_source",
+    "analyze_file",
+    "import_bindings",
+]
 
 _STDLIB_MODULES = frozenset(sys.stdlib_module_names)
 
@@ -93,6 +99,39 @@ class StaticAnalysis:
         return {imp.binding: imp.target for imp in self.imports}
 
 
+def import_bindings(node: ast.Import | ast.ImportFrom) -> list[ImportedModule]:
+    """The bindings one ``import`` statement makes, in alias order.
+
+    Relative ``from . import x`` binds nothing here: it is local to the
+    application package.  A star import is recorded with binding ``*``;
+    its attribute surface is unknowable statically, so the call graph
+    treats every attribute of the module as potentially used.
+    """
+    if isinstance(node, ast.Import):
+        return [
+            ImportedModule(
+                module=alias.name,
+                binding=alias.asname or alias.name.split(".")[0],
+                target=alias.name if alias.asname else alias.name.split(".")[0],
+                is_from=False,
+                lineno=node.lineno,
+            )
+            for alias in node.names
+        ]
+    if node.module is None or node.level:
+        return []
+    return [
+        ImportedModule(
+            module=node.module,
+            binding=alias.asname or alias.name,
+            target=f"{node.module}.{alias.name}",
+            is_from=True,
+            lineno=node.lineno,
+        )
+        for alias in node.names
+    ]
+
+
 class _ImportCollector(ast.NodeVisitor):
     """Collects imports from the whole file, including nested scopes.
 
@@ -104,48 +143,10 @@ class _ImportCollector(ast.NodeVisitor):
     def __init__(self) -> None:
         self.imports: list[ImportedModule] = []
 
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            binding = alias.asname or alias.name.split(".")[0]
-            bound_target = alias.name if alias.asname else alias.name.split(".")[0]
-            self.imports.append(
-                ImportedModule(
-                    module=alias.name,
-                    binding=binding,
-                    target=bound_target,
-                    is_from=False,
-                    lineno=node.lineno,
-                )
-            )
+    def visit_Import(self, node: ast.Import | ast.ImportFrom) -> None:
+        self.imports.extend(import_bindings(node))
 
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module is None or node.level:
-            return  # relative imports are local to the application package
-        for alias in node.names:
-            if alias.name == "*":
-                # Star imports: record the module itself; its attribute
-                # surface is unknowable statically, so the call graph will
-                # treat every attribute of the module as potentially used.
-                self.imports.append(
-                    ImportedModule(
-                        module=node.module,
-                        binding="*",
-                        target=f"{node.module}.*",
-                        is_from=True,
-                        lineno=node.lineno,
-                    )
-                )
-                continue
-            binding = alias.asname or alias.name
-            self.imports.append(
-                ImportedModule(
-                    module=node.module,
-                    binding=binding,
-                    target=f"{node.module}.{alias.name}",
-                    is_from=True,
-                    lineno=node.lineno,
-                )
-            )
+    visit_ImportFrom = visit_Import
 
 
 def analyze_source(source: str, *, filename: str = "<application>") -> StaticAnalysis:

@@ -3,12 +3,23 @@
 from __future__ import annotations
 
 import ast
+import functools
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.ast_transform import rebuild_source, rebuild_tree, removed_components
-from repro.core.granularity import decompose_module
+from repro.core.ast_transform import (
+    _alias_indices,
+    _filter_statement,
+    _magic_alias_indices,
+    _statement_text,
+    rebuild_source,
+    rebuild_tree,
+    removed_components,
+)
+from repro.core.granularity import WHOLE_STATEMENT, decompose_module
+from repro.workloads.catalog import library_spec
+from repro.workloads.synthlib import render_module
 
 FIGURE_7A = """\
 from torch.nn import Linear, MSELoss
@@ -177,3 +188,113 @@ def test_generated_module_roundtrip(statements, data):
     pinned_count = len(decomposition.pinned_statements)
     surviving_pinned = len(decompose_module(rebuilt).pinned_statements)
     assert surviving_pinned == pinned_count
+
+
+# -- the planned rebuild against the per-call one ---------------------------
+
+
+def reference_rebuild_source(decomposition, keep) -> str:
+    """``rebuild_source`` before the per-decomposition plan: every call
+    re-derives statement text and alias sets and hashes every component."""
+    kept = set(keep)
+    kept_by_statement: dict[int, set[int]] = {}
+    removable_by_statement: dict[int, set[int]] = {}
+    for component in decomposition.components:
+        removable_by_statement.setdefault(component.stmt_index, set()).add(
+            component.alias_index
+        )
+        if component in kept:
+            kept_by_statement.setdefault(component.stmt_index, set()).add(
+                component.alias_index
+            )
+
+    source_lines = decomposition.source.splitlines()
+    chunks: list[str] = []
+    for index, stmt in enumerate(decomposition.tree.body):
+        removable = removable_by_statement.get(index)
+        if removable is None:
+            chunks.append(_statement_text(stmt, source_lines))
+            continue
+        all_aliases = _alias_indices(stmt)
+        kept_aliases = kept_by_statement.get(index, set())
+        if WHOLE_STATEMENT in removable:
+            surviving = (
+                all_aliases
+                if WHOLE_STATEMENT in kept_aliases
+                else _magic_alias_indices(stmt)
+            )
+        else:
+            surviving = kept_aliases | (all_aliases - removable)
+        if not surviving:
+            continue
+        if surviving == all_aliases:
+            chunks.append(_statement_text(stmt, source_lines))
+        else:
+            filtered = _filter_statement(stmt, surviving)
+            if filtered is not None:
+                chunks.append(ast.unparse(ast.fix_missing_locations(filtered)))
+    if not chunks:
+        return ""
+    return "\n".join(chunks) + "\n"
+
+
+_GRANULARITY = st.sampled_from(["attribute", "statement"])
+
+
+@functools.lru_cache(maxsize=None)
+def _numpy_root(granularity: str):
+    """One rendered synthlib module per granularity, shared by every
+    example so its rebuild plan is built once and reused."""
+    spec = library_spec("numpy")
+    source = render_module(spec, spec.module(""))
+    return decompose_module(source, granularity=granularity)
+
+
+def _keeps(components) -> st.SearchStrategy:
+    """Keep lists in any order and with duplicates."""
+    if not components:
+        return st.just([])
+    return st.lists(st.sampled_from(components), max_size=2 * len(components))
+
+
+def _assert_plans_match(decomposition, granularity, data, rounds: int) -> None:
+    twin = decompose_module(decomposition.source, granularity=granularity)
+    for _ in range(rounds):
+        keep = data.draw(_keeps(decomposition.components))
+        if data.draw(st.booleans()):
+            # Equal components that are not this decomposition's objects.
+            keep = keep + data.draw(_keeps(twin.components))
+        assert rebuild_source(decomposition, keep) == reference_rebuild_source(
+            decomposition, keep
+        )
+        assert rebuild_source(decomposition, iter(keep)) == reference_rebuild_source(
+            decomposition, keep
+        )
+
+
+@settings(deadline=None)
+@given(_MODULE_STATEMENTS, _GRANULARITY, st.data())
+def test_planned_rebuild_matches_reference_on_generated_modules(
+    statements, granularity, data
+):
+    """Byte for byte, many keeps against one decomposition."""
+    source = "\n".join(stmt for _, stmt in statements) + "\n"
+    decomposition = decompose_module(source, granularity=granularity)
+    _assert_plans_match(decomposition, granularity, data, rounds=8)
+
+
+@settings(deadline=None, max_examples=30)
+@given(_GRANULARITY, st.data())
+def test_planned_rebuild_matches_reference_on_synthlib_numpy(granularity, data):
+    """A 537-attribute rendered module whose plan outlives every example."""
+    _assert_plans_match(_numpy_root(granularity), granularity, data, rounds=4)
+
+
+def test_plan_is_built_once_per_decomposition():
+    decomposition = decompose_module(FIGURE_7A)
+    rebuild_source(decomposition, [])
+    plan = decomposition._rebuild_plan
+    assert plan is not None
+    rebuild_source(decomposition, decomposition.components)
+    rebuild_tree(decomposition, decomposition.components[:1])
+    assert decomposition._rebuild_plan is plan

@@ -2,7 +2,28 @@
 
 from __future__ import annotations
 
-from repro.core.callgraph import build_bundle_call_graph, build_call_graph
+import ast
+import hashlib
+import os
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import callgraph
+from repro.core.callgraph import (
+    CallGraph,
+    CallGraphCache,
+    _constant_getattr,
+    _resolve_chain,
+    build_bundle_call_graph,
+    build_call_graph,
+)
+from repro.core.pipeline import LambdaTrim
+from repro.core.static_analyzer import analyze_source
+from repro.errors import AnalysisError
+from repro.workloads.catalog import _BUILDERS, library_spec
+from repro.workloads.synthlib import render_module
 
 
 class TestAttributeAccess:
@@ -74,3 +95,204 @@ class TestBundleGraph:
         assert "Linear" in graph.accessed_attributes("torch.nn")
         # nothing marks SGD as used anywhere in the program
         assert "SGD" not in graph.accessed_attributes("torch")
+
+
+# -- the one-walk builder against the two-pass one ---------------------------
+
+
+def reference_build_call_graph(
+    source: str, filename: str = "<application>"
+) -> CallGraph:
+    """``build_call_graph`` before the single walk: the static analyzer's
+    import pass, then a second parse with one ``ast.walk`` for aliases
+    and another for accesses."""
+    analysis = analyze_source(source, filename=filename)
+    tree = ast.parse(source, filename=filename)
+    graph = CallGraph()
+    bindings: dict[str, str] = {}
+    from_bindings: dict[str, tuple[str, str]] = {}
+    for imp in analysis.imports:
+        if imp.binding == "*":
+            graph.star_modules.add(imp.module)
+            continue
+        bindings[imp.binding] = imp.target
+        if imp.is_from:
+            from_bindings[imp.binding] = (imp.module, imp.target.rsplit(".", 1)[1])
+    assignments = [
+        (node.targets[0].id, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+    ]
+    for _ in range(callgraph._MAX_ALIAS_PASSES):
+        changed = False
+        for name, value in assignments:
+            path = _resolve_chain(value, bindings)
+            if path is not None and bindings.get(name) != path:
+                bindings[name] = path
+                changed = True
+        if not changed:
+            break
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            base = _resolve_chain(node.value, bindings)
+            if base is not None:
+                graph._mark(base, node.attr)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            hit = from_bindings.get(node.id)
+            if hit is not None:
+                graph._mark(*hit)
+        elif isinstance(node, ast.Call):
+            literal = _constant_getattr(node, bindings)
+            if literal is not None:
+                graph._mark(*literal)
+    return graph
+
+
+# Snippets whose order decides the result: nested imports that shadow
+# module-level ones, aliases rebound at several depths, and alias cycles
+# that never settle.
+_SNIPPETS = st.sampled_from(
+    [
+        "import a",
+        "import a.b",
+        "import a.b as c",
+        "from a import b",
+        "from a.b import c as a",
+        "from q import *",
+        "from . import a",
+        "x = a.b",
+        "x = c.d",
+        "a = x.y",
+        "y = x\nx = y.t",
+        "def f():\n    import c as a\n    x = a.z\n    return x.w",
+        "class K:\n    from a import b as x\n    y = x.q",
+        "if a:\n    x = b\nelse:\n    x = a.e",
+        "getattr(a, 'n')",
+        "getattr(x, 'm', None)",
+        "b.k",
+        "x.m(a.b.c)",
+    ]
+)
+
+
+@settings(deadline=None)
+@given(st.lists(_SNIPPETS, min_size=1, max_size=10))
+def test_one_walk_matches_reference_on_generated_sources(snippets):
+    source = "\n".join(snippets) + "\n"
+    assert build_call_graph(source) == reference_build_call_graph(source)
+
+
+def test_one_walk_matches_reference_on_every_synthlib_module():
+    modules = 0
+    for name in sorted(_BUILDERS):
+        spec = library_spec(name)
+        for module in spec.modules:
+            source = render_module(spec, module)
+            assert build_call_graph(source) == reference_build_call_graph(source), (
+                name,
+                module.name,
+            )
+            modules += 1
+    assert modules > 100
+
+
+def test_parse_errors_name_the_file():
+    with pytest.raises(AnalysisError, match="cannot parse broken.py"):
+        build_call_graph("def (:\n", filename="broken.py")
+
+
+# -- the per-file cache -----------------------------------------------------
+
+
+def _fold(bundle) -> CallGraph:
+    """A from-scratch fold of ``build_call_graph`` over the current files."""
+    graph = CallGraph()
+    paths = [bundle.handler_path, *sorted(bundle.site_packages.rglob("*.py"))]
+    for path in paths:
+        source = path.read_text(encoding="utf-8")
+        graph.merge(build_call_graph(source, filename=str(path)))
+    return graph
+
+
+class TestCallGraphCache:
+    def test_matches_fold_after_every_module_commit(
+        self, toy_app, tmp_path, monkeypatch
+    ):
+        caches: list[CallGraphCache] = []
+        original = CallGraphCache.refresh
+
+        def checked(self, bundle):
+            graph = original(self, bundle)
+            assert graph == _fold(bundle)
+            caches.append(self)
+            return graph
+
+        monkeypatch.setattr(CallGraphCache, "refresh", checked)
+        report = LambdaTrim().run(toy_app, tmp_path / "out", journal_fsync=False)
+        # One refresh per module, all from one cache; one more checks the
+        # last commit.
+        assert len(caches) == len(report.module_results) == 3
+        assert len({id(cache) for cache in caches}) == 1
+        assert caches[0].refresh(report.output) == _fold(report.output)
+
+    def test_same_size_rewrite_with_pinned_mtime(self, toy_app):
+        cache = CallGraphCache()
+        before = cache.refresh(toy_app)
+        path = toy_app.handler_path
+        source = path.read_text(encoding="utf-8")
+        stat = path.stat()
+        rewritten = source.replace("torch.view(", "torch.VIEW(")
+        assert rewritten != source and len(rewritten) == len(source)
+        path.write_text(rewritten, encoding="utf-8")
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        after = cache.refresh(toy_app)
+        assert after == _fold(toy_app) != before
+        assert "VIEW" in after.accessed_attributes("torch")
+        assert "view" not in after.accessed_attributes("torch")
+
+    def test_deleted_and_added_files(self, toy_app):
+        cache = CallGraphCache()
+        cache.refresh(toy_app)
+        optim = toy_app.module_file("torch.optim")
+        optim.unlink()
+        assert cache.refresh(toy_app) == _fold(toy_app)
+        extra = toy_app.site_packages / "extra.py"
+        extra.write_text("import torch\ntorch.optim.Adam\n", encoding="utf-8")
+        graph = cache.refresh(toy_app)
+        assert graph == _fold(toy_app)
+        assert "Adam" in graph.accessed_attributes("torch.optim")
+        extra.unlink()
+        graph = cache.refresh(toy_app)
+        assert graph == _fold(toy_app) == build_bundle_call_graph(toy_app)
+
+    def test_refresh_returns_a_fresh_graph(self, toy_app):
+        cache = CallGraphCache()
+        first = cache.refresh(toy_app)
+        first.accessed.clear()
+        first.star_modules.add("torch")
+        assert cache.refresh(toy_app) == _fold(toy_app)
+
+    def test_one_build_per_distinct_file_content_in_a_trim(
+        self, toy_app, tmp_path, monkeypatch
+    ):
+        builds: list[tuple[str, str]] = []
+        seen: set[tuple[str, str]] = set()
+        build, refresh = callgraph.build_call_graph, CallGraphCache.refresh
+
+        def counted(source, *, filename="<application>"):
+            builds.append((filename, hashlib.sha256(source.encode()).hexdigest()))
+            return build(source, filename=filename)
+
+        def snapshot(self, bundle):
+            for path in [bundle.handler_path, *bundle.site_packages.rglob("*.py")]:
+                seen.add((str(path), hashlib.sha256(path.read_bytes()).hexdigest()))
+            return refresh(self, bundle)
+
+        monkeypatch.setattr(callgraph, "build_call_graph", counted)
+        monkeypatch.setattr(CallGraphCache, "refresh", snapshot)
+        report = LambdaTrim().run(toy_app, tmp_path / "out", journal_fsync=False)
+        assert report.attributes_removed > 0
+        assert len(builds) == len(seen)
+        assert set(builds) == seen

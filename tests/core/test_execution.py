@@ -145,6 +145,18 @@ class TestFreshSourceLoads:
         ]
 
 
+    def test_loads_leave_no_path_importer_cache_entries(self, toy_app, tmp_path):
+        """Each clone's root, site-packages and package directories are
+        path entries; none outlives the load or invocation that cached it."""
+        event = {"x": [1.0], "y": [2.0]}
+        assert run_once(toy_app, event).ok  # imports the emulator's own lazies
+        before = len(sys.path_importer_cache)
+        for index in range(50):
+            assert run_once(toy_app.clone(tmp_path / f"clone{index}"), event).ok
+        assert len(sys.path_importer_cache) == before
+        assert not any(str(tmp_path) in str(entry) for entry in sys.path_importer_cache)
+
+
 class TestLoadedApp:
     def test_cold_load_measures_init(self, toy_app):
         app = LoadedApp(toy_app)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.oracle import OracleCase, OracleRunner, OracleSpec
 from repro.errors import OracleError
+from repro.vm import Meter, metered
 
 
 class TestOracleSpec:
@@ -94,6 +95,19 @@ class TestOracleRunner:
         assert after_expected > 0  # expected-output capture is metered
         runner.check(toy_app)
         assert runner.meter.time_s > after_expected
+
+    def test_meter_keeps_no_events_and_sums_like_a_plain_meter(self, toy_app):
+        """Every probe charges the oracle's meter; it keeps only the time,
+        added event by event so it rounds as a plain meter's sum does."""
+        plain = Meter("witness")
+        with metered(plain):
+            runner = OracleRunner(toy_app)
+            for _ in range(3):
+                runner.check(toy_app)
+        assert len(plain.events) > 0
+        assert runner.meter.time_s == plain.time_s
+        assert runner.meter.events == []
+        assert len(runner.meter.external_calls) == 0
 
     def test_fail_fast_stops_at_first_failure(self, toy_app, tmp_path):
         runner = OracleRunner(toy_app, fail_fast=True)
