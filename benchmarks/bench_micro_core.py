@@ -2,8 +2,8 @@
 
 These are conventional pytest-benchmark timings (many iterations) of the
 operations the DD loop executes thousands of times per application:
-decomposition, source rebuilding, oracle probes, DD itself, and the
-platform emulator's invocation path.
+decomposition, source rebuilding, oracle probes and their loads, DD
+itself, and the platform emulator's invocation path.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import itertools
 from repro.core.ast_transform import rebuild_source
 from repro.core.callgraph import CallGraphCache, build_bundle_call_graph
 from repro.core.dd import ddmin_keep
+from repro.core.execution import LoadedApp
 from repro.core.granularity import decompose_module
 from repro.core.oracle import OracleRunner
 from repro.platform import LambdaEmulator
@@ -74,6 +75,23 @@ def test_oracle_probe_toy_app(benchmark, toy_session_app):
     runner = OracleRunner(toy_session_app)
     result = benchmark(lambda: runner.check(toy_session_app))
     assert result.passed
+
+
+def test_probe_load_resnet(benchmark, tmp_path):
+    """A probe's load minus its compile: Function Initialization of a
+    pristine resnet bundle whose code objects are already cached."""
+    bundle = build_app("resnet", tmp_path / "resnet")
+
+    def load_and_close():
+        app = LoadedApp(bundle)
+        app.load()
+        app.close()
+        return app
+
+    load_and_close()  # compile once; every timed load reuses the code
+    app = benchmark(load_and_close)
+    assert app.init_error is None
+    assert app.init_time_s > 0
 
 
 def test_emulator_warm_invocation(benchmark, toy_session_app):

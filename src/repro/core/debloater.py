@@ -268,12 +268,15 @@ class ModuleDebloater:
         virtual_before = self.runner.meter.time_s
         wall_before = time.perf_counter()
 
-        def oracle(candidate: Sequence[AttributeComponent]) -> bool:
-            kept_components = pinned + list(candidate)
-            source = rebuild_source(decomposition, kept_components)
+        def write_candidate(candidate: Sequence[AttributeComponent]) -> str:
+            source = rebuild_source(decomposition, pinned + list(candidate))
             # Atomic rename (no fsync): a probe rewrite may be lost to a
             # crash — the journal replays it — but never observed torn.
             atomic_write_text(file, source, durable=False)
+            return source
+
+        def oracle(candidate: Sequence[AttributeComponent]) -> bool:
+            write_candidate(candidate)
             return self.runner.check(self.bundle).passed
 
         def journal_probe(key: str, verdict: bool, granularity: int) -> None:
@@ -289,8 +292,10 @@ class ModuleDebloater:
             if len(seed_components) < len(removable):
                 seed_key = self.component_key(seed_components)
                 seed_verdict = journal_seeds.get(seed_key)
+                seed_source = None
                 if seed_verdict is None:
-                    seed_verdict = oracle(seed_components)
+                    seed_source = write_candidate(seed_components)
+                    seed_verdict = self.runner.check(self.bundle).passed
                     journal_probe(
                         seed_key, seed_verdict, SEED_PROBE_GRANULARITY
                     )
@@ -306,6 +311,7 @@ class ModuleDebloater:
                         decomposition,
                         protected,
                         final_keep=pinned + seed_components,
+                        final_source=seed_source,
                         oracle_calls=seed_calls,
                         journal_hits=seed_journal_hits,
                         virtual_before=virtual_before,
@@ -364,6 +370,7 @@ class ModuleDebloater:
         protected,
         *,
         final_keep: list[AttributeComponent],
+        final_source: str | None = None,
         oracle_calls: int,
         cache_hits: int = 0,
         journal_hits: int = 0,
@@ -380,8 +387,11 @@ class ModuleDebloater:
         (with the final content hash) follows, making the rewrite
         all-or-nothing: a crash before the COMMIT rolls the module back
         to pristine on resume, a crash after it keeps the committed file.
+        ``final_source`` is the probe's rebuild of ``final_keep`` when the
+        caller already has it (an adopted seed).
         """
-        final_source = rebuild_source(decomposition, final_keep)
+        if final_source is None:
+            final_source = rebuild_source(decomposition, final_keep)
         atomic_write_text(file, final_source, durable=True)
         keep_set = set(final_keep)
         result = ModuleDebloatResult(

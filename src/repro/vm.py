@@ -16,6 +16,9 @@ Key concepts
 ``Meter``
     Accumulates virtual time and tracks a memory ledger (live/peak MB,
     per-label allocations).  Records every charge as a :class:`ChargeEvent`.
+    Events are immutable, so ``attribute_cost`` builds one per distinct
+    (module, attribute, time, memory) and charges that same event again
+    each time a module body re-runs the attribute's line.
 
 meter stack
     Charges go to *all* active meters.  This lets the import profiler meter
@@ -327,18 +330,43 @@ def module_cost(module_name: str, time_s: float = 0.0, memory_mb: float = 0.0) -
     )
 
 
+#: (module, attribute, time_s, memory_mb) -> the event ``attribute_cost``
+#: charges for it.  Every oracle probe re-runs the generated module bodies,
+#: and each attribute line would otherwise build the same event again.
+#: Only exact ``str`` names and exact ``float`` costs above zero are keys:
+#: ``1 == True`` and ``0 == 0.0 == -0.0`` as dict keys, and NaN never equals
+#: itself.  Past ``_ATTRIBUTE_EVENTS_CAP`` entries the table is cleared;
+#: entries are pure functions of their keys, so none can go stale.
+_ATTRIBUTE_EVENTS: dict[tuple[str, str, float, float], ChargeEvent] = {}
+_ATTRIBUTE_EVENTS_CAP = 16384
+
+
 def attribute_cost(
     module_name: str, attribute: str, time_s: float = 0.0, memory_mb: float = 0.0
 ) -> None:
     """Charge the cost of constructing one module attribute at import time."""
-    _charge_all(
-        ChargeEvent(
+    key = (module_name, attribute, time_s, memory_mb)
+    interned = (
+        type(module_name) is str
+        and type(attribute) is str
+        and type(time_s) is float
+        and type(memory_mb) is float
+        and time_s > 0.0
+        and memory_mb > 0.0
+    )
+    event = _ATTRIBUTE_EVENTS.get(key) if interned else None
+    if event is None:
+        event = ChargeEvent(
             label=f"{module_name}.{attribute}",
             category=CATEGORY_IMPORT,
             time_s=time_s,
             memory_mb=memory_mb,
         )
-    )
+        if interned:
+            if len(_ATTRIBUTE_EVENTS) >= _ATTRIBUTE_EVENTS_CAP:
+                _ATTRIBUTE_EVENTS.clear()
+            _ATTRIBUTE_EVENTS[key] = event
+    _charge_all(event)
 
 
 def exec_cost(label: str, time_s: float = 0.0, memory_mb: float = 0.0) -> None:

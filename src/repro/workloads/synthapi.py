@@ -36,6 +36,9 @@ __all__ = [
 
 def _encode(value: Any) -> str:
     """Stable textual encoding of common argument types."""
+    cls = type(value)
+    if cls is str or cls is int:  # the common parts; subclasses go below
+        return repr(value)
     if isinstance(value, dict):
         items = ",".join(f"{_encode(k)}:{_encode(v)}" for k, v in sorted(value.items()))
         return "{" + items + "}"
@@ -59,8 +62,18 @@ def stable_token(*parts: Any) -> int:
     Used as the "result" of synthetic computations: stable across runs and
     interpreters, sensitive to every input.
     """
-    digest = hashlib.sha256("|".join(_encode(p) for p in parts).encode()).digest()
+    digest = hashlib.sha256("|".join([_encode(p) for p in parts]).encode()).digest()
     return int.from_bytes(digest[:6], "big")
+
+
+#: (module, name) -> ``synth_value``'s default token.  Every oracle probe
+#: re-runs the generated module bodies, whose data attributes would
+#: otherwise hash the same two literals again.  Only exact ``str`` pairs
+#: are keys (``1 == True`` as dict keys, yet they encode differently).
+#: Past ``_TOKENS_CAP`` entries the table is cleared; tokens are pure
+#: functions of their keys, so none can go stale.
+_TOKENS: dict[tuple[str, str], int] = {}
+_TOKENS_CAP = 16384
 
 
 def synth_function(
@@ -187,4 +200,12 @@ def synth_value(
     attribute_cost(module, name, time_s=init_time_s, memory_mb=init_memory_mb)
     if value is not None:
         return value
-    return stable_token(module, name)
+    if type(module) is not str or type(name) is not str:
+        return stable_token(module, name)
+    key = (module, name)
+    token = _TOKENS.get(key)
+    if token is None:
+        if len(_TOKENS) >= _TOKENS_CAP:
+            _TOKENS.clear()
+        token = _TOKENS[key] = stable_token(module, name)
+    return token

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import debloater
 from repro.core.execution import run_once
 from repro.core.incremental import IncrementalTrim, TrimLog, seeded_statistics
 from repro.core.oracle import OracleCase, OracleSpec
@@ -60,6 +61,30 @@ class TestIncrementalRun:
         assert run_once(rerun.output, EVENT).observable() == run_once(
             report.output, EVENT
         ).observable()
+
+    def test_adopted_seed_rebuilds_its_module_once(
+        self, toy_app, initial, tmp_path, monkeypatch
+    ):
+        """The seed probe's rebuild is the source the commit writes, so
+        adopting a seed does not rebuild the module a second time."""
+        report, log = initial
+        rebuilds = []
+        rebuild_source = debloater.rebuild_source
+
+        def spy(decomposition, keep):
+            rebuilds.append(decomposition)
+            return rebuild_source(decomposition, keep)
+
+        monkeypatch.setattr(debloater, "rebuild_source", spy)
+        rerun = IncrementalTrim(log=log).run(toy_app, tmp_path / "rerun")
+
+        adopted = [r for r in rerun.module_results if r.seeded]
+        assert len(adopted) == 3
+        assert len(rebuilds) == len(adopted)
+        for result in adopted:
+            relative = result.file.relative_to(rerun.output.root)
+            committed = (report.output.root / relative).read_text()
+            assert result.file.read_text() == committed
 
     def test_statically_visible_new_usage_still_adopts_seed(
         self, toy_app, initial, tmp_path
