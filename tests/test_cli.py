@@ -287,6 +287,44 @@ class TestReplayCommand:
         assert code == 2
         assert "checkpoint_dir" in capsys.readouterr().err
 
+    def test_replay_resume_on_other_engine_is_a_one_line_error(
+        self, toy_app, tmp_path, capsys
+    ):
+        from repro.platform import checkpoint as checkpoint_mod
+        from repro.traces import FleetTrace, FunctionTrace
+
+        class Crash(Exception):
+            pass
+
+        def crash(count):
+            raise Crash()
+
+        # One function, so the first durable write is a mid-trace
+        # checkpoint rather than a finished function's done marker.
+        timestamps = tuple(2.0 * i for i in range(40))
+        trace_path = FleetTrace(
+            traces=(FunctionTrace("fn-a", "steady", 128.0, 600.0, timestamps),)
+        ).save(tmp_path / "trace.jsonl")
+        args = [
+            "replay", str(toy_app.root), "--trace", str(trace_path),
+            "--checkpoint-dir", str(tmp_path / "cks"),
+            "--checkpoint-every", "10",
+        ]
+        checkpoint_mod.set_post_checkpoint_hook(crash)
+        try:
+            with pytest.raises(Crash):
+                main(args)
+        finally:
+            checkpoint_mod.set_post_checkpoint_hook(None)
+        capsys.readouterr()
+        code = main([*args, "--resume", "--engine", "reference"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "written by the 'kernel' engine" in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("engine", ["kernel", "vector"])
     def test_replay_engine_is_auto_or_reference(self, toy_app, engine, capsys):
         with pytest.raises(SystemExit) as exc:
