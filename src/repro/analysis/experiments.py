@@ -179,10 +179,6 @@ class AppImprovement:
         return self.original.e2e_s / self.trimmed.e2e_s if self.trimmed.e2e_s else 1.0
 
     @property
-    def import_improvement(self) -> float:
-        return _improvement(self.original.import_s, self.trimmed.import_s)
-
-    @property
     def memory_improvement(self) -> float:
         return _improvement(self.original.memory_mb, self.trimmed.memory_mb)
 

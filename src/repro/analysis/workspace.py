@@ -9,11 +9,14 @@ files can share work within a session.
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import shutil
 import tempfile
 from pathlib import Path
 
 from repro.bundle import AppBundle
+from repro.core.journal import text_sha256
 from repro.core.pipeline import DebloatReport, LambdaTrim, TrimConfig
 from repro.workloads.apps import build_app
 
@@ -36,7 +39,7 @@ class Workspace:
             max_oracle_calls_per_module=DEFAULT_ORACLE_BUDGET
         )
         self._bundles: dict[str, AppBundle] = {}
-        self._reports: dict[tuple, DebloatReport] = {}
+        self._reports: dict[tuple[str, TrimConfig], DebloatReport] = {}
 
     # -- pristine bundles --------------------------------------------------------
 
@@ -52,15 +55,24 @@ class Workspace:
 
     # -- trimmed bundles ------------------------------------------------------------
 
-    def _trim_key(self, app: str, config: TrimConfig) -> tuple:
-        return (
-            app,
-            config.k,
-            config.scoring.value,
-            config.seed,
-            config.use_call_graph,
-            config.granularity,
-        )
+    @staticmethod
+    def _label(app: str, config: TrimConfig) -> str:
+        """The output directory name of *app* trimmed under *config*.
+
+        The readable axes, then a digest of every config field: each
+        distinct config gets its own directory, and the name is stable
+        across processes, so a resumed workspace finds its journal.
+        """
+        fields = []
+        for item in dataclasses.fields(config):
+            value = getattr(config, item.name)
+            if isinstance(value, frozenset):
+                value = sorted(value)
+            elif isinstance(value, enum.Enum):
+                value = value.value
+            fields.append(f"{item.name}={value!r}")
+        digest = text_sha256("\n".join(fields))[:10]
+        return f"{app}-k{config.k}-{config.scoring.value}-s{config.seed}-{digest}"
 
     def trim(
         self,
@@ -77,12 +89,9 @@ class Workspace:
         experiment trees, and the speedup across 21 apps is substantial.
         """
         cfg = config if config is not None else self.config
-        key = self._trim_key(app, cfg)
+        key = (app, cfg)
         if key not in self._reports:
-            label = f"{app}-k{cfg.k}-{cfg.scoring.value}-s{cfg.seed}" + (
-                "" if cfg.use_call_graph else "-nocg"
-            ) + ("" if cfg.granularity == "attribute" else f"-{cfg.granularity}")
-            target = self.root / "trimmed" / label
+            target = self.root / "trimmed" / self._label(app, cfg)
             if target.exists() and not resume:
                 shutil.rmtree(target)
             pipeline = LambdaTrim(cfg)
@@ -96,21 +105,7 @@ class Workspace:
 
     def variant_config(self, **overrides) -> TrimConfig:
         """A copy of the workspace config with fields replaced."""
-        base = self.config
-        fields = dict(
-            k=base.k,
-            scoring=base.scoring,
-            seed=base.seed,
-            use_call_graph=base.use_call_graph,
-            record_trace=base.record_trace,
-            max_oracle_calls_per_module=base.max_oracle_calls_per_module,
-            local_modules=base.local_modules,
-            granularity=base.granularity,
-            verify_journal_probes=base.verify_journal_probes,
-            probe_quorum=base.probe_quorum,
-        )
-        fields.update(overrides)
-        return TrimConfig(**fields)
+        return dataclasses.replace(self.config, **overrides)
 
     def cleanup(self) -> None:
         shutil.rmtree(self.root, ignore_errors=True)

@@ -93,7 +93,3 @@ class CriuSimulator:
     def restore_time_s(self, checkpoint: Checkpoint) -> float:
         """Cold-start latency when restoring instead of initializing."""
         return self.restore_fixed_s + checkpoint.size_mb / self.restore_mb_per_s
-
-    def initialization_time_s(self, checkpoint: Checkpoint) -> float:
-        """What initialization would have cost without the checkpoint."""
-        return checkpoint.init_time_saved_s

@@ -51,9 +51,6 @@ class TrimLog:
         }
         return cls(app=report.app, kept=kept)
 
-    def seed_for(self, module: str) -> list[str] | None:
-        return self.kept.get(module)
-
     # -- serialisation ----------------------------------------------------
 
     def to_json(self) -> str:

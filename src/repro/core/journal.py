@@ -38,7 +38,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.errors import JournalError
 
@@ -117,25 +117,7 @@ def atomic_write_text(path: Path, text: str, *, durable: bool = True) -> None:
     observe a torn file) — used for the high-frequency DD probe rewrites,
     where a lost-but-untorn candidate is recovered from the journal.
     """
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + TMP_MARKER
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            if durable:
-                handle.flush()
-                os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    if durable:
-        _fsync_dir(path.parent)
+    _atomic_replace(path, "w", lambda handle: handle.write(text), durable)
 
 
 def atomic_write_bytes(path: Path, data: bytes, *, durable: bool = True) -> None:
@@ -145,25 +127,7 @@ def atomic_write_bytes(path: Path, data: bytes, *, durable: bool = True) -> None
     UTF-8 byte lines) where a text-mode handle would force a redundant
     decode/encode round trip over the whole export.
     """
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + TMP_MARKER
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            if durable:
-                handle.flush()
-                os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    if durable:
-        _fsync_dir(path.parent)
+    _atomic_replace(path, "wb", lambda handle: handle.write(data), durable)
 
 
 def atomic_write_lines(
@@ -176,15 +140,33 @@ def atomic_write_lines(
     written to a temp file in the destination directory, fsync'd, then
     renamed over *path* — readers never observe a torn or partial export.
     """
+
+    def write(handle) -> None:
+        for line in lines:
+            handle.write(line)
+            handle.write("\n")
+
+    _atomic_replace(path, "w", write, durable)
+
+
+def _atomic_replace(
+    path: Path, mode: str, write: Callable[[Any], Any], durable: bool
+) -> None:
+    """The one atomic-replace body behind the ``atomic_write_*`` front ends.
+
+    *write* fills a temp file opened with *mode* (``"w"`` is UTF-8 text)
+    next to *path*, which is then renamed over *path*; with *durable* the
+    temp is fsync'd before the rename and the directory after it.  Any
+    failure unlinks the temp and re-raises, leaving *path* untouched.
+    """
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(
         dir=path.parent, prefix=path.name + TMP_MARKER
     )
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            for line in lines:
-                handle.write(line)
-                handle.write("\n")
+        encoding = None if "b" in mode else "utf-8"
+        with os.fdopen(fd, mode, encoding=encoding) as handle:
+            write(handle)
             if durable:
                 handle.flush()
                 os.fsync(handle.fileno())
@@ -278,10 +260,6 @@ class JournalState:
     def seeds_for(self, module: str) -> dict[str, bool]:
         """The journal-sourced DD cache for *module* (hash → verdict)."""
         return dict(self.probes.get(module, {}))
-
-    @property
-    def probe_count(self) -> int:
-        return sum(len(v) for v in self.probes.values())
 
 
 # -- the journal -------------------------------------------------------------

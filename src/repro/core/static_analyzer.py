@@ -24,7 +24,6 @@ __all__ = [
     "ImportedModule",
     "StaticAnalysis",
     "analyze_source",
-    "analyze_file",
     "import_bindings",
 ]
 
@@ -158,9 +157,3 @@ def analyze_source(source: str, *, filename: str = "<application>") -> StaticAna
     collector = _ImportCollector()
     collector.visit(tree)
     return StaticAnalysis(imports=collector.imports)
-
-
-def analyze_file(path: str) -> StaticAnalysis:
-    """Run the import-discovery pass over a file on disk."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return analyze_source(handle.read(), filename=path)

@@ -22,7 +22,6 @@ __all__ = [
     "TraceError",
     "PricingError",
     "CheckpointError",
-    "FallbackTriggered",
 ]
 
 
@@ -84,15 +83,3 @@ class PricingError(ReproError):
 
 class CheckpointError(ReproError):
     """Raised by the checkpoint/restore simulator."""
-
-
-class FallbackTriggered(ReproError):
-    """Internal signal: a debloated function accessed a removed attribute.
-
-    The fallback wrapper converts this into an invocation of the original
-    (undebloated) function; see :mod:`repro.core.fallback`.
-    """
-
-    def __init__(self, attribute: str, message: str | None = None):
-        super().__init__(message or f"missing attribute: {attribute}")
-        self.attribute = attribute

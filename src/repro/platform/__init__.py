@@ -55,7 +55,6 @@ from repro.platform.replay import ReplayResult, TraceReplayer
 from repro.platform.retry import (
     RETRYABLE_DEFAULT,
     DeadLetter,
-    RetryOutcome,
     RetryPolicy,
     RetrySession,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "PLACEMENT_POLICIES",
     "RetryPolicy",
     "RetrySession",
-    "RetryOutcome",
     "DeadLetter",
     "RETRYABLE_DEFAULT",
     "FLEET",

@@ -23,16 +23,21 @@ fleet-wide)::
                                             replaying
 
 A ``.ckpt.json`` snapshot carries everything needed to continue the
-trace bit-exactly: the virtual clock, the trace cursor (or pending retry
-heap), warm-pool state, :class:`~repro.platform.hosts.HostPool` dynamic
-state (the static ``crash_at`` schedule is re-derived from the plan and
-seed), :class:`~repro.platform.faults.FaultInjector` and retry RNG
-states, :class:`~repro.platform.telemetry.TelemetrySink` window/sketch
-state, the :class:`~repro.platform.billing.BillingLedger`, the
+trace bit-exactly: the virtual clock, the trace cursor (or the
+:class:`~repro.platform.retry.RetryTimeline` of pending attempts, failed
+attempts and retry RNG), the :class:`~repro.platform.instance.WarmPool`
+and its members, :class:`~repro.platform.hosts.HostPool` dynamic state
+(the static ``crash_at`` schedule is re-derived from the plan and seed),
+the :class:`~repro.platform.faults.FaultInjector` RNG state,
+:class:`~repro.platform.telemetry.TelemetrySink` window/sketch state,
+the :class:`~repro.platform.billing.BillingLedger`, the
 :class:`~repro.obs.attribution.AttributionStore` spool, and the
 :class:`~repro.platform.logs.ExecutionLog` spill watermark — torn spill
 tails past the watermark are truncated on restore and counted as
-re-executed invocations.
+re-executed invocations.  Both engines write it with
+:func:`snapshot_replay_state` and check and adopt it with
+:func:`restore_replay_state`, adding only their own instance
+(de)serialization and result counters.
 
 Restores assume the run is *deterministic per invocation* (the same
 assumption the kernel engine's template synthesis already makes): the
@@ -63,16 +68,18 @@ __all__ = [
     "SerialCounter",
     "load_state",
     "restore_platform_state",
+    "restore_replay_state",
     "rng_state_from_json",
     "rng_state_to_json",
     "set_post_checkpoint_hook",
     "snapshot_platform_state",
+    "snapshot_replay_state",
     "sweep_stale",
     "truncate_spill",
     "write_state",
 ]
 
-CHECKPOINT_SCHEMA = 1
+CHECKPOINT_SCHEMA = 2
 _KIND = "repro-replay-checkpoint"
 
 # Crash-injection hook for the kill-and-resume harness: called after every
@@ -287,8 +294,7 @@ class ReplayCheckpoint:
 # -- emulator-level snapshot/restore ------------------------------------------
 
 # The engine-agnostic half of a checkpoint: everything owned by the
-# LambdaEmulator rather than the replayer.  The engines add their own
-# warm-pool/cursor state on top.
+# LambdaEmulator rather than the replayer.
 
 
 def snapshot_platform_state(emulator: Any, function: Any) -> dict:
@@ -336,3 +342,134 @@ def restore_platform_state(emulator: Any, function: Any, state: dict) -> int:
     if state["attribution"] is not None:
         emulator.attribution.restore(state["attribution"])
     return reexecuted
+
+
+# -- replay-level snapshot/restore --------------------------------------------
+
+# Everything a replay checkpoint holds beyond the emulator and that both
+# engines share: the trace cursor or the retry timeline
+# (:class:`~repro.platform.retry.RetryTimeline`), the host pool, the warm
+# pool (:class:`~repro.platform.instance.WarmPool`) and its members.  An
+# engine adds only how it (de)serializes one instance and its result.
+
+
+def snapshot_replay_state(
+    engine: str,
+    emulator: Any,
+    function: Any,
+    *,
+    arrivals: int,
+    cursor: int | None,
+    timeline: Any,
+    pool: Any,
+    instance_state: Callable[[Any, bool], dict],
+) -> dict:
+    """Snapshot one replay of *function* at a loop boundary, JSON-safe.
+
+    Taken between attempts: none is in flight, the emulator's pending
+    cold-start stash is consumed, and the log's spill offset marks exactly
+    the rows already durable.  A retry-free loop passes its *cursor* (the
+    next arrival index) and no *timeline*.  *instance_state* serializes
+    one instance and whether ``function.instances`` owns it: owned
+    instances come first, in list order (the cold-start recovery check
+    reads ``function.instances[-1]``, so order is behaviour), then any
+    pool member already dropped from that list but still awaiting lazy
+    discard in the busy heap or idle stack.
+    """
+    items = []
+    seen: set[str] = set()
+    for instance in function.instances:
+        seen.add(instance.instance_id)
+        items.append(instance_state(instance, True))
+    for member in pool.members():
+        if member.instance_id not in seen:
+            seen.add(member.instance_id)
+            items.append(instance_state(member, False))
+    hosts = emulator.hosts
+    return {
+        "engine": engine,
+        "function": function.name,
+        "arrivals": arrivals,
+        "mode": "fast" if timeline is None else "retry",
+        "cursor": cursor,
+        "timeline": timeline.snapshot() if timeline is not None else None,
+        "platform": snapshot_platform_state(emulator, function),
+        "hosts": hosts.snapshot() if hosts is not None else None,
+        "instances": items,
+        "pool": pool.snapshot(),
+    }
+
+
+def restore_replay_state(
+    state: dict,
+    engine: str,
+    emulator: Any,
+    function: Any,
+    *,
+    arrivals: int,
+    timeline: Any,
+    pool: Any,
+    instance_from_state: Callable[[dict], Any],
+) -> tuple[int, int]:
+    """Check that *state* resumes this replay, then adopt it.
+
+    Refuses, before touching any state, a snapshot written by the other
+    engine, for another function, over a trace of another length, under
+    the other retry mode, or with a host pool added or removed.  Then
+    restores the emulator, rebuilds every instance through
+    *instance_from_state* (back into ``function.instances`` when owned),
+    and re-binds the host placements, the warm pool and the retry
+    *timeline* (whose session continues its RNG and budget).  Returns
+    ``(cursor, reexecuted)``: where a retry-free loop continues, and how
+    many spilled rows past the durable watermark run again.
+    """
+    written = state.get("engine")
+    if written != engine:
+        raise CheckpointError(
+            f"checkpoint was written by the {written!r} engine; "
+            f"cannot resume with the {engine!r} engine"
+        )
+    if state.get("function") != function.name:
+        raise CheckpointError(
+            f"checkpoint is for {state.get('function')!r}, "
+            f"not {function.name!r}"
+        )
+    if state.get("arrivals") != arrivals:
+        raise CheckpointError(
+            f"checkpoint covers {state.get('arrivals')} arrivals but the "
+            f"trace has {arrivals}: trace changed since the snapshot"
+        )
+    if state.get("mode") != ("fast" if timeline is None else "retry"):
+        raise CheckpointError(
+            "retry configuration changed since the checkpoint was written"
+        )
+    hosts = emulator.hosts
+    if hosts is not None and state.get("hosts") is None:
+        raise CheckpointError(
+            "checkpoint has no host-pool state but a host pool is configured"
+        )
+    if hosts is None and state.get("hosts") is not None:
+        raise CheckpointError(
+            "checkpoint carries host-pool state but no host pool is configured"
+        )
+
+    reexecuted = restore_platform_state(emulator, function, state["platform"])
+    by_id: dict[str, Any] = {}
+    owners: dict[str, list | None] = {}
+    instances = function.instances
+    instances.clear()
+    for item in state["instances"]:
+        instance = instance_from_state(item)
+        by_id[instance.instance_id] = instance
+        if item["owned"]:
+            instances.append(instance)
+            owners[instance.instance_id] = instances
+        else:
+            owners[instance.instance_id] = None
+    if hosts is not None:
+        hosts.restore(state["hosts"], by_id, owners)
+    pool.restore(state["pool"], by_id)
+    if timeline is not None:
+        timeline.restore(state["timeline"])
+    cursor = state["cursor"]
+    return (int(cursor) if cursor is not None else 0), reexecuted

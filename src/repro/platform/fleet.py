@@ -77,7 +77,7 @@ from repro.platform.emulator import DEFAULT_KEEP_ALIVE_S, LambdaEmulator
 from repro.platform.faults import FaultPlan
 from repro.platform.hosts import HostConfig
 from repro.platform.kernel import KernelReplayer, TemplateStore, _np
-from repro.platform.logs import ExecutionLog, InvocationRecord, iter_jsonl
+from repro.platform.logs import ExecutionLog, iter_jsonl
 from repro.platform.replay import TraceReplayer
 from repro.platform.retry import DeadLetter, RetryPolicy
 from repro.platform.slo import FLEET, SloPolicy, SloRule
@@ -245,14 +245,7 @@ def _replay_one_inner(
                 # keys, but the export contract is ``DeadLetter.to_dict``
                 # field order — byte-identical to an uninterrupted run.
                 payload["dead_letters"] = [
-                    DeadLetter(
-                        function=item["function"],
-                        arrival=float(item["arrival"]),
-                        attempts=tuple(
-                            InvocationRecord.from_dict(record)
-                            for record in item["attempts"]
-                        ),
-                    ).to_dict()
+                    DeadLetter.from_dict(item).to_dict()
                     for item in payload["dead_letters"]
                 ]
             payload["resumed"] = True
@@ -311,8 +304,6 @@ def _replay_one_inner(
             resume_state=resume_state,
         )
         requests = result.requests
-        dead_letters = result.dead_letters
-        dead_letter_list = result.dead_letter_list
     else:
         result = TraceReplayer(emulator).replay(
             name,
@@ -323,8 +314,6 @@ def _replay_one_inner(
             resume_state=resume_state,
         )
         requests = len(result.requests)
-        dead_letters = len(result.dead_letters)
-        dead_letter_list = result.dead_letters
     if cfg["verify_ledger"]:
         emulator.ledger.reconcile(emulator.log)
     status_counts = emulator.log.status_counts()
@@ -349,7 +338,7 @@ def _replay_one_inner(
             arrivals=result.arrivals,
             requests=requests,
             delivered=result.delivered,
-            dead_letters=dead_letters,
+            dead_letters=len(result.dead_letters),
             attempts=result.attempts,
             retries=result.retries,
             throttled=result.throttled,
@@ -366,7 +355,7 @@ def _replay_one_inner(
             emulator.hosts.stats_dict() if emulator.hosts is not None else None
         ),
         "dead_letters": (
-            [dl.to_dict() for dl in dead_letter_list]
+            [dl.to_dict() for dl in result.dead_letters]
             if cfg.get("dead_letters")
             else None
         ),

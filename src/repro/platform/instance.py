@@ -1,14 +1,17 @@
-"""Function instances: warm state living between invocations."""
+"""Function instances and the trace-time warm pool replays keep them in."""
 
 from __future__ import annotations
 
+import heapq
 import itertools
+from typing import Any, Callable, Iterator
 
 from repro.bundle import AppBundle
 from repro.core.execution import InvocationOutput, LoadedApp
 from repro.errors import InvocationError
+from repro.platform.checkpoint import SerialCounter
 
-__all__ = ["FunctionInstance"]
+__all__ = ["FunctionInstance", "WarmPool"]
 
 
 class FunctionInstance:
@@ -108,3 +111,118 @@ class FunctionInstance:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FunctionInstance({self.instance_id}, used {self.invocations}x)"
+
+
+class WarmPool:
+    """One function's warm pool in trace time, shared by both replay engines.
+
+    Replayed requests overlap in trace time while the emulator serves them
+    one at a time, so replays keep their own bookkeeping instead of the
+    forward-only virtual clock: a heap of ``(busy_until, seq, instance)``
+    for in-flight instances and a LIFO stack of ``(freed_at, instance)``
+    for idle ones.  Arrivals are non-decreasing and every instance with
+    ``busy_until <= arrival`` moves to the idle stack at each acquire, so
+    the stack is monotone in ``freed_at``: the top is the most recently
+    used instance, and a stale top means everything beneath it is stale
+    too.  Acquire and expiry are therefore O(log instances) instead of a
+    per-arrival scan over the instance list.
+
+    Members are anything with ``instance_id`` and ``alive``: real
+    :class:`FunctionInstance` objects in the reference engine, simulated
+    meters in the kernel.  *adopt* turns an instance that predates the
+    pool (e.g. warmed by direct invokes) into a member; ``None`` adopts
+    it as is.  The kernel's columnar loop inlines :meth:`acquire` on
+    ``busy``/``idle`` and writes ``seq``/``adopted`` back when it ends.
+    """
+
+    __slots__ = ("busy", "idle", "seq", "adopted", "_adopt")
+
+    def __init__(self, adopt: Callable[[Any], Any] | None = None) -> None:
+        self.busy: list[tuple[float, int, Any]] = []
+        self.idle: list[tuple[float, Any]] = []
+        self.seq = SerialCounter()
+        #: Set once the instances that predate the pool were adopted.
+        self.adopted = False
+        self._adopt = adopt
+
+    def acquire(
+        self,
+        instances: list,
+        arrival: float,
+        keep_alive_s: float,
+        hosts: Any = None,
+    ) -> Any:
+        """Pop a warm instance free at *arrival*, or None (cold start).
+
+        MRU order: the most recently freed instance serves first, which
+        both matches container-reuse behaviour and lets one stale stack
+        top expire the whole stack at once.  On the first call, the alive
+        *instances* of the function join the stack as idle-as-of-now.
+        """
+        idle = self.idle
+        if not self.adopted:
+            self.adopted = True
+            adopt = self._adopt
+            for existing in instances:
+                if existing.alive:
+                    idle.append(
+                        (arrival, existing if adopt is None else adopt(existing))
+                    )
+        busy = self.busy
+        # Everything that completed by this arrival becomes idle; heap
+        # order makes the pushes monotone in freed-at.
+        while busy and busy[0][0] <= arrival:
+            freed_at, _, freed = heapq.heappop(busy)
+            idle.append((freed_at, freed))
+        while idle:
+            freed_at, candidate = idle[-1]
+            if arrival - freed_at > keep_alive_s:
+                # The freshest idle instance has already expired, so every
+                # older one beneath it has too: drop the whole stack.  With
+                # a host pool attached, expiry actually frees host memory:
+                # pool-placed instances are shut down and their slots
+                # released (retire guards ``alive``, so an instance the
+                # pool already evicted is never double-killed).
+                if hosts is not None:
+                    for _, stale in idle:
+                        hosts.retire(stale.instance_id)
+                idle.clear()
+                return None
+            idle.pop()
+            if candidate.alive:  # else killed or un-trimmed: discard
+                return candidate
+        return None
+
+    def release(self, instance: Any, until: float, hosts: Any = None) -> None:
+        """*instance* served a request and is busy until *until*."""
+        heapq.heappush(self.busy, (until, next(self.seq), instance))
+        if hosts is not None:
+            hosts.record_use(instance.instance_id, until)
+
+    def members(self) -> Iterator[Any]:
+        """Every instance in the pool: busy ones in heap order, then idle."""
+        for _, _, instance in self.busy:
+            yield instance
+        for _, instance in self.idle:
+            yield instance
+
+    # -- checkpointing -----------------------------------------------------
+
+    def snapshot(self) -> dict:
+        """JSON-safe pool state; members are named by instance id."""
+        return {
+            "busy": [[until, seq, inst.instance_id] for until, seq, inst in self.busy],
+            "idle": [[freed_at, inst.instance_id] for freed_at, inst in self.idle],
+            "seq": self.seq.value,
+            "adopted": self.adopted,
+        }
+
+    def restore(self, state: dict, by_id: dict[str, Any]) -> None:
+        """Adopt a :meth:`snapshot`, re-binding ids through *by_id*."""
+        self.seq.value = int(state["seq"])
+        self.busy = [
+            (float(until), int(seq), by_id[iid]) for until, seq, iid in state["busy"]
+        ]
+        heapq.heapify(self.busy)
+        self.idle = [(float(freed_at), by_id[iid]) for freed_at, iid in state["idle"]]
+        self.adopted = bool(state["adopted"])

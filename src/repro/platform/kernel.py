@@ -30,10 +30,14 @@ additions in the same order* as the real meter, every derived float —
 ``exec_duration_s`` (a difference of running sums, so it drifts across
 an instance's lifetime!), ``e2e_s``, billed durations, costs — comes out
 bit-identical to the reference engine.  Clock advancement, fault-RNG
-draw order, request-id consumption, and warm-pool decisions (MRU idle
-stack + busy heap, cloned from ``TraceReplayer``) are replicated
-exactly, so logs, ledgers, telemetry, and dead letters are
-byte-identical at any worker count.
+draw order, and request-id consumption are replicated exactly, and
+everything around the serve step is the reference engine's own code:
+the warm pool (:class:`~repro.platform.instance.WarmPool`), the retry
+timeline (:class:`~repro.platform.retry.RetryTimeline`), and the
+checkpoint snapshot and resume check
+(:func:`~repro.platform.checkpoint.restore_replay_state`).  Logs,
+ledgers, telemetry, and dead letters are therefore byte-identical at
+any worker count.
 
 **Two serve loops, one emitter.**  The *general path* serves one
 attempt at a time through :meth:`KernelReplayer._serve` — capture and
@@ -100,13 +104,12 @@ from repro.errors import CheckpointError, PlatformError
 from repro.obs import get_recorder
 from repro.platform.checkpoint import (
     ReplayCheckpoint,
-    SerialCounter,
-    restore_platform_state,
-    snapshot_platform_state,
+    restore_replay_state,
+    snapshot_replay_state,
 )
 from repro.platform.emulator import DeployedFunction, LambdaEmulator
 from repro.platform.faults import ANY_FUNCTION
-from repro.platform.instance import FunctionInstance
+from repro.platform.instance import FunctionInstance, WarmPool
 from repro.platform.logs import (
     _START_TYPE_INDEX,
     _START_TYPES,
@@ -117,7 +120,7 @@ from repro.platform.logs import (
     StartType,
     _intern_key,
 )
-from repro.platform.retry import DeadLetter, RetryPolicy
+from repro.platform.retry import DeadLetter, RetryPolicy, RetryTimeline
 from repro.obs.attribution import attribute_cold_start
 from repro.vm import aggregate_charges
 
@@ -431,6 +434,27 @@ class _Shadow:
         return f"_Shadow({self.instance_id}, {kind}, used {self.invocations}x)"
 
 
+def _wrap(instance: FunctionInstance) -> _Shadow:
+    """A shadow backed by a pre-existing real instance."""
+    meter = instance.app.meter
+    shadow = _Shadow(
+        instance.instance_id,
+        t=meter.time_s,
+        live=meter.live_mb,
+        peak=meter.peak_mb,
+        real=instance,
+    )
+    shadow.invocations = instance.invocations
+    shadow.container = instance
+    shadow.host_id = instance.host_id
+    return shadow
+
+
+def _adopt(existing: Any) -> _Shadow:
+    """Warm-pool adoption: shadows join as they are, real instances wrapped."""
+    return existing if isinstance(existing, _Shadow) else _wrap(existing)
+
+
 class _DriftTables:
     """Per-template meter drift: state after the j-th serve of an instance.
 
@@ -508,18 +532,14 @@ class KernelResult:
     warm_starts: int = 0
     total_cost: float = 0.0
     peak_concurrency: int = 0
-    dead_letter_list: list[DeadLetter] = field(default_factory=list)
+    dead_letters: list[DeadLetter] = field(default_factory=list)
     #: Attempts re-served after a crash-resume because they fell past the
     #: last checkpoint's durable watermark (0 on uninterrupted runs).
     reexecuted: int = 0
 
     @property
-    def dead_letters(self) -> int:
-        return len(self.dead_letter_list)
-
-    @property
     def lost(self) -> int:
-        return self.arrivals - self.requests - len(self.dead_letter_list)
+        return self.arrivals - self.requests - len(self.dead_letters)
 
 
 class KernelReplayer:
@@ -535,23 +555,13 @@ class KernelReplayer:
     """
 
     def __init__(
-        self,
-        emulator: LambdaEmulator,
-        store: TemplateStore | None = None,
-        *,
-        vectorized: bool | None = None,
+        self, emulator: LambdaEmulator, store: TemplateStore | None = None
     ) -> None:
         self.emulator = emulator
         self.store = store if store is not None else TemplateStore()
-        self.vectorized = vectorized
         self._hosts = emulator.hosts
-        # Warm-pool bookkeeping cloned from TraceReplayer: a heap of
-        # (busy-until, seq, shadow) and a monotone MRU stack of
-        # (freed-at, shadow); one stale top expires the whole stack.
-        self._busy: list[tuple[float, int, _Shadow]] = []
-        self._idle: list[tuple[float, _Shadow]] = []
-        self._seq = SerialCounter()
-        self._adopted = False
+        # The reference engine's warm pool, over shadows.
+        self._pool = WarmPool(adopt=_adopt)
         self._name: str | None = None
         # Pricing caches keyed on exact float bits: the billed-duration
         # quantization collapses exec-time drift onto few values.
@@ -656,17 +666,19 @@ class KernelReplayer:
             for start in range(len(_START_TYPES))
         ]
 
-        session = retry.session() if retry is not None else None
+        timeline = (
+            RetryTimeline(function_name, arrivals, retry.session())
+            if retry is not None
+            else None
+        )
         recorder = get_recorder()
         result = KernelResult(arrivals=len(arrivals))
         arrival_times: list[float] = []
         completion_times: list[float] = []
         start_index = 0
-        heap: list[tuple[float, int, int]] | None = None
-        failed_attempts: dict[int, list[InvocationRecord]] = {}
         if resume_state is not None:
-            start_index, heap, failed_attempts = self._restore_state(
-                arrivals, session, result, arrival_times, completion_times,
+            start_index = self._restore_state(
+                arrivals, timeline, result, arrival_times, completion_times,
                 resume_state,
             )
 
@@ -674,23 +686,22 @@ class KernelReplayer:
             "replay.run", label=function_name, arrivals=len(arrivals)
         ) as span:
             try:
-                if session is None:
+                if timeline is None:
                     self._run_fast(
                         arrivals, start_index, result, arrival_times,
                         completion_times, checkpoint,
                     )
                 else:
                     self._replay_with_retries(
-                        arrivals, session, result, arrival_times,
-                        completion_times, checkpoint=checkpoint, heap=heap,
-                        failed_attempts=failed_attempts,
+                        arrivals, timeline, result, arrival_times,
+                        completion_times, checkpoint,
                     )
             finally:
                 self._flush_chunk()
 
             emulator.flush_obs()
             result.peak_concurrency = peak_concurrency(
-                arrival_times, completion_times, vectorized=self.vectorized
+                arrival_times, completion_times
             )
             recorder.counter_add("replay.requests", result.requests)
             recorder.counter_add("replay.cold_starts", result.cold_starts)
@@ -701,10 +712,8 @@ class KernelReplayer:
                 recorder.counter_add("replay.retries", result.retries)
             if result.throttled:
                 recorder.counter_add("replay.throttled", result.throttled)
-            if result.dead_letter_list:
-                recorder.counter_add(
-                    "replay.dead_letters", len(result.dead_letter_list)
-                )
+            if result.dead_letters:
+                recorder.counter_add("replay.dead_letters", len(result.dead_letters))
             if span is not None:
                 span.set_attr("cold_starts", result.cold_starts)
                 span.set_attr("warm_starts", result.warm_starts)
@@ -712,7 +721,7 @@ class KernelReplayer:
                 span.set_attr("cost_usd", round(result.total_cost, 9))
                 span.set_attr("attempts", result.attempts)
                 span.set_attr("retries", result.retries)
-                span.set_attr("dead_letters", len(result.dead_letter_list))
+                span.set_attr("dead_letters", len(result.dead_letters))
         return result
 
     def _run_fast(
@@ -766,40 +775,31 @@ class KernelReplayer:
                 self._flush_chunk()
                 checkpoint.write(
                     self._snapshot_state(
-                        result, None, index + 1, None, None,
-                        arrival_times, completion_times,
+                        result, index + 1, None, arrival_times, completion_times
                     )
                 )
 
     def _replay_with_retries(
         self,
         arrivals: list[float],
-        session,
+        timeline: RetryTimeline,
         result: KernelResult,
         arrival_times: list[float],
         completion_times: list[float],
-        *,
-        checkpoint: ReplayCheckpoint | None = None,
-        heap: list[tuple[float, int, int]] | None = None,
-        failed_attempts: dict[int, list[InvocationRecord]] | None = None,
+        checkpoint: ReplayCheckpoint | None,
     ) -> None:
-        """The retry timeline: a heap of pending attempts, as in the
-        reference engine.  Failed attempts materialise real records (the
-        retry policy and dead letters consume them); successes stay on
-        the record-free fast path."""
-        if heap is None:
-            heap = [(t, seq, 1) for seq, t in enumerate(arrivals)]
-            heapq.heapify(heap)
-        if failed_attempts is None:
-            failed_attempts = {}
-        while heap:
-            t, seq, attempt = heapq.heappop(heap)
+        """The retry loop over the reference engine's timeline.  Failed
+        attempts materialise real records (the retry decision and dead
+        letters consume them); successes stay on the record-free fast
+        path."""
+        while timeline:
+            t, seq, attempt = timeline.pop()
             status, start, completion, cost, record = self._serve(t, True)
             result.attempts += 1
             if status == _S_THROTTLED:
                 result.throttled += 1
             if status == _S_SUCCESS:
-                failed_attempts.pop(seq, None)
+                timeline.settle(seq)
                 result.requests += 1
                 result.delivered += 1
                 if start == _COLD:
@@ -810,21 +810,11 @@ class KernelReplayer:
                 arrival_times.append(arrivals[seq])
                 completion_times.append(completion)
             else:
-                history = failed_attempts.setdefault(seq, [])
-                history.append(record)
-                if session.should_retry(record, attempt):
-                    delay = session.next_delay_s(attempt)
-                    heapq.heappush(heap, (completion + delay, seq, attempt + 1))
+                letter = timeline.fail(seq, attempt, record, completion)
+                if letter is None:
                     result.retries += 1
                 else:
-                    failed_attempts.pop(seq, None)
-                    result.dead_letter_list.append(
-                        DeadLetter(
-                            function=self._name,
-                            arrival=arrivals[seq],
-                            attempts=tuple(history),
-                        )
-                    )
+                    result.dead_letters.append(letter)
             if (
                 checkpoint is not None
                 and checkpoint.tick()
@@ -833,8 +823,7 @@ class KernelReplayer:
                 self._flush_chunk()
                 checkpoint.write(
                     self._snapshot_state(
-                        result, session, None, heap, failed_attempts,
-                        arrival_times, completion_times,
+                        result, None, timeline, arrival_times, completion_times
                     )
                 )
 
@@ -843,10 +832,8 @@ class KernelReplayer:
     def _snapshot_state(
         self,
         result: KernelResult,
-        session,
         cursor: int | None,
-        heap: list[tuple[float, int, int]] | None,
-        failed_attempts: dict[int, list[InvocationRecord]] | None,
+        timeline: RetryTimeline | None,
         arrival_times: list[float],
         completion_times: list[float],
     ) -> dict:
@@ -858,14 +845,11 @@ class KernelReplayer:
         real interpreter behind an adopted shadow is never consulted
         again, and ``_kill`` tolerates ``real=None``.
         """
-        by_container: dict[int, _Shadow] = {}
-        for _, _, shadow in self._busy:
-            by_container[id(shadow.container)] = shadow
-        for _, shadow in self._idle:
-            by_container[id(shadow.container)] = shadow
-        items = []
-        seen: set[str] = set()
-        for element in self._function.instances:
+        by_container = {
+            id(shadow.container): shadow for shadow in self._pool.members()
+        }
+
+        def shadow_state(element: Any, owned: bool) -> dict:
             shadow = (
                 element
                 if isinstance(element, _Shadow)
@@ -875,80 +859,45 @@ class KernelReplayer:
                 # An adopted real instance the pool already dropped (idle
                 # expiry without a host layer): never serves again, but
                 # list membership is behaviour, so keep a pure stand-in.
-                shadow = self._wrap(element)
-            seen.add(shadow.instance_id)
-            items.append(self._shadow_state(shadow, owned=True))
-        for _, _, shadow in self._busy:
-            if shadow.instance_id not in seen:
-                seen.add(shadow.instance_id)
-                items.append(self._shadow_state(shadow, owned=False))
-        for _, shadow in self._idle:
-            if shadow.instance_id not in seen:
-                seen.add(shadow.instance_id)
-                items.append(self._shadow_state(shadow, owned=False))
-        hosts = self._hosts
-        return {
-            "engine": "kernel",
-            "function": self._name,
-            "arrivals": result.arrivals,
-            "mode": "fast" if session is None else "retry",
-            "cursor": cursor,
-            "heap": [[t, seq, attempt] for t, seq, attempt in heap]
-            if heap is not None
-            else None,
-            "failed": {
-                str(seq): [record.to_dict() for record in records]
-                for seq, records in failed_attempts.items()
+                shadow = _wrap(element)
+            return {
+                "instance_id": shadow.instance_id,
+                "owned": owned,
+                "alive": shadow.alive,
+                "t": shadow.t,
+                "live": shadow.live,
+                "peak": shadow.peak,
+                "invocations": shadow.invocations,
+                "host_id": shadow.host_id,
             }
-            if failed_attempts is not None
-            else None,
-            "session": session.snapshot() if session is not None else None,
-            "platform": snapshot_platform_state(self.emulator, self._function),
-            "hosts": hosts.snapshot() if hosts is not None else None,
-            "instances": items,
-            "pool": {
-                "busy": [
-                    [until, seq, shadow.instance_id]
-                    for until, seq, shadow in self._busy
-                ],
-                "idle": [
-                    [freed_at, shadow.instance_id]
-                    for freed_at, shadow in self._idle
-                ],
-                "seq": self._seq.value,
-            },
-            "times": {
-                "arrivals": list(arrival_times),
-                "completions": list(completion_times),
-            },
-            "result": {
-                "requests": result.requests,
-                "delivered": result.delivered,
-                "attempts": result.attempts,
-                "retries": result.retries,
-                "throttled": result.throttled,
-                "fallbacks": result.fallbacks,
-                "cold_starts": result.cold_starts,
-                "warm_starts": result.warm_starts,
-                "total_cost": result.total_cost,
-                "dead_letters": [
-                    dl.to_dict() for dl in result.dead_letter_list
-                ],
-            },
-        }
 
-    @staticmethod
-    def _shadow_state(shadow: _Shadow, *, owned: bool) -> dict:
-        return {
-            "instance_id": shadow.instance_id,
-            "owned": owned,
-            "alive": shadow.alive,
-            "t": shadow.t,
-            "live": shadow.live,
-            "peak": shadow.peak,
-            "invocations": shadow.invocations,
-            "host_id": shadow.host_id,
+        state = snapshot_replay_state(
+            "kernel",
+            self.emulator,
+            self._function,
+            arrivals=result.arrivals,
+            cursor=cursor,
+            timeline=timeline,
+            pool=self._pool,
+            instance_state=shadow_state,
+        )
+        state["times"] = {
+            "arrivals": list(arrival_times),
+            "completions": list(completion_times),
         }
+        state["result"] = {
+            "requests": result.requests,
+            "delivered": result.delivered,
+            "attempts": result.attempts,
+            "retries": result.retries,
+            "throttled": result.throttled,
+            "fallbacks": result.fallbacks,
+            "cold_starts": result.cold_starts,
+            "warm_starts": result.warm_starts,
+            "total_cost": result.total_cost,
+            "dead_letters": [dl.to_dict() for dl in result.dead_letters],
+        }
+        return state
 
     @staticmethod
     def _shadow_from_state(item: dict) -> _Shadow:
@@ -966,80 +915,29 @@ class KernelReplayer:
     def _restore_state(
         self,
         arrivals: list[float],
-        session,
+        timeline: RetryTimeline | None,
         result: KernelResult,
         arrival_times: list[float],
         completion_times: list[float],
         state: dict,
-    ) -> tuple[int, list[tuple[float, int, int]] | None, dict]:
+    ) -> int:
         """Adopt a :meth:`_snapshot_state` dict; returns the loop cursor."""
-        if state.get("engine") != "kernel":
-            raise CheckpointError(
-                f"checkpoint was written by the {state.get('engine')!r} "
-                "engine; cannot resume with the KernelReplayer"
-            )
-        if state.get("function") != self._name:
-            raise CheckpointError(
-                f"checkpoint is for {state.get('function')!r}, "
-                f"not {self._name!r}"
-            )
-        if state.get("arrivals") != len(arrivals):
-            raise CheckpointError(
-                f"checkpoint covers {state.get('arrivals')} arrivals but the "
-                f"trace has {len(arrivals)}: trace changed since the snapshot"
-            )
-        mode = "fast" if session is None else "retry"
-        if state.get("mode") != mode:
-            raise CheckpointError(
-                "retry configuration changed since the checkpoint was written"
-            )
         emulator = self.emulator
-        result.reexecuted = restore_platform_state(
-            emulator, self._function, state["platform"]
+        cursor, result.reexecuted = restore_replay_state(
+            state,
+            "kernel",
+            emulator,
+            self._function,
+            arrivals=len(arrivals),
+            timeline=timeline,
+            pool=self._pool,
+            instance_from_state=self._shadow_from_state,
         )
         # The ledger restore replaced every FunctionBill object; re-bind
-        # the incremental reference _emit charges against.
+        # the bill _flush_chunk charges against.
         self._bill = emulator.ledger.bill_for(self._name)
         if not self._entry.ready:
             self._recapture_templates()
-
-        by_id: dict[str, _Shadow] = {}
-        owners: dict[str, list | None] = {}
-        self._function.instances.clear()
-        for item in state["instances"]:
-            shadow = self._shadow_from_state(item)
-            by_id[shadow.instance_id] = shadow
-            if item["owned"]:
-                self._function.instances.append(shadow)
-                owners[shadow.instance_id] = self._function.instances
-            else:
-                owners[shadow.instance_id] = None
-
-        hosts = self._hosts
-        if hosts is not None:
-            if state["hosts"] is None:
-                raise CheckpointError(
-                    "checkpoint has no host-pool state but a host pool is "
-                    "configured"
-                )
-            hosts.restore(state["hosts"], by_id, owners)
-        elif state["hosts"] is not None:
-            raise CheckpointError(
-                "checkpoint carries host-pool state but no host pool is "
-                "configured"
-            )
-
-        pool = state["pool"]
-        self._seq.value = int(pool["seq"])
-        self._busy = [
-            (float(until), int(seq), by_id[iid]) for until, seq, iid in pool["busy"]
-        ]
-        heapq.heapify(self._busy)
-        self._idle = [
-            (float(freed_at), by_id[iid]) for freed_at, iid in pool["idle"]
-        ]
-        # The snapshotting run already adopted whatever predated it.
-        self._adopted = True
 
         res = state["result"]
         result.requests = int(res["requests"])
@@ -1051,32 +949,12 @@ class KernelReplayer:
         result.cold_starts = int(res["cold_starts"])
         result.warm_starts = int(res["warm_starts"])
         result.total_cost = float(res["total_cost"])
-        result.dead_letter_list = [
-            DeadLetter(
-                function=item["function"],
-                arrival=float(item["arrival"]),
-                attempts=tuple(
-                    InvocationRecord.from_dict(record)
-                    for record in item["attempts"]
-                ),
-            )
-            for item in res["dead_letters"]
+        result.dead_letters = [
+            DeadLetter.from_dict(item) for item in res["dead_letters"]
         ]
         arrival_times.extend(float(t) for t in state["times"]["arrivals"])
         completion_times.extend(float(t) for t in state["times"]["completions"])
-
-        if session is not None:
-            session.restore(state["session"])
-        failed = {
-            int(seq): [InvocationRecord.from_dict(record) for record in records]
-            for seq, records in (state["failed"] or {}).items()
-        }
-        start_index = int(state["cursor"]) if state["cursor"] is not None else 0
-        heap = None
-        if state["heap"] is not None:
-            heap = [(float(t), int(s), int(a)) for t, s, a in state["heap"]]
-            heapq.heapify(heap)
-        return start_index, heap, failed
+        return cursor
 
     def _recapture_templates(self) -> None:
         """Rebuild the (bundle, event) templates on a scratch instance.
@@ -1137,7 +1015,9 @@ class KernelReplayer:
         faults = self._faults
         if faults is not None and faults.throttled(self._name, t):
             return self._emit_throttle(t, want_record)[:5]
-        shadow = self._acquire_warm(t)
+        shadow = self._pool.acquire(
+            self._function.instances, t, self.emulator.keep_alive_s, hosts
+        )
         warm_attempt = shadow is not None
         if shadow is not None:
             entry = self._entry
@@ -1174,55 +1054,8 @@ class KernelReplayer:
             hosts.adjust(shadow.instance_id, shadow.peak, t)
             hosts.observe_footprint(self._name, shadow.peak)
         if shadow is not None and shadow.alive:
-            heapq.heappush(self._busy, (out[2], next(self._seq), shadow))
-            if hosts is not None:
-                hosts.record_use(shadow.instance_id, out[2])
+            self._pool.release(shadow, out[2], hosts)
         return out[:5]
-
-    def _acquire_warm(self, t: float) -> _Shadow | None:
-        """The reference engine's MRU warm-pool acquire, over shadows."""
-        idle = self._idle
-        if not self._adopted:
-            self._adopted = True
-            for existing in self._function.instances:
-                if existing.alive:
-                    idle.append((t, self._wrap(existing)))
-        busy = self._busy
-        while busy and busy[0][0] <= t:
-            freed_at, _, freed = heapq.heappop(busy)
-            idle.append((freed_at, freed))
-        keep_alive = self.emulator.keep_alive_s
-        while idle:
-            freed_at, candidate = idle[-1]
-            if t - freed_at > keep_alive:
-                # Keep-alive expiry frees host memory, mirroring the
-                # reference engine; retire() guards ``alive``, so a shadow
-                # the pool already evicted is never double-killed.
-                hosts = self._hosts
-                if hosts is not None:
-                    for _, stale in idle:
-                        hosts.retire(stale.instance_id)
-                idle.clear()
-                return None
-            idle.pop()
-            if candidate.alive:
-                return candidate
-        return None
-
-    def _wrap(self, instance: FunctionInstance) -> _Shadow:
-        """Adopt a pre-existing real instance into the shadow pool."""
-        meter = instance.app.meter
-        shadow = _Shadow(
-            instance.instance_id,
-            t=meter.time_s,
-            live=meter.live_mb,
-            peak=meter.peak_mb,
-            real=instance,
-        )
-        shadow.invocations = instance.invocations
-        shadow.container = instance
-        shadow.host_id = instance.host_id
-        return shadow
 
     def _kill(self, shadow: _Shadow) -> None:
         shadow.shutdown()
@@ -1748,15 +1581,16 @@ class KernelReplayer:
             drift.extend_array(k, warm)
             return t == t_table[k] and live == live_table[k] and peak == peak_table[k]
 
-        for _, _, shadow in self._busy:
+        pool = self._pool
+        for _, _, shadow in pool.busy:
             if not on_drift(shadow.invocations, shadow.t, shadow.live, shadow.peak):
                 return False
-        for _, shadow in self._idle:
+        for _, shadow in pool.idle:
             if shadow.alive and not on_drift(
                 shadow.invocations, shadow.t, shadow.live, shadow.peak
             ):
                 return False
-        if not self._adopted:
+        if not pool.adopted:
             for instance in self._function.instances:
                 if not instance.alive:
                     continue
@@ -1920,8 +1754,9 @@ class KernelReplayer:
     ) -> None:
         """The columnar serve loop: one spec index and timestamp per row.
 
-        The same pool/clock/id decisions as the general path (inlined
-        :meth:`_acquire_warm`, the host layer excluded by
+        The same pool/clock/id decisions as the general path (an inlined
+        :meth:`WarmPool.acquire <repro.platform.instance.WarmPool.acquire>`
+        on the pool's own lists, the host layer excluded by
         :meth:`_homogeneous`), but per-row emission shrinks to three list
         appends (spec index, timestamp, completion) plus run-length
         tracking of the serving instance; everything else gathers from
@@ -1936,8 +1771,9 @@ class KernelReplayer:
         instances = function.instances
         attribution = self._attribution
         pricing = self._pricing
-        busy = self._busy
-        idle = self._idle
+        pool = self._pool
+        busy = pool.busy
+        idle = pool.idle
         heappush = heapq.heappush
         heappop = heapq.heappop
         kill_shadow = self._kill
@@ -1957,10 +1793,10 @@ class KernelReplayer:
         overhead_sum = self._overhead_sum
 
         now = clock.now()
-        seq = self._seq.value
+        seq = pool.seq.value
         ids = self._request_ids
         rid_base = ids.value
-        adopted = self._adopted
+        adopted = pool.adopted
 
         idx_list: list = []
         ts_list: list = []
@@ -1974,13 +1810,13 @@ class KernelReplayer:
         spec_len = len(specs)
 
         if not adopted and index < n:
-            # Inlined _acquire_warm adoption, hoisted out of the loop: it
-            # can only trigger on the first arrival.
+            # The pool's adoption, hoisted out of the loop: it can only
+            # trigger on the first arrival.
             adopted = True
             t0 = arrivals[index]
             for existing in instances:
                 if existing.alive:
-                    idle.append((t0, self._wrap(existing)))
+                    idle.append((t0, _adopt(existing)))
 
         for i, t in enumerate(arrivals[index:] if index else arrivals, index):
             while busy and busy[0][0] <= t:
@@ -2180,18 +2016,19 @@ class KernelReplayer:
     def _write_back(self, now: float, seq: int, adopted: bool) -> None:
         """Deferred state write-backs: the local folds are authoritative."""
         self._clock._now = now
-        self._seq.value = seq
-        self._adopted = adopted
+        pool = self._pool
+        pool.seq.value = seq
+        pool.adopted = adopted
         drift = self._entry.drift
         t_table = drift.t
         live_table = drift.live
         peak_table = drift.peak
-        for _, _, shadow in self._busy:
+        for _, _, shadow in pool.busy:
             k = shadow.invocations - 1
             shadow.t = t_table[k]
             shadow.live = live_table[k]
             shadow.peak = peak_table[k]
-        for _, shadow in self._idle:
+        for _, shadow in pool.idle:
             if shadow.alive:
                 k = shadow.invocations - 1
                 shadow.t = t_table[k]

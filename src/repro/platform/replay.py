@@ -10,30 +10,36 @@ spills onto a new instance and pays a full cold start (Section 2.1's
 instances").
 
 Requests overlap in trace time, but the emulator executes them one at a
-time; the replayer therefore keeps its own trace-time bookkeeping (per-
-instance busy-until and last-served times) instead of the global virtual
+time; the replayer therefore keeps its own trace-time warm pool (per-
+instance busy-until and freed-at times) instead of the global virtual
 clock, which only ever moves forward.
 
 The replayer is also the client in the failure model: with a
 :class:`~repro.platform.retry.RetryPolicy` it re-drives attempts whose
 status is transient (backoff scheduled on the same trace timeline, via a
-heap of pending attempts), dead-letters requests that exhaust their
-attempts, and — given a :class:`~repro.core.fallback.FallbackManager` —
-serves trigger errors from the original function while feeding the
-manager's circuit breaker.  Every arrival ends as exactly one replayed
-request or one dead letter: nothing is silently lost.
+:class:`~repro.platform.retry.RetryTimeline` of pending attempts),
+dead-letters requests that exhaust their attempts, and — given a
+:class:`~repro.core.fallback.FallbackManager` — serves trigger errors
+from the original function while feeding the manager's circuit breaker.
+Every arrival ends as exactly one replayed request or one dead letter:
+nothing is silently lost.
 
 This module is the *reference semantics* the fast engine is judged
 against: :class:`~repro.platform.kernel.KernelReplayer` (template
 capture, synthesis, bulk emission) must be byte-identical to a
 :class:`TraceReplayer` run in every export, and the parity suite in
-``tests/platform/test_kernel.py`` holds it to that.
+``tests/platform/test_kernel.py`` holds it to that.  Only the serve step
+differs between the engines: both drive the same
+:class:`~repro.platform.instance.WarmPool`,
+:class:`~repro.platform.retry.RetryTimeline`, and checkpoint functions
+(:func:`~repro.platform.checkpoint.snapshot_replay_state`,
+:func:`~repro.platform.checkpoint.restore_replay_state`).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from repro.core.fallback import SETUP_OVERHEAD_S, FallbackManager
@@ -41,14 +47,13 @@ from repro.errors import CheckpointError, PlatformError
 from repro.obs import get_recorder
 from repro.platform.checkpoint import (
     ReplayCheckpoint,
-    SerialCounter,
-    restore_platform_state,
-    snapshot_platform_state,
+    restore_replay_state,
+    snapshot_replay_state,
 )
 from repro.platform.emulator import DeployedFunction, LambdaEmulator
-from repro.platform.instance import FunctionInstance
+from repro.platform.instance import FunctionInstance, WarmPool
 from repro.platform.logs import InvocationRecord, StartType
-from repro.platform.retry import DeadLetter, RetryPolicy
+from repro.platform.retry import DeadLetter, RetryPolicy, RetryTimeline
 
 __all__ = ["ReplayResult", "ReplayedRequest", "TraceReplayer"]
 
@@ -136,19 +141,15 @@ class TraceReplayer:
 
     def __init__(self, emulator: LambdaEmulator):
         self.emulator = emulator
-        # Trace-time warm-pool bookkeeping, independent of the global
-        # virtual clock.  Per function: a heap of (busy-until, seq,
-        # instance) for in-flight instances and a LIFO stack of
-        # (freed-at, instance) for idle ones.  Arrivals are non-decreasing
-        # and every instance with busy-until <= arrival is moved to the
-        # idle stack at each acquire, so the stack is monotone in freed-at
-        # — the top is the most recently used instance, and a stale top
-        # means everything beneath it is stale too.  Acquire and expiry
-        # are therefore O(log instances) instead of a per-arrival linear
-        # scan over the instance list.
-        self._busy: dict[str, list[tuple[float, int, FunctionInstance]]] = {}
-        self._idle: dict[str, list[tuple[float, FunctionInstance]]] = {}
-        self._seq = SerialCounter()
+        # Trace-time warm pools, one per function served, independent of
+        # the global virtual clock.
+        self._pools: dict[str, WarmPool] = {}
+
+    def _pool(self, name: str) -> WarmPool:
+        pool = self._pools.get(name)
+        if pool is None:
+            pool = self._pools[name] = WarmPool()
+        return pool
 
     def replay(
         self,
@@ -194,7 +195,6 @@ class TraceReplayer:
             if fallback.emulator is not self.emulator:
                 raise PlatformError("fallback manager is bound to a different emulator")
             fallback_function = self.emulator.function(fallback.fallback)
-        session = retry.session() if retry is not None else None
         recorder = get_recorder()
 
         if (checkpoint is not None or resume_state is not None) and (
@@ -204,19 +204,23 @@ class TraceReplayer:
                 "checkpointed replay does not compose with fallback managers"
             )
 
+        session = retry.session() if retry is not None else None
+        timeline = (
+            RetryTimeline(function_name, arrivals, session)
+            if session is not None or fallback is not None
+            else None
+        )
         result = ReplayResult(arrivals=len(arrivals))
         start_index = 0
-        heap: list[tuple[float, int, int]] | None = None
-        failed_attempts: dict[int, list[InvocationRecord]] = {}
         if resume_state is not None:
-            start_index, heap, failed_attempts = self._restore_state(
-                function, arrivals, session, result, resume_state
+            start_index = self._restore_state(
+                function, arrivals, timeline, result, resume_state
             )
 
         with recorder.span(
             "replay.run", label=function_name, arrivals=len(arrivals)
         ) as span:
-            if session is None and fallback is None:
+            if timeline is None:
                 # No retry timeline and no fallback detours: every arrival
                 # is exactly one attempt served in order, so skip the
                 # pending-attempt heap entirely.
@@ -237,22 +241,12 @@ class TraceReplayer:
                     )
                     if checkpoint is not None and checkpoint.tick():
                         checkpoint.write(
-                            self._snapshot_state(
-                                function, result, None, index + 1, None, None
-                            )
+                            self._snapshot_state(function, result, index + 1, None)
                         )
                 return self._finish(result, recorder, span)
 
-            if heap is None:
-                # (time, seq, attempt): initial arrivals plus retry
-                # re-drives.  Re-drives always land after the attempt that
-                # spawned them, so pops come out in non-decreasing time
-                # order and the warm-instance bookkeeping stays valid.
-                heap = [(t, seq, 1) for seq, t in enumerate(arrivals)]
-                heapq.heapify(heap)
-
-            while heap:
-                t, seq, attempt = heapq.heappop(heap)
+            while timeline:
+                t, seq, attempt = timeline.pop()
                 arrival = arrivals[seq]
                 record, completion = self._serve_attempt(function, t, event, context)
                 result.attempts += 1
@@ -278,7 +272,7 @@ class TraceReplayer:
                         fallback.recovered += 1
                     result.attempts += 1
                     result.fallbacks += 1
-                    failed_attempts.pop(seq, None)
+                    timeline.settle(seq)
                     result.requests.append(
                         ReplayedRequest(
                             arrival=arrival,
@@ -289,7 +283,7 @@ class TraceReplayer:
                         )
                     )
                 elif record.ok or session is None:
-                    failed_attempts.pop(seq, None)
+                    timeline.settle(seq)
                     result.requests.append(
                         ReplayedRequest(
                             arrival=arrival,
@@ -299,27 +293,15 @@ class TraceReplayer:
                         )
                     )
                 else:
-                    history = failed_attempts.setdefault(seq, [])
-                    history.append(record)
-                    if session.should_retry(record, attempt):
-                        delay = session.next_delay_s(attempt)
-                        heapq.heappush(heap, (completion + delay, seq, attempt + 1))
+                    letter = timeline.fail(seq, attempt, record, completion)
+                    if letter is None:
                         result.retries += 1
                     else:
-                        failed_attempts.pop(seq, None)
-                        result.dead_letters.append(
-                            DeadLetter(
-                                function=function_name,
-                                arrival=arrival,
-                                attempts=tuple(history),
-                            )
-                        )
+                        result.dead_letters.append(letter)
 
                 if checkpoint is not None and checkpoint.tick():
                     checkpoint.write(
-                        self._snapshot_state(
-                            function, result, session, None, heap, failed_attempts
-                        )
+                        self._snapshot_state(function, result, None, timeline)
                     )
 
             return self._finish(result, recorder, span)
@@ -330,78 +312,35 @@ class TraceReplayer:
         self,
         function: DeployedFunction,
         result: ReplayResult,
-        session,
         cursor: int | None,
-        heap: list[tuple[float, int, int]] | None,
-        failed_attempts: dict[int, list[InvocationRecord]] | None,
+        timeline: RetryTimeline | None,
     ) -> dict:
-        """Everything needed to resume this replay, as one JSON-safe dict.
-
-        Taken at a loop boundary: no attempt is in flight, the emulator's
-        pending-cold stash is consumed, and the log's spill offset marks
-        exactly the rows already durable.
-        """
-        name = function.name
-        busy = self._busy.get(name, [])
-        idle = self._idle.get(name, [])
-        instances = []
-        seen: set[str] = set()
-        # Owned instances first (list order is behaviour: the cold-start
-        # recovery check reads ``function.instances[-1]``), then any pool
-        # entry that was already dropped from the owner list but still
-        # sits in the busy heap / idle stack awaiting lazy discard.
-        for inst in function.instances:
-            seen.add(inst.instance_id)
-            instances.append(self._instance_state(inst, owned=True))
-        for _, _, inst in busy:
-            if inst.instance_id not in seen:
-                seen.add(inst.instance_id)
-                instances.append(self._instance_state(inst, owned=False))
-        for _, inst in idle:
-            if inst.instance_id not in seen:
-                seen.add(inst.instance_id)
-                instances.append(self._instance_state(inst, owned=False))
-        hosts = self.emulator.hosts
-        return {
-            "engine": "reference",
-            "function": name,
-            "arrivals": result.arrivals,
-            "mode": "fast" if session is None else "retry",
-            "cursor": cursor,
-            "heap": [[t, seq, attempt] for t, seq, attempt in heap]
-            if heap is not None
-            else None,
-            "failed": {
-                str(seq): [record.to_dict() for record in records]
-                for seq, records in failed_attempts.items()
-            }
-            if failed_attempts is not None
-            else None,
-            "session": session.snapshot() if session is not None else None,
-            "platform": snapshot_platform_state(self.emulator, function),
-            "hosts": hosts.snapshot() if hosts is not None else None,
-            "instances": instances,
-            "pool": {
-                "busy": [[until, seq, inst.instance_id] for until, seq, inst in busy],
-                "idle": [[freed_at, inst.instance_id] for freed_at, inst in idle],
-                "seq": self._seq.value,
-                "adopted": name in self._idle,
-            },
-            "result": {
-                "attempts": result.attempts,
-                "retries": result.retries,
-                "throttled": result.throttled,
-                "fallbacks": result.fallbacks,
-                "requests": [
-                    [r.arrival, r.completion, r.attempt, r.record.to_dict()]
-                    for r in result.requests
-                ],
-                "dead_letters": [dl.to_dict() for dl in result.dead_letters],
-            },
+        """Everything needed to resume this replay, as one JSON-safe dict."""
+        state = snapshot_replay_state(
+            "reference",
+            self.emulator,
+            function,
+            arrivals=result.arrivals,
+            cursor=cursor,
+            timeline=timeline,
+            pool=self._pool(function.name),
+            instance_state=self._instance_state,
+        )
+        state["result"] = {
+            "attempts": result.attempts,
+            "retries": result.retries,
+            "throttled": result.throttled,
+            "fallbacks": result.fallbacks,
+            "requests": [
+                [r.arrival, r.completion, r.attempt, r.record.to_dict()]
+                for r in result.requests
+            ],
+            "dead_letters": [dl.to_dict() for dl in result.dead_letters],
         }
+        return state
 
     @staticmethod
-    def _instance_state(instance: FunctionInstance, *, owned: bool) -> dict:
+    def _instance_state(instance: FunctionInstance, owned: bool) -> dict:
         app = instance.app
         meter = app.meter
         return {
@@ -428,77 +367,21 @@ class TraceReplayer:
         self,
         function: DeployedFunction,
         arrivals: list[float],
-        session,
+        timeline: RetryTimeline | None,
         result: ReplayResult,
         state: dict,
-    ) -> tuple[int, list[tuple[float, int, int]] | None, dict]:
+    ) -> int:
         """Adopt a :meth:`_snapshot_state` dict; returns the loop cursor."""
-        if state.get("engine") != "reference":
-            raise CheckpointError(
-                f"checkpoint was written by the {state.get('engine')!r} engine; "
-                "cannot resume with the reference TraceReplayer"
-            )
-        if state.get("function") != function.name:
-            raise CheckpointError(
-                f"checkpoint is for {state.get('function')!r}, "
-                f"not {function.name!r}"
-            )
-        if state.get("arrivals") != len(arrivals):
-            raise CheckpointError(
-                f"checkpoint covers {state.get('arrivals')} arrivals but the "
-                f"trace has {len(arrivals)}: trace changed since the snapshot"
-            )
-        mode = "fast" if session is None else "retry"
-        if state.get("mode") != mode:
-            raise CheckpointError(
-                "retry configuration changed since the checkpoint was written"
-            )
-        emulator = self.emulator
-        result.reexecuted = restore_platform_state(
-            emulator, function, state["platform"]
+        cursor, result.reexecuted = restore_replay_state(
+            state,
+            "reference",
+            self.emulator,
+            function,
+            arrivals=len(arrivals),
+            timeline=timeline,
+            pool=self._pool(function.name),
+            instance_from_state=partial(self._instance_from_state, function),
         )
-
-        by_id: dict[str, FunctionInstance] = {}
-        owners: dict[str, list | None] = {}
-        function.instances.clear()
-        for item in state["instances"]:
-            instance = self._instance_from_state(function, item)
-            by_id[instance.instance_id] = instance
-            if item["owned"]:
-                function.instances.append(instance)
-                owners[instance.instance_id] = function.instances
-            else:
-                owners[instance.instance_id] = None
-
-        hosts = emulator.hosts
-        if hosts is not None:
-            if state["hosts"] is None:
-                raise CheckpointError(
-                    "checkpoint has no host-pool state but a host pool is "
-                    "configured"
-                )
-            hosts.restore(state["hosts"], by_id, owners)
-        elif state["hosts"] is not None:
-            raise CheckpointError(
-                "checkpoint carries host-pool state but no host pool is "
-                "configured"
-            )
-
-        pool = state["pool"]
-        name = function.name
-        self._seq.value = int(pool["seq"])
-        busy = [
-            (float(until), int(seq), by_id[iid]) for until, seq, iid in pool["busy"]
-        ]
-        heapq.heapify(busy)
-        self._busy[name] = busy
-        if pool["adopted"]:
-            # Pre-seeding the idle stack (even empty) suppresses the lazy
-            # re-adoption of ``function.instances`` in _acquire_warm.
-            self._idle[name] = [
-                (float(freed_at), by_id[iid]) for freed_at, iid in pool["idle"]
-            ]
-
         res = state["result"]
         result.attempts = int(res["attempts"])
         result.retries = int(res["retries"])
@@ -514,29 +397,9 @@ class TraceReplayer:
             for arrival, completion, attempt, record in res["requests"]
         ]
         result.dead_letters = [
-            DeadLetter(
-                function=item["function"],
-                arrival=float(item["arrival"]),
-                attempts=tuple(
-                    InvocationRecord.from_dict(record)
-                    for record in item["attempts"]
-                ),
-            )
-            for item in res["dead_letters"]
+            DeadLetter.from_dict(item) for item in res["dead_letters"]
         ]
-
-        if session is not None:
-            session.restore(state["session"])
-        failed = {
-            int(seq): [InvocationRecord.from_dict(record) for record in records]
-            for seq, records in (state["failed"] or {}).items()
-        }
-        start_index = int(state["cursor"]) if state["cursor"] is not None else 0
-        heap = None
-        if state["heap"] is not None:
-            heap = [(float(t), int(s), int(a)) for t, s, a in state["heap"]]
-            heapq.heapify(heap)
-        return start_index, heap, failed
+        return cursor
 
     def _instance_from_state(
         self, function: DeployedFunction, item: dict
@@ -621,13 +484,16 @@ class TraceReplayer:
             # decision — identical ordering in the kernel replayer keeps
             # the engines byte-for-byte interchangeable.
             hosts.advance(arrival)
+        pool = self._pool(function.name)
         instance: FunctionInstance | None = None
         if emulator.faults is not None and emulator.faults.throttled(
             function.name, arrival
         ):
             record = emulator._throttle_record(function)
         else:
-            instance = self._acquire_warm(function, arrival)
+            instance = pool.acquire(
+                function.instances, arrival, emulator.keep_alive_s, hosts
+            )
             if instance is not None:
                 record = self._serve_warm(function, instance, event, context, arrival)
             else:
@@ -668,59 +534,8 @@ class TraceReplayer:
         if instance is not None and instance.alive:
             # Still alive after serving (not OOM-killed / crashed): it is
             # busy until this request's trace-time completion.
-            heapq.heappush(
-                self._busy.setdefault(function.name, []),
-                (completion, next(self._seq), instance),
-            )
-            if hosts is not None:
-                hosts.record_use(instance.instance_id, completion)
+            pool.release(instance, completion, hosts)
         return record, completion
-
-    def _acquire_warm(
-        self, function: DeployedFunction, arrival: float
-    ) -> FunctionInstance | None:
-        """Pop a warm instance free at *arrival*, or None (cold start).
-
-        MRU order: the most recently freed instance serves first, which
-        both matches container-reuse behaviour and lets one stale stack
-        top expire the whole stack at once.
-        """
-        name = function.name
-        idle = self._idle.get(name)
-        if idle is None:
-            idle = self._idle[name] = []
-            # Adopt instances that predate this replayer (e.g. warmed by
-            # direct invokes) as idle-as-of-now.
-            for existing in function.instances:
-                if existing.alive:
-                    idle.append((arrival, existing))
-        busy = self._busy.get(name)
-        if busy:
-            # Everything that completed by this arrival becomes idle; heap
-            # order makes the pushes monotone in freed-at.
-            while busy and busy[0][0] <= arrival:
-                freed_at, _, freed = heapq.heappop(busy)
-                idle.append((freed_at, freed))
-        keep_alive = self.emulator.keep_alive_s
-        while idle:
-            freed_at, candidate = idle[-1]
-            if arrival - freed_at > keep_alive:
-                # The freshest idle instance has already expired, so every
-                # older one beneath it has too: drop the whole stack.  With
-                # a host pool attached, expiry actually frees host memory:
-                # pool-placed instances are shut down and their slots
-                # released (retire guards ``alive``, so an instance the
-                # pool already evicted is never double-killed).
-                hosts = self.emulator.hosts
-                if hosts is not None:
-                    for _, stale in idle:
-                        hosts.retire(stale.instance_id)
-                idle.clear()
-                return None
-            idle.pop()
-            if candidate.alive:  # else killed or un-trimmed: discard
-                return candidate
-        return None
 
     def _serve_warm(
         self,

@@ -7,7 +7,8 @@ A :class:`RetryPolicy` declares which statuses are worth retrying, how
 many attempts a request gets, and how the backoff delay grows; a
 :class:`RetrySession` executes the policy with a seeded RNG over the
 virtual timeline — no wall clock, so a replay with the same seed backs
-off identically every run.
+off identically every run — and a :class:`RetryTimeline` schedules one
+replay's re-drives on its trace timeline for both replay engines.
 
 Requests that exhaust their attempts (or the session-wide retry budget)
 are *dead-lettered*, not dropped: :class:`DeadLetter` keeps the full
@@ -17,8 +18,10 @@ hope.
 
 from __future__ import annotations
 
+import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 from repro.errors import PlatformError
 from repro.platform.logs import InvocationRecord, InvocationStatus
@@ -26,7 +29,7 @@ from repro.platform.logs import InvocationRecord, InvocationStatus
 __all__ = [
     "RetryPolicy",
     "RetrySession",
-    "RetryOutcome",
+    "RetryTimeline",
     "DeadLetter",
     "RETRYABLE_DEFAULT",
 ]
@@ -100,6 +103,17 @@ class DeadLetter:
             "attempts": [record.to_dict() for record in self.attempts],
         }
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "DeadLetter":
+        """Invert :meth:`to_dict`."""
+        return cls(
+            function=data["function"],
+            arrival=float(data["arrival"]),
+            attempts=tuple(
+                InvocationRecord.from_dict(record) for record in data["attempts"]
+            ),
+        )
+
 
 class RetrySession:
     """Stateful execution of one policy: seeded jitter + budget tracking."""
@@ -149,16 +163,91 @@ class RetrySession:
         self._rng.setstate(rng_state_from_json(state["rng"]))
 
 
-@dataclass
-class RetryOutcome:
-    """Bookkeeping a replay collects while retrying one request."""
+class RetryTimeline:
+    """One replay's pending attempts and the history of its failed ones.
 
-    attempts: list[InvocationRecord] = field(default_factory=list)
+    A heap of ``(time, seq, attempt)`` holds every initial arrival (``seq``
+    indexes *arrivals*) plus the retry re-drives scheduled so far.
+    Re-drives always land after the attempt that spawned them, so pops come
+    out in non-decreasing time order and the warm pool's bookkeeping stays
+    valid.  Each request's failed attempts are kept until it gets a final
+    outcome: success, or a dead letter carrying every attempt.  Both replay
+    engines drive the same timeline; without a *session* (a reference
+    replay with only fallback detours) every attempt is final.
+    """
 
-    @property
-    def final(self) -> InvocationRecord:
-        return self.attempts[-1]
+    def __init__(
+        self,
+        function: str,
+        arrivals: Sequence[float],
+        session: RetrySession | None,
+    ) -> None:
+        self.function = function
+        self.arrivals = arrivals
+        self.session = session
+        self.heap = [(t, seq, 1) for seq, t in enumerate(arrivals)]
+        heapq.heapify(self.heap)
+        self.failed: dict[int, list[InvocationRecord]] = {}
 
-    @property
-    def retries(self) -> int:
-        return max(len(self.attempts) - 1, 0)
+    def __bool__(self) -> bool:
+        return bool(self.heap)
+
+    def pop(self) -> tuple[float, int, int]:
+        """The next pending ``(time, seq, attempt)``."""
+        return heapq.heappop(self.heap)
+
+    def settle(self, seq: int) -> None:
+        """Request *seq* got its final record: drop its failure history."""
+        self.failed.pop(seq, None)
+
+    def fail(
+        self,
+        seq: int,
+        attempt: int,
+        record: InvocationRecord,
+        completion: float,
+    ) -> DeadLetter | None:
+        """Retry failed *attempt* of request *seq*, or dead-letter it.
+
+        Returns None when the session schedules the next attempt at
+        ``completion + backoff``; otherwise the request is out of attempts
+        (or budget, or the status is not retryable) and the returned
+        :class:`DeadLetter` holds its whole attempt history.
+        """
+        history = self.failed.setdefault(seq, [])
+        history.append(record)
+        session = self.session
+        if session.should_retry(record, attempt):
+            delay = session.next_delay_s(attempt)
+            heapq.heappush(self.heap, (completion + delay, seq, attempt + 1))
+            return None
+        del self.failed[seq]
+        return DeadLetter(
+            function=self.function,
+            arrival=self.arrivals[seq],
+            attempts=tuple(history),
+        )
+
+    # -- checkpointing -----------------------------------------------------
+
+    def snapshot(self) -> dict:
+        """JSON-safe pending heap, failure histories and session state."""
+        return {
+            "heap": [[t, seq, attempt] for t, seq, attempt in self.heap],
+            "failed": {
+                str(seq): [record.to_dict() for record in records]
+                for seq, records in self.failed.items()
+            },
+            "session": self.session.snapshot() if self.session is not None else None,
+        }
+
+    def restore(self, state: dict) -> None:
+        """Adopt a :meth:`snapshot`; the session resumes its RNG and budget."""
+        self.heap = [(float(t), int(s), int(a)) for t, s, a in state["heap"]]
+        heapq.heapify(self.heap)
+        self.failed = {
+            int(seq): [InvocationRecord.from_dict(record) for record in records]
+            for seq, records in state["failed"].items()
+        }
+        if self.session is not None:
+            self.session.restore(state["session"])

@@ -151,9 +151,6 @@ class MemoryLedger:
         self._live_mb -= freed
         return freed
 
-    def as_dict(self) -> dict[str, float]:
-        return dict(self._allocations)
-
 
 class Meter:
     """Accumulates virtual time and memory charges.
@@ -198,12 +195,6 @@ class Meter:
 
     def events_for(self, label: str) -> list[ChargeEvent]:
         return [e for e in self.events if e.label == label]
-
-    def charges_by_label(
-        self, category: str | None = None
-    ) -> list[tuple[str, float, float]]:
-        """Aggregate recorded events by label, in first-charge order."""
-        return aggregate_charges(self.events, category=category)
 
     # -- charging ----------------------------------------------------------
 

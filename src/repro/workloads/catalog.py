@@ -1614,13 +1614,6 @@ def spacy_spec(
     )
 
 
-def huggingface_torch_spec(**overrides) -> LibrarySpec:
-    """torch as the huggingface application sees it: mostly needed."""
-    params = dict(import_time_s=3.4, memory_mb=150.0, kept_time_frac=0.95, kept_mem_frac=0.99)
-    params.update(overrides)
-    return torch_spec(**params)
-
-
 LIBRARY_NAMES: tuple[str, ...] = (
     "numpy",
     "torch",

@@ -49,3 +49,15 @@ class TestWorkspace:
         ws.bundle("markdown")
         ws.cleanup()
         assert not (tmp_path / "scratch").exists()
+
+    def test_budget_variant_is_trimmed_under_its_own_budget(self, tmp_path):
+        ws = Workspace(tmp_path)
+        default = ws.trim("markdown")
+        assert max(r.oracle_calls for r in default.module_results) > 1
+        budget = ws.trim(
+            "markdown", config=ws.variant_config(max_oracle_calls_per_module=1)
+        )
+        assert budget is not default
+        assert budget.output_root != default.output_root
+        assert budget.module_results
+        assert all(r.oracle_calls <= 1 for r in budget.module_results)

@@ -11,6 +11,7 @@ changed; a refused resume must leave the checkpoint resumable.
 
 from __future__ import annotations
 
+import json
 import shutil
 
 import pytest
@@ -18,7 +19,7 @@ import pytest
 from repro.core.fallback import FallbackManager
 from repro.errors import CheckpointError
 from repro.platform import checkpoint as checkpoint_mod
-from repro.platform.checkpoint import ReplayCheckpoint
+from repro.platform.checkpoint import CHECKPOINT_SCHEMA, ReplayCheckpoint
 from repro.platform.emulator import LambdaEmulator
 from repro.platform.fleet import replay_fleet
 from repro.platform.hosts import HostConfig
@@ -225,3 +226,16 @@ def test_checkpointed_reference_replay_refuses_fallback(
         TraceReplayer(emulator).replay(
             "primary", [0.0, 1.0], EVENT, fallback=manager, **kwargs
         )
+
+
+def test_checkpoint_of_an_older_schema_is_refused(tmp_path):
+    checkpoint = ReplayCheckpoint(tmp_path, NAME)
+    checkpoint.write({"engine": "kernel"})
+    envelope = json.loads(checkpoint.path.read_text())
+    envelope["schema"] = CHECKPOINT_SCHEMA - 1
+    checkpoint.path.write_text(json.dumps(envelope))
+    with pytest.raises(
+        CheckpointError,
+        match=f"unsupported checkpoint schema {CHECKPOINT_SCHEMA - 1}",
+    ):
+        checkpoint.load()
