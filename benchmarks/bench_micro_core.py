@@ -9,13 +9,14 @@ itself, and the platform emulator's invocation path.
 from __future__ import annotations
 
 import itertools
+import os
 
 from repro.core.ast_transform import rebuild_source
 from repro.core.callgraph import CallGraphCache, build_bundle_call_graph
 from repro.core.dd import ddmin_keep
 from repro.core.execution import LoadedApp
 from repro.core.granularity import decompose_module
-from repro.core.oracle import OracleRunner
+from repro.core.oracle import ModuleCandidate, OracleRunner
 from repro.platform import LambdaEmulator
 from repro.workloads.apps import build_app
 from repro.workloads.catalog import library_spec
@@ -92,6 +93,27 @@ def test_probe_load_resnet(benchmark, tmp_path):
     app = benchmark(load_and_close)
     assert app.init_error is None
     assert app.init_time_s > 0
+
+
+def test_probe_resnet_from_plan(benchmark, tmp_path):
+    """One DD probe of resnet: an in-process oracle check with the first
+    half of ``synth_torch``'s attributes kept (a candidate the oracle
+    accepts), run from the rebuild plan's statement code.  The first check
+    compiles the kept statements; every timed one reuses them and writes
+    no file."""
+    bundle = build_app("resnet", tmp_path / "resnet")
+    runner = OracleRunner(bundle)
+    file = bundle.module_file("synth_torch")
+    decomposition = decompose_module(
+        file.read_text(encoding="utf-8"), filename=os.path.abspath(file)
+    )
+    components = decomposition.components
+    candidate = ModuleCandidate(
+        bundle, decomposition, components[: len(components) // 2]
+    )
+    assert runner.check(candidate).passed
+    result = benchmark(lambda: runner.check(candidate))
+    assert result.passed
 
 
 def test_emulator_warm_invocation(benchmark, toy_session_app):

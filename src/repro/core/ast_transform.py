@@ -1,4 +1,4 @@
-"""Rebuild a module's source keeping only a subset of its attributes.
+"""Rebuild a module keeping only a subset of its attributes.
 
 This implements the per-iteration transformation of Section 6.3: "the
 original ``__init__.py`` file is retrieved and then modified based on the
@@ -6,7 +6,8 @@ attributes that DD currently tests.  The modification is achieved with a
 single traversal of the AST."
 
 Given a :class:`~repro.core.granularity.ModuleDecomposition` and the set of
-components to keep, :func:`rebuild_source` emits new source in which
+components to keep, :func:`rebuild_source` emits new source, and
+:func:`rebuild_code` the code that runs it statement by statement, in which
 
 * pinned statements are preserved verbatim (positionally),
 * ``def`` / ``class`` / assignment components are dropped when not kept,
@@ -19,9 +20,13 @@ components to keep, :func:`rebuild_source` emits new source in which
 
 from __future__ import annotations
 
+import __future__
 import ast
 import copy
-from typing import Iterable, Iterator, NamedTuple
+import dis
+import functools
+from types import CodeType
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from repro.core.granularity import (
     WHOLE_STATEMENT,
@@ -30,32 +35,33 @@ from repro.core.granularity import (
     is_magic_name,
 )
 
-__all__ = ["rebuild_source", "rebuild_tree", "removed_components"]
+__all__ = ["rebuild_code", "rebuild_source"]
 
-
-def removed_components(
-    decomposition: ModuleDecomposition, keep: Iterable[AttributeComponent]
-) -> list[AttributeComponent]:
-    """Components of *decomposition* that are NOT in *keep*."""
-    kept = set(keep)
-    return [c for c in decomposition.components if c not in kept]
+#: What a module compiler emits first when any statement of the module
+#: holds an annotation: create ``__annotations__``.  The annotation here
+#: sits in a dead branch, so this code does nothing else.
+_SETUP_ANNOTATIONS = compile(
+    "if False:\n    _: int\n", "<annotations>", "exec", dont_inherit=True
+)
+_SETUP_ANNOTATIONS_OP = dis.opmap["SETUP_ANNOTATIONS"]
+#: Running even an empty module inserts ``__builtins__`` into its namespace.
+_EMPTY_MODULE = compile("", "<empty>", "exec", dont_inherit=True)
 
 
 class _Step(NamedTuple):
     """One top-level statement, as every rebuild of its module sees it."""
 
     stmt: ast.stmt
-    text: str  # verbatim source, decorators included
     aliases: frozenset[int] | None  # every alias index; None when pinned
     always: frozenset[int]  # aliases kept whatever DD keeps (magic names)
     whole: bool  # statement granularity: all or none
 
 
 class _RebuildPlan:
-    """What :func:`rebuild_source` needs that depends only on the
-    decomposition: each statement's text and alias sets, and where each
-    component sits.  Built on a decomposition's first rebuild and kept on
-    it, so a DD probe only groups its kept components and joins text."""
+    """What every rebuild of one decomposition shares: each statement's
+    alias sets, where each component sits, and the code compiled so far
+    for each statement form.  Built on a decomposition's first rebuild
+    and kept on it, so a DD probe only selects its statements."""
 
     def __init__(self, decomposition: ModuleDecomposition) -> None:
         components = decomposition.components
@@ -68,13 +74,24 @@ class _RebuildPlan:
             removable_by_statement.setdefault(component.stmt_index, set()).add(
                 component.alias_index
             )
-        source_lines = decomposition.source.splitlines()
+        self.source_lines = decomposition.source.splitlines()
+        self.filename = decomposition.filename
         self.steps: list[_Step] = []
+        #: Statements a module compiler takes as the docstring when first.
+        self.bare_strings: set[int] = set()
+        #: ``from __future__`` imports: each alias's compiler flag.
+        self.future: dict[int, list[int]] = {}
+        #: (statement, surviving aliases or None, future flags) -> its code,
+        #: and whether that code sets up ``__annotations__``.
+        self.compiled: dict[tuple, tuple[CodeType, bool]] = {}
         for index, stmt in enumerate(decomposition.tree.body):
-            text = _statement_text(stmt, source_lines)
+            if _is_bare_string(stmt):
+                self.bare_strings.add(index)
+            elif isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                self.future[index] = [_future_flag(a.name) for a in stmt.names]
             removable = removable_by_statement.get(index)
             if removable is None:
-                self.steps.append(_Step(stmt, text, None, frozenset(), False))
+                self.steps.append(_Step(stmt, None, frozenset(), False))
                 continue
             aliases = frozenset(_alias_indices(stmt))
             whole = WHOLE_STATEMENT in removable
@@ -82,13 +99,13 @@ class _RebuildPlan:
             always = (
                 frozenset(_magic_alias_indices(stmt)) if whole else aliases - removable
             )
-            self.steps.append(_Step(stmt, text, aliases, always, whole))
+            self.steps.append(_Step(stmt, aliases, always, whole))
 
     def survivors(
         self, keep: Iterable[AttributeComponent]
-    ) -> Iterator[tuple[_Step, frozenset[int] | set[int] | None]]:
-        """Each statement that stays, with its surviving alias indices
-        (None for a pinned statement, which stays verbatim)."""
+    ) -> Iterator[tuple[int, frozenset[int] | None]]:
+        """Each statement that stays, by index, with its surviving alias
+        indices; None when it stays verbatim (pinned, or all aliases kept)."""
         kept_by_statement: dict[int, set[int]] = {}
         for component in keep:
             if self.by_id.get(id(component)) is not component:
@@ -102,7 +119,7 @@ class _RebuildPlan:
             )
         for index, step in enumerate(self.steps):
             if step.aliases is None:
-                yield step, None
+                yield index, None
                 continue
             kept_aliases = kept_by_statement.get(index)
             if step.whole:
@@ -113,8 +130,52 @@ class _RebuildPlan:
                 )
             else:
                 surviving = step.always | kept_aliases if kept_aliases else step.always
-            if surviving:
-                yield step, surviving
+            if surviving == step.aliases:
+                yield index, None
+            elif surviving:
+                yield index, surviving
+
+    def code(
+        self, forms: tuple[tuple[int, frozenset[int] | None], ...]
+    ) -> list[CodeType]:
+        """The code of each statement form in *forms*, in order, compiling
+        only the forms not compiled before."""
+        flags = 0
+        if self.future:
+            for index, aliases in forms:
+                for alias, flag in enumerate(self.future.get(index, ())):
+                    if aliases is None or alias in aliases:
+                        flags |= flag
+        codes: list[CodeType] = []
+        annotated = False
+        for index, aliases in forms:
+            if codes and index in self.bare_strings:
+                continue  # only the first statement can be the docstring
+            key = (index, aliases, flags)
+            compiled = self.compiled.get(key)
+            if compiled is None:
+                compiled = self.compiled[key] = self._compile(index, aliases, flags)
+            codes.append(compiled[0])
+            annotated = annotated or compiled[1]
+        if annotated:
+            codes.insert(0, _SETUP_ANNOTATIONS)
+        return codes or [_EMPTY_MODULE]
+
+    def _compile(
+        self, index: int, aliases: frozenset[int] | None, flags: int
+    ) -> tuple[CodeType, bool]:
+        stmt = self.steps[index].stmt
+        if aliases is not None:
+            stmt = _filter_statement(stmt, aliases)
+        code = compile(
+            ast.Module(body=[stmt], type_ignores=[]),
+            self.filename,
+            "exec",
+            flags=flags,
+            dont_inherit=True,
+        )
+        # Every instruction is two bytes, opcode first.
+        return code, _SETUP_ANNOTATIONS_OP in code.co_code[::2]
 
 
 def _plan(decomposition: ModuleDecomposition) -> _RebuildPlan:
@@ -123,20 +184,31 @@ def _plan(decomposition: ModuleDecomposition) -> _RebuildPlan:
     return decomposition._rebuild_plan
 
 
-def rebuild_tree(
+def rebuild_code(
     decomposition: ModuleDecomposition, keep: Iterable[AttributeComponent]
-) -> ast.Module:
-    """Return a new AST containing only pinned statements and kept components."""
-    new_body: list[ast.stmt] = []
-    for step, surviving in _plan(decomposition).survivors(keep):
-        if surviving is None:
-            new_body.append(copy.deepcopy(step.stmt))
-            continue
-        new_stmt = _filter_statement(step.stmt, surviving)
-        if new_stmt is not None:
-            new_body.append(new_stmt)
-    module = ast.Module(body=new_body, type_ignores=[])
-    return ast.fix_missing_locations(module)
+) -> Callable[[], list[CodeType]]:
+    """The module rebuilt with only *keep* attributes, as code to run
+    statement by statement in one namespace.
+
+    The statements are selected now.  The returned function compiles the
+    statement forms this decomposition has not compiled before (a pinned
+    statement, or an import with one set of surviving aliases), each from
+    its AST node under the decomposition's filename, and returns the code
+    of the surviving statements in order.  Running that code does what
+    running ``rebuild_source(decomposition, keep)`` does, with the original
+    file's line numbers:
+
+    * only the first surviving statement can set ``__doc__``;
+    * ``__annotations__`` exists from the start when any surviving
+      statement annotates at module level;
+    * the flags of surviving ``from __future__`` imports apply to every
+      statement.
+
+    Like a whole-text compile, the function compiles everything before any
+    of it runs, so a statement that does not compile fails the load first.
+    """
+    plan = _plan(decomposition)
+    return functools.partial(plan.code, tuple(plan.survivors(keep)))
 
 
 def rebuild_source(
@@ -144,22 +216,40 @@ def rebuild_source(
 ) -> str:
     """Source text of the module rebuilt with only *keep* attributes.
 
-    Fast path: statements that survive intact are copied verbatim from the
-    original source (DD rewrites the file on every oracle query, so this
-    is hot); only partially-kept import statements go through the AST
-    unparser.
+    Statements that survive intact are copied verbatim from the original
+    source; only partially kept import statements go through the AST
+    unparser.  DD probes run :func:`rebuild_code` instead: text is
+    rendered when a module is committed, or for a probe whose oracle
+    reads the disk.
     """
+    plan = _plan(decomposition)
     chunks: list[str] = []
-    for step, surviving in _plan(decomposition).survivors(keep):
-        if surviving is None or surviving == step.aliases:
-            chunks.append(step.text)
+    for index, surviving in plan.survivors(keep):
+        stmt = plan.steps[index].stmt
+        if surviving is None:
+            chunks.append(_statement_text(stmt, plan.source_lines))
             continue
-        filtered = _filter_statement(step.stmt, surviving)
+        filtered = _filter_statement(stmt, surviving)
         if filtered is not None:
             chunks.append(ast.unparse(ast.fix_missing_locations(filtered)))
     if not chunks:
         return ""
     return "\n".join(chunks) + "\n"
+
+
+def _is_bare_string(stmt: ast.stmt) -> bool:
+    """A string statement: the docstring if it comes first."""
+    return (
+        isinstance(stmt, ast.Expr)
+        and isinstance(stmt.value, ast.Constant)
+        and isinstance(stmt.value.value, str)
+    )
+
+
+def _future_flag(name: str) -> int:
+    """Compiler flag of ``from __future__ import name`` (0 when unknown:
+    compiling the import itself then fails, as a whole-text compile does)."""
+    return getattr(getattr(__future__, name, None), "compiler_flag", 0)
 
 
 def _statement_text(stmt: ast.stmt, source_lines: list[str]) -> str:

@@ -7,16 +7,20 @@ For each module the profiler selects, the debloater:
 2. journals a BEGIN record so an interrupted search is recoverable;
 3. builds the set of potentially redundant attributes — everything except
    the attributes in the call-graph output and the magic attributes;
-4. runs DD: each query rewrites the file with the candidate attribute set
-   (a single AST traversal) and re-runs the oracle, appending the verdict
-   to the write-ahead probe journal;
-5. commits the winning configuration with an atomic write-temp + fsync +
-   rename, followed by a journaled COMMIT record carrying the final
-   file's content hash.
+4. runs DD: each query re-runs the oracle on the module rebuilt with the
+   candidate attribute set, and appends the verdict to the write-ahead
+   probe journal.  An in-process query runs the rebuilt module from code
+   compiled once per statement form and never writes the file (see
+   :class:`~repro.core.oracle.ModuleCandidate`);
+5. commits the winning configuration: its source is rendered and written
+   with an atomic write-temp + fsync + rename, followed by a journaled
+   COMMIT record carrying the final file's content hash.
 
 Module rewrites are transactional: a crash at any boundary leaves the
-file either pristine (recovered from the journal on resume) or exactly
-the committed content — never a torn mix.
+file either pristine or exactly the committed content — never a torn
+mix.  Only a query whose oracle reads the disk puts a candidate in the
+file, for the length of that query; a crash inside it is recovered from
+the journal on resume.
 
 The winning configuration is left on disk; a
 :class:`ModuleDebloatResult` records the attribute counts before/after
@@ -26,6 +30,7 @@ executing oracle probes (Table 3's debloating time).
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,7 +50,7 @@ from repro.core.journal import (
     candidate_hash,
     text_sha256,
 )
-from repro.core.oracle import OracleRunner
+from repro.core.oracle import ModuleCandidate, OracleRunner
 from repro.errors import DebloatError
 
 __all__ = ["ModuleDebloatResult", "ModuleDebloater"]
@@ -239,9 +244,12 @@ class ModuleDebloater:
         the search instead of re-probing.
         """
         file = self.bundle.module_file(dotted)
-        original_source = file.read_text(encoding="utf-8")
         decomposition = decompose_module(
-            original_source, filename=str(file), granularity=self._granularity
+            file.read_text(encoding="utf-8"),
+            # The path a load gives the module, which probe code is compiled
+            # under and the module overlay is keyed by.
+            filename=os.path.abspath(file),
+            granularity=self._granularity,
         )
 
         removable = decomposition.removable(set(protected))
@@ -268,16 +276,11 @@ class ModuleDebloater:
         virtual_before = self.runner.meter.time_s
         wall_before = time.perf_counter()
 
-        def write_candidate(candidate: Sequence[AttributeComponent]) -> str:
-            source = rebuild_source(decomposition, pinned + list(candidate))
-            # Atomic rename (no fsync): a probe rewrite may be lost to a
-            # crash — the journal replays it — but never observed torn.
-            atomic_write_text(file, source, durable=False)
-            return source
-
         def oracle(candidate: Sequence[AttributeComponent]) -> bool:
-            write_candidate(candidate)
-            return self.runner.check(self.bundle).passed
+            keep = pinned + list(candidate)
+            return self.runner.check(
+                ModuleCandidate(self.bundle, decomposition, keep)
+            ).passed
 
         def journal_probe(key: str, verdict: bool, granularity: int) -> None:
             if self._journal is not None:
@@ -292,10 +295,8 @@ class ModuleDebloater:
             if len(seed_components) < len(removable):
                 seed_key = self.component_key(seed_components)
                 seed_verdict = journal_seeds.get(seed_key)
-                seed_source = None
                 if seed_verdict is None:
-                    seed_source = write_candidate(seed_components)
-                    seed_verdict = self.runner.check(self.bundle).passed
+                    seed_verdict = oracle(seed_components)
                     journal_probe(
                         seed_key, seed_verdict, SEED_PROBE_GRANULARITY
                     )
@@ -311,16 +312,14 @@ class ModuleDebloater:
                         decomposition,
                         protected,
                         final_keep=pinned + seed_components,
-                        final_source=seed_source,
                         oracle_calls=seed_calls,
                         journal_hits=seed_journal_hits,
                         virtual_before=virtual_before,
                         wall_before=wall_before,
                         seeded=True,
                     )
-            # Seed rejected (oracle extended / handler changed): restore the
-            # original and re-search with seeded components ordered first.
-            atomic_write_text(file, original_source, durable=False)
+            # Seed rejected (oracle extended / handler changed): re-search
+            # with the seeded components ordered first.
             removable = seed_components + [
                 c for c in removable if c.name not in seed_set
             ]
@@ -339,12 +338,8 @@ class ModuleDebloater:
             outcome = debugger.minimize(removable)
         except ValueError as exc:
             # The full set failed: the working bundle no longer matches the
-            # oracle (e.g. a previous module broke it).  Restore and report.
-            atomic_write_text(file, original_source, durable=False)
+            # oracle (e.g. a previous module broke it).
             raise DebloatError(f"oracle rejects unmodified {dotted}: {exc}") from exc
-        except BaseException:
-            atomic_write_text(file, original_source, durable=False)
-            raise
 
         return self._commit(
             dotted,
@@ -370,7 +365,6 @@ class ModuleDebloater:
         protected,
         *,
         final_keep: list[AttributeComponent],
-        final_source: str | None = None,
         oracle_calls: int,
         cache_hits: int = 0,
         journal_hits: int = 0,
@@ -387,11 +381,8 @@ class ModuleDebloater:
         (with the final content hash) follows, making the rewrite
         all-or-nothing: a crash before the COMMIT rolls the module back
         to pristine on resume, a crash after it keeps the committed file.
-        ``final_source`` is the probe's rebuild of ``final_keep`` when the
-        caller already has it (an adopted seed).
         """
-        if final_source is None:
-            final_source = rebuild_source(decomposition, final_keep)
+        final_source = rebuild_source(decomposition, final_keep)
         atomic_write_text(file, final_source, durable=True)
         keep_set = set(final_keep)
         result = ModuleDebloatResult(

@@ -4,16 +4,18 @@ The paper spawns a fresh process for each profiling/DD run so Python's
 module cache cannot leak state between measurements.  This module provides
 the same guarantee in-process — the default, fast path — by snapshotting
 ``sys.modules``/``sys.path`` around each load and evicting every module the
-load introduced.  Evicted module objects stay alive while a
+load introduced from the bundle.  Evicted module objects stay alive while a
 :class:`LoadedApp` references them, which is exactly how a warm serverless
 instance behaves: the initialized state persists, invisible to other
 instances.
 
-Probe loads compile each bundle source from its current bytes and never
+Loads compile each bundle source from its current bytes and never
 consult ``__pycache__``: CPython trusts a ``.pyc`` whose recorded source
 size and whole-second mtime match, so a same-size rewrite within one
-second — routine when every DD probe rewrites a module — would otherwise
-run the previous candidate's bytecode.
+second — a commit, or a probe whose oracle reads the disk — would
+otherwise run the previous content's bytecode.  An in-process DD probe
+writes nothing: for the length of one oracle check, its candidate module
+runs from code held in memory (:func:`module_overlay`).
 
 A subprocess runner with identical semantics lives in
 :mod:`repro.core.subprocess_runner` for callers that want real OS-level
@@ -30,16 +32,22 @@ import sys
 import traceback
 from contextlib import contextmanager, redirect_stdout
 from dataclasses import dataclass, field
-from importlib.machinery import PathFinder, SourceFileLoader
+from importlib.machinery import ModuleSpec, PathFinder, SourceFileLoader
 from itertools import islice
 from types import CodeType
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.bundle import AppBundle
 from repro.errors import InvocationError
 from repro.vm import Meter, metered
 
-__all__ = ["ExecutionResult", "InvocationOutput", "LoadedApp", "run_once"]
+__all__ = [
+    "ExecutionResult",
+    "InvocationOutput",
+    "LoadedApp",
+    "module_overlay",
+    "run_once",
+]
 
 
 @dataclass
@@ -104,16 +112,47 @@ class ExecutionResult:
 
 #: File path -> (SHA-256 of its source, the code compiled from it), least
 #: recently loaded first.  One entry per path: a rewrite replaces it, so a
-#: DD search keeps one code object per module file rather than one per
-#: candidate.  Past ``_CODE_FILES`` paths (about ten bundles) the oldest
-#: goes, so a long-lived process does not keep every bundle it ever ran.
+#: trim keeps one code object per module file rather than one per
+#: committed version.  Past ``_CODE_FILES`` paths (about ten bundles) the
+#: oldest goes, so a long-lived process does not keep every bundle it ran.
 _CODE: dict[str, tuple[bytes, CodeType]] = {}
 _CODE_FILES = 256
+
+#: Absolute file path -> the code sequence its module runs instead of the
+#: file's text; set by :func:`module_overlay` for one oracle check.  It is
+#: module state because the import system, not the caller, creates loaders.
+_OVERLAY: dict[str, Callable[[], Sequence[CodeType]]] = {}
+
+
+@contextmanager
+def module_overlay(
+    path: str, code: Callable[[], Sequence[CodeType]]
+) -> Iterator[None]:
+    """Within this scope, a load of the module at *path* runs the code
+    objects ``code()`` returns, one after another in the module's
+    namespace, and never reads the file.  That covers the loads and the
+    lazy imports of every instance the scope starts."""
+    key = os.path.abspath(path)
+    _OVERLAY[key] = code
+    try:
+        yield
+    finally:
+        del _OVERLAY[key]
 
 
 class _FreshSourceLoader(SourceFileLoader):
     """Compiles from the file's current bytes; never reads or writes
-    ``__pycache__``.  Unchanged files reuse their cached code object."""
+    ``__pycache__``.  Unchanged files reuse their cached code object, and
+    a file under :func:`module_overlay` runs its overlay code instead."""
+
+    def exec_module(self, module) -> None:
+        code = _OVERLAY.get(os.path.abspath(self.path)) if _OVERLAY else None
+        if code is None:
+            super().exec_module(module)
+            return
+        namespace = module.__dict__
+        for statement in code():
+            exec(statement, namespace)
 
     def get_code(self, fullname: str) -> CodeType:
         path = self.get_filename(fullname)
@@ -128,12 +167,30 @@ class _FreshSourceLoader(SourceFileLoader):
         return cached[1]
 
 
+def _roots(paths: list[str]) -> tuple[str, ...]:
+    """*paths* as absolute directory prefixes."""
+    return tuple(os.path.join(os.path.abspath(root), "") for root in paths)
+
+
+def _loaded_from(module: Any, roots: tuple[str, ...]) -> bool:
+    """Whether *module*'s spec lies under *roots*: its origin, or for a
+    namespace package its search locations."""
+    spec = getattr(module, "__spec__", None)
+    if not isinstance(spec, ModuleSpec):
+        return False
+    if spec.has_location:
+        places = [spec.origin]
+    else:
+        places = list(spec.submodule_search_locations or ())
+    return any(os.path.abspath(place).startswith(roots) for place in places)
+
+
 class _FreshSourceFinder:
     """Routes ``.py`` modules under *paths* to :class:`_FreshSourceLoader`;
     anything else falls through to the regular import system."""
 
     def __init__(self, paths: list[str]):
-        self._roots = tuple(os.path.join(os.path.abspath(root), "") for root in paths)
+        self._roots = _roots(paths)
 
     def find_spec(self, fullname, path=None, target=None):
         spec = PathFinder.find_spec(fullname, path, target)
@@ -175,19 +232,23 @@ def isolated_imports(paths: list[str]) -> Iterator[dict[str, Any]]:
     """Import-isolation scope: fresh module cache for *paths*.
 
     Yields a dict that, on exit, holds every module the scope introduced
-    (the scope's private module cache).  Pre-existing modules — the stdlib,
-    ``repro`` itself — are untouched.  Sources under *paths* compile from
-    their current bytes (:class:`_FreshSourceLoader`).
+    from under *paths* (the scope's private module cache), taken out of
+    ``sys.modules``.  Everything else stays imported: pre-existing modules
+    and any module the scope imported from elsewhere — the stdlib, or the
+    synthetic runtime every generated library imports — so the next scope
+    does not import it again.  Sources under *paths* compile from their
+    current bytes (:class:`_FreshSourceLoader`).
     """
     before = set(sys.modules)
+    roots = _roots(paths)
     introduced: dict[str, Any] = {}
     with _bundle_sources(paths):
         importlib.invalidate_caches()
         try:
             yield introduced
         finally:
-            for name in list(sys.modules):
-                if name not in before:
+            for name in [n for n in sys.modules if n not in before]:
+                if _loaded_from(sys.modules[name], roots):
                     introduced[name] = sys.modules.pop(name)
 
 
@@ -277,8 +338,9 @@ class LoadedApp:
         }
         sys.modules.update(self._modules)
         known = len(sys.modules)
+        paths = self._paths()
         try:
-            with _bundle_sources(self._paths()), metered(self.meter):
+            with _bundle_sources(paths), metered(self.meter):
                 try:
                     with redirect_stdout(stdout):
                         value = self._handler(event, context if context is not None else {})
@@ -289,10 +351,14 @@ class LoadedApp:
                     error_type = type(exc).__name__
         finally:
             # sys.modules keeps insertion order, so modules the handler
-            # imported lazily sit past ``known``: they join this instance's
-            # private state instead of leaking into the next instance.
-            for name in list(islice(sys.modules, known, None)):
-                self._modules[name] = sys.modules.pop(name)
+            # imported lazily sit past ``known``: those from the bundle join
+            # this instance's private state instead of leaking into the next
+            # instance, by the rule of :func:`isolated_imports`.
+            lazies = list(islice(sys.modules, known, None))
+            roots = _roots(paths) if lazies else ()
+            for name in lazies:
+                if _loaded_from(sys.modules[name], roots):
+                    self._modules[name] = sys.modules.pop(name)
             for name in self._modules:
                 if name in overlap:
                     sys.modules[name] = overlap[name]

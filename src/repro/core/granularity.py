@@ -93,6 +93,8 @@ class ModuleDecomposition:
     tree: ast.Module
     components: list[AttributeComponent]
     pinned_statements: list[int] = field(default_factory=list)
+    #: The file the source was read from; rebuilt code is compiled under it.
+    filename: str = "<module>"
     #: What every rebuild of this decomposition shares; built on its first
     #: rebuild by :mod:`repro.core.ast_transform`.
     _rebuild_plan: Any = field(default=None, init=False, repr=False, compare=False)
@@ -164,6 +166,7 @@ def decompose_module(
         tree=tree,
         components=components,
         pinned_statements=pinned,
+        filename=filename,
     )
 
 

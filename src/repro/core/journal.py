@@ -114,8 +114,9 @@ def atomic_write_text(path: Path, text: str, *, durable: bool = True) -> None:
     With ``durable=True`` the temp file is fsync'd before the rename and
     the parent directory after it, so the replacement survives power loss.
     ``durable=False`` keeps only the atomicity guarantee (readers never
-    observe a torn file) — used for the high-frequency DD probe rewrites,
-    where a lost-but-untorn candidate is recovered from the journal.
+    observe a torn file) — used when a probe whose oracle reads the disk
+    writes its candidate and then puts the previous bytes back; a crash in
+    between leaves an untorn candidate, which resume restores.
     """
     _atomic_replace(path, "w", lambda handle: handle.write(text), durable)
 

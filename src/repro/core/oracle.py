@@ -9,7 +9,8 @@ type, so removing a needed attribute is always detected.
 
 :class:`OracleRunner` captures the expected observables by running the
 pristine bundle once per case, then answers DD queries by re-running a
-candidate bundle and comparing.
+candidate and comparing.  A DD candidate is a :class:`ModuleCandidate`:
+the working bundle with one module rebuilt from a keep set.
 """
 
 from __future__ import annotations
@@ -21,12 +22,22 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.bundle import AppBundle
-from repro.core.execution import run_once
+from repro.core.ast_transform import rebuild_code, rebuild_source
+from repro.core.execution import module_overlay, run_once
+from repro.core.granularity import AttributeComponent, ModuleDecomposition
+from repro.core.journal import atomic_write_bytes, atomic_write_text
 from repro.errors import OracleError
 from repro.obs import get_recorder
 from repro.vm import ChargeEvent, Meter, metered
 
-__all__ = ["OracleCase", "OracleSpec", "OracleResult", "OracleRunner", "CaseOutcome"]
+__all__ = [
+    "CaseOutcome",
+    "ModuleCandidate",
+    "OracleCase",
+    "OracleResult",
+    "OracleRunner",
+    "OracleSpec",
+]
 
 
 @dataclass(frozen=True)
@@ -141,6 +152,16 @@ class OracleResult:
         return self.passed
 
 
+@dataclass(frozen=True)
+class ModuleCandidate:
+    """A DD candidate: *bundle* with the module that *decomposition* was
+    parsed from rebuilt to keep only the components in *keep*."""
+
+    bundle: AppBundle
+    decomposition: ModuleDecomposition
+    keep: list[AttributeComponent]
+
+
 RunFn = Callable[[AppBundle, Any, Any], dict]
 
 
@@ -211,8 +232,33 @@ class OracleRunner:
     def expected(self) -> dict[str, dict]:
         return dict(self._expected)
 
-    def check(self, candidate: AppBundle) -> OracleResult:
-        """Run every case against *candidate* and compare observables."""
+    def check(self, candidate: AppBundle | ModuleCandidate) -> OracleResult:
+        """Run every case against *candidate* and compare observables.
+
+        A :class:`ModuleCandidate` leaves its module's file alone under
+        the in-process executor: the check's loads run the module from its
+        rebuild plan's statement code (:func:`module_overlay`).  A custom
+        ``run`` may read the disk, as a subprocess does, so for it the
+        rebuilt text replaces the file for the length of the check and
+        the file's previous bytes are put back afterwards.
+        """
+        if isinstance(candidate, AppBundle):
+            return self._check(candidate)
+        decomposition, keep = candidate.decomposition, candidate.keep
+        if self._run is _default_run:
+            with module_overlay(
+                decomposition.filename, rebuild_code(decomposition, keep)
+            ):
+                return self._check(candidate.bundle)
+        file = Path(decomposition.filename)
+        previous = file.read_bytes()
+        atomic_write_text(file, rebuild_source(decomposition, keep), durable=False)
+        try:
+            return self._check(candidate.bundle)
+        finally:
+            atomic_write_bytes(file, previous, durable=False)
+
+    def _check(self, candidate: AppBundle) -> OracleResult:
         self.checks_performed += 1
         recorder = get_recorder()
         outcomes: list[CaseOutcome] = []

@@ -652,10 +652,14 @@ def _run_shards_supervised(
             max_workers=len(pending),
             mp_context=_pool_context(mp_context),
         ) as pool:
-            futures = {
-                pool.submit(_replay_shard, payload): index
-                for index, payload in pending.items()
-            }
+            futures = {}
+            for index, payload in pending.items():
+                try:
+                    futures[pool.submit(_replay_shard, payload)] = index
+                except BrokenProcessPool:
+                    # A worker died before every shard was submitted; the
+                    # shards not submitted stay pending for the next pool.
+                    break
             # Drain every future even after the pool breaks: shards that
             # finished before the crash keep their results and are never
             # re-run.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import functools
+import types
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,11 +14,11 @@ from repro.core.ast_transform import (
     _filter_statement,
     _magic_alias_indices,
     _statement_text,
+    rebuild_code,
     rebuild_source,
-    rebuild_tree,
-    removed_components,
 )
 from repro.core.granularity import WHOLE_STATEMENT, decompose_module
+from repro.vm import Meter, exec_cost, metered
 from repro.workloads.catalog import library_spec
 from repro.workloads.synthlib import render_module
 
@@ -108,19 +109,33 @@ class TestRebuild:
         rebuilt = rebuild_source(decomposition, decomposition.components)
         assert rebuilt.startswith("@staticmethod")
 
-    def test_rebuild_tree_matches_rebuild_source(self):
+    def test_statement_code_runs_under_the_files_line_numbers(self):
+        decomposition = decompose_module(FIGURE_7A, filename="/lib/torch/__init__.py")
+        keep = _keep_named(decomposition, "tensor", "view")
+        namespace: dict = {}
+        for code in rebuild_code(decomposition, keep)():
+            exec(code, namespace)  # noqa: S102 - controlled test input
+        view = namespace["view"].__code__
+        assert view.co_filename == "/lib/torch/__init__.py"
+        assert view.co_firstlineno == FIGURE_7A.splitlines().index(
+            "def view(t, dim1, dim2):"
+        ) + 1
+        assert "add" not in namespace
+
+    def test_each_statement_form_compiles_once(self):
         decomposition = decompose_module(FIGURE_7A)
         keep = _keep_named(decomposition, "tensor", "Linear")
-        tree = rebuild_tree(decomposition, keep)
-        assert ast.dump(ast.parse(rebuild_source(decomposition, keep))) == ast.dump(
-            ast.parse(ast.unparse(tree) + "\n") if tree.body else ast.parse("")
-        )
-
-    def test_removed_components_helper(self):
-        decomposition = decompose_module("a = 1\nb = 2\nc = 3\n")
-        keep = _keep_named(decomposition, "b")
-        removed = removed_components(decomposition, keep)
-        assert [c.name for c in removed] == ["a", "c"]
+        first = rebuild_code(decomposition, keep)()
+        again = rebuild_code(decomposition, list(reversed(keep)))()
+        assert len(first) == len(again) == 2
+        assert all(a is b for a, b in zip(first, again))
+        # Another alias set of the same import is another form; the class
+        # statement's code is shared.
+        other_keep = _keep_named(decomposition, "tensor", "MSELoss")
+        other = rebuild_code(decomposition, other_keep)()
+        assert other[0] is not first[0]
+        assert other[1] is first[1]
+        assert len(decomposition._rebuild_plan.compiled) == 3
 
 
 @given(
@@ -296,5 +311,115 @@ def test_plan_is_built_once_per_decomposition():
     plan = decomposition._rebuild_plan
     assert plan is not None
     rebuild_source(decomposition, decomposition.components)
-    rebuild_tree(decomposition, decomposition.components[:1])
+    rebuild_code(decomposition, decomposition.components[:1])()
     assert decomposition._rebuild_plan is plan
+
+
+# -- per-statement code against a whole-text compile -------------------------
+
+
+def charge(label: str, time_s: float) -> float:
+    exec_cost(label, time_s=time_s)
+    return time_s
+
+
+def traced(function):
+    exec_cost("traced", time_s=0.0625)
+    return function
+
+
+_HEADER = st.tuples(
+    st.sampled_from(["", '"""Module docstring."""']),
+    st.sampled_from(["", "from __future__ import annotations"]),
+)
+
+_CODE_STATEMENTS = st.lists(
+    st.sampled_from(
+        [
+            '"""A later bare string."""',
+            "x: int = charge('x', 0.5)",
+            "y: 'list[int]'",
+            "if True:\n    z: int = 2",
+            "try:\n    w: float = 1.5\nexcept ImportError:\n    pass",
+            "@traced\ndef f(a: int) -> str:\n    return str(a)",
+            "class Box:\n    size: int = 3\n\n    def get(self) -> int:\n"
+            "        return self.size",
+            "from collections import OrderedDict, defaultdict, deque",
+            "import os, json as j",
+            "charge('pinned', 0.25)",
+            "LIMIT = charge('limit', 0.125)",
+            "total: float = LIMIT",
+        ]
+    ),
+    max_size=10,
+)
+
+
+def _describe(value):
+    """A comparable picture of a namespace value (functions and classes
+    compare by identity, and their line numbers differ by design)."""
+    if isinstance(value, types.FunctionType):
+        return ("function", value.__qualname__, _describe(value.__annotations__))
+    if isinstance(value, type):
+        members = {
+            key: item
+            for key, item in vars(value).items()
+            if key not in ("__dict__", "__weakref__")
+        }
+        return ("class", value.__qualname__, _describe(members))
+    if isinstance(value, types.ModuleType):
+        return ("module", value.__name__)
+    if isinstance(value, dict):
+        return [(key, _describe(item)) for key, item in value.items()]
+    return value
+
+
+def _outcome(run) -> tuple:
+    """Namespace (in key order), charge events and error of one run."""
+    namespace = {"__name__": "generated", "charge": charge, "traced": traced}
+    meter = Meter("statements")
+    error = None
+    with metered(meter):
+        try:
+            run(namespace)
+        except Exception as exc:  # noqa: BLE001 - compared, not handled
+            error = (type(exc).__name__, str(exc))
+    picture = [
+        (key, "builtins" if key == "__builtins__" else _describe(value))
+        for key, value in namespace.items()
+    ]
+    return picture, meter.events, error
+
+
+def reference_run(decomposition, keep, namespace) -> None:
+    """What a probe ran before per-statement code: the rebuilt text,
+    compiled whole as the module loader compiles a file."""
+    source = rebuild_source(decomposition, keep)
+    exec(  # noqa: S102 - controlled test input
+        compile(source, decomposition.filename, "exec", dont_inherit=True),
+        namespace,
+    )
+
+
+def plan_run(decomposition, keep, namespace) -> None:
+    for code in rebuild_code(decomposition, keep)():
+        exec(code, namespace)  # noqa: S102 - controlled test input
+
+
+@settings(deadline=None)
+@given(_HEADER, _CODE_STATEMENTS, _GRANULARITY, st.data())
+def test_statement_code_runs_like_the_rebuilt_text(
+    header, statements, granularity, data
+):
+    """Same namespace in the same key order (``__doc__``, the contents and
+    order of ``__annotations__``, future-import flags), the same charge
+    events and the same error, for random keep sets."""
+    source = "\n".join(line for line in [*header, *statements] if line) + "\n"
+    decomposition = decompose_module(
+        source, filename="generated.py", granularity=granularity
+    )
+    for _ in range(4):
+        keep = data.draw(_keeps(decomposition.components))
+        expected = _outcome(functools.partial(reference_run, decomposition, keep))
+        actual = _outcome(functools.partial(plan_run, decomposition, keep))
+        assert actual == expected

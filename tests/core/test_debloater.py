@@ -136,6 +136,33 @@ class TestAtomicRewrites:
         ModuleDebloater(working, runner).debloat_module("torch")
         assert seen == []
 
+    def test_in_process_probes_leave_the_file_untouched_until_commit(
+        self, working, runner
+    ):
+        """Probes run the candidate from statement code in memory: the
+        module file keeps its bytes, inode and mtime until the commit."""
+        file = working.module_file("torch")
+
+        def state():
+            stat = file.stat()
+            return file.read_bytes(), stat.st_ino, stat.st_mtime_ns
+
+        pristine = state()
+        seen = []
+        original_check = runner.check
+
+        def watching_check(candidate):
+            seen.append(state())
+            result = original_check(candidate)
+            seen.append(state())
+            return result
+
+        runner.check = watching_check
+        result = ModuleDebloater(working, runner).debloat_module("torch")
+        assert len(seen) == 2 * result.oracle_calls > 0
+        assert set(seen) == {pristine}
+        assert file.read_bytes() != pristine[0]  # the commit rewrote it
+
     def test_no_stray_files_after_failure(self, working, runner, monkeypatch):
         calls = 0
 

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import importlib
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core import execution
 from repro.core.execution import LoadedApp, isolated_imports, run_once
 from repro.errors import InvocationError
@@ -58,6 +61,51 @@ class TestIsolatedImports:
             import handler  # noqa: F401
         assert "handler" in introduced
         assert "torch.nn" in introduced
+
+    def test_modules_from_outside_the_paths_stay_imported(self, tmp_path):
+        scoped, elsewhere = tmp_path / "scoped", tmp_path / "elsewhere"
+        scoped.mkdir()
+        elsewhere.mkdir()
+        (scoped / "inside.py").write_text("import outside\n")
+        (elsewhere / "outside.py").write_text("VALUE = 1\n")
+        sys.path.append(str(elsewhere))
+        try:
+            with isolated_imports([str(scoped)]) as introduced:
+                import inside  # noqa: F401
+            assert list(introduced) == ["inside"]
+            assert sys.modules.pop("outside").VALUE == 1
+        finally:
+            sys.path.remove(str(elsewhere))
+
+    def test_synthetic_runtime_is_imported_once_per_process(self, toy_app):
+        """Every generated library imports ``repro.workloads.synthapi``; a
+        process that had not imported it before the trim imports it once,
+        not once per load."""
+        script = (
+            "import os, sys\n"
+            "catalog = os.path.join('repro', 'workloads', 'catalog.py')\n"
+            "runs = []\n"
+            "def count(event, args):\n"
+            "    if event == 'exec' and getattr(args[0], 'co_filename', '')"
+            ".endswith(catalog):\n"
+            "        runs.append(1)\n"
+            "sys.addaudithook(count)\n"
+            "from repro.bundle import AppBundle\n"
+            "from repro.core.pipeline import LambdaTrim\n"
+            "assert 'repro.workloads' not in sys.modules\n"
+            "report = LambdaTrim().run(AppBundle(sys.argv[1]), sys.argv[2])\n"
+            "print(len(runs), report.oracle_calls, report.attributes_removed)\n"
+        )
+        src = str(Path(repro.__file__).parent.parent)
+        output = toy_app.root.parent / "trimmed"
+        completed = subprocess.run(
+            [sys.executable, "-c", script, str(toy_app.root), str(output)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            check=True,
+        )
+        assert completed.stdout.split() == ["1", "6", "4"]
 
 
 class TestFreshSourceLoads:

@@ -65,8 +65,8 @@ class TestIncrementalRun:
     def test_adopted_seed_rebuilds_its_module_once(
         self, toy_app, initial, tmp_path, monkeypatch
     ):
-        """The seed probe's rebuild is the source the commit writes, so
-        adopting a seed does not rebuild the module a second time."""
+        """The seed probe runs from statement code and renders no text, so
+        adopting a seed renders the module once: the commit's source."""
         report, log = initial
         rebuilds = []
         rebuild_source = debloater.rebuild_source

@@ -12,6 +12,7 @@ corruption is a loud typed error rather than a silent divergence.
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
@@ -267,4 +268,32 @@ class TestFailureModes:
                 "dead-loop",
                 workers=2,
                 checkpoint_dir=workspace["root"] / "cks-loop",
+            )
+
+    def test_worker_death_during_submission_counts_as_a_restart(
+        self, workspace, monkeypatch
+    ):
+        """A pool can break between two submissions; the shards it never
+        took stay pending instead of escaping as BrokenProcessPool."""
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.platform import fleet as fleet_mod
+
+        class SlowSubmit(ProcessPoolExecutor):
+            submitted = 0
+
+            def submit(self, fn, /, *args, **kwargs):
+                if self.submitted:
+                    time.sleep(0.3)  # the first worker has died by now
+                self.submitted += 1
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(fleet_mod, "_replay_shard", _die)
+        monkeypatch.setattr(fleet_mod, "ProcessPoolExecutor", SlowSubmit)
+        with pytest.raises(PlatformError, match="kept dying"):
+            _replay(
+                workspace,
+                "dead-submit",
+                workers=2,
+                checkpoint_dir=workspace["root"] / "cks-submit",
             )
