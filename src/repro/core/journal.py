@@ -35,7 +35,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
+import secrets
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping
@@ -161,10 +162,16 @@ def _atomic_replace(
     failure unlinks the temp and re-raises, leaving *path* untouched.
     """
     path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + TMP_MARKER
-    )
     try:
+        keep_mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        keep_mode = None
+    fd, tmp_name = _create_temp(path)
+    try:
+        if keep_mode is not None:
+            # The rename keeps the temp file's mode: give it the mode of
+            # the file it replaces.
+            os.fchmod(fd, keep_mode)
         encoding = None if "b" in mode else "utf-8"
         with os.fdopen(fd, mode, encoding=encoding) as handle:
             write(handle)
@@ -180,6 +187,21 @@ def _atomic_replace(
         raise
     if durable:
         _fsync_dir(path.parent)
+
+
+def _create_temp(path: Path) -> tuple[int, str]:
+    """Create an empty temp file next to *path*; returns ``(fd, name)``.
+
+    Created like :func:`open` creates a file, with mode 0o666 minus the
+    umask — :func:`tempfile.mkstemp` would make it 0o600, which the
+    rename would carry over to *path*.
+    """
+    while True:
+        name = f"{path}{TMP_MARKER}{secrets.token_hex(4)}"
+        try:
+            return os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), name
+        except FileExistsError:
+            continue
 
 
 def _fsync_dir(directory: Path) -> None:

@@ -183,7 +183,7 @@ def _replay_one(
     name: str,
     timestamps: tuple[float, ...],
     cfg: dict,
-    store: TemplateStore | None = None,
+    store: TemplateStore,
 ) -> dict:
     """Replay one function on a fresh emulator; return picklable results."""
     # Cross-process obs: when the parent had a live recorder at
@@ -221,7 +221,7 @@ def _replay_one_inner(
     name: str,
     timestamps: tuple[float, ...],
     cfg: dict,
-    store: TemplateStore | None = None,
+    store: TemplateStore,
 ) -> dict:
     checkpoint: ReplayCheckpoint | None = None
     resume_state: dict | None = None
@@ -291,9 +291,12 @@ def _replay_one_inner(
         attribution=attribution,
     )
     function = emulator.deploy(bundle, name=name)
+    # The kernel serves a function only when its (bundle, event) templates
+    # verify; the capture runs here, once per pair and shard, before any
+    # arrival, outside every replay artifact.
     if (
         cfg.get("engine", "auto") != "reference"
-        and TemplateStore.key_for(function, cfg["event"], None) is not None
+        and store.capture(function, cfg["event"]) is not None
     ):
         result = KernelReplayer(emulator, store).replay(
             name,
@@ -314,8 +317,7 @@ def _replay_one_inner(
             resume_state=resume_state,
         )
         requests = len(result.requests)
-    if cfg["verify_ledger"]:
-        emulator.ledger.reconcile(emulator.log)
+    emulator.ledger.reconcile(emulator.log)
     status_counts = emulator.log.status_counts()
     records = len(emulator.log)
     if log_path is not None:
@@ -618,8 +620,8 @@ def report_from_log(
     return report
 
 
-def _pool_context(preferred: str):
-    for method in (preferred, "forkserver", "spawn"):
+def _pool_context():
+    for method in ("fork", "forkserver", "spawn"):
         try:
             return multiprocessing.get_context(method)
         except ValueError:
@@ -630,7 +632,6 @@ def _pool_context(preferred: str):
 def _run_shards_supervised(
     payloads: list[dict],
     cfg: dict,
-    mp_context: str,
 ) -> tuple[list[dict], int]:
     """Run every shard on a process pool, resuming shards whose worker dies.
 
@@ -650,7 +651,7 @@ def _run_shards_supervised(
     while pending:
         with ProcessPoolExecutor(
             max_workers=len(pending),
-            mp_context=_pool_context(mp_context),
+            mp_context=_pool_context(),
         ) as pool:
             futures = {}
             for index, payload in pending.items():
@@ -713,8 +714,6 @@ def replay_fleet(
     profile_dir: Path | str | None = None,
     merged_profiles: Path | str | None = None,
     spill_threshold: int | None = None,
-    verify_ledger: bool = True,
-    mp_context: str = "fork",
     engine: str = "auto",
     min_shard_invocations: int | None = None,
     checkpoint_dir: Path | str | None = None,
@@ -730,17 +729,20 @@ def replay_fleet(
     invocation count.  ``log_dir`` streams each function's records to
     ``<log_dir>/<function>.jsonl`` (bounded worker memory when
     ``spill_threshold`` is set); ``merged_log`` additionally k-way merges
-    the shards into one timestamp-ordered export.  ``verify_ledger``
-    float-exactly reconciles each worker's ledger against its records
-    before anything is merged (O(functions) via the log's incremental
-    billing summary).
+    the shards into one timestamp-ordered export.  Each worker
+    float-exactly reconciles its ledger against its records before
+    anything is merged (O(functions) via the log's incremental billing
+    summary).  Process pools start workers by fork where the platform
+    has it, else forkserver, else spawn.
 
     ``engine`` selects the per-function replay engine: ``"auto"``
     (default) uses the fast :class:`~repro.platform.kernel.
-    KernelReplayer` whenever the workload is replayable and falls back
-    to the reference :class:`~repro.platform.replay.TraceReplayer` for
-    the rest; ``"reference"`` forces the reference engine.  Both
-    engines produce byte-identical exports, with or without numpy.
+    KernelReplayer` whenever the workload is replayable — its
+    ``(bundle, event)`` templates, captured before the first arrival,
+    verify — and falls back to the reference
+    :class:`~repro.platform.replay.TraceReplayer` for the rest;
+    ``"reference"`` forces the reference engine.  Both engines produce
+    byte-identical exports, with or without numpy.
 
     ``profile_dir`` enables dollar attribution: each worker captures a
     :class:`~repro.obs.attribution.ColdStartProfile` per cold start and
@@ -846,7 +848,6 @@ def replay_fleet(
         "log_dir": str(log_dir) if log_dir is not None else None,
         "profile_dir": str(profile_dir) if profile_dir is not None else None,
         "spill_threshold": spill_threshold,
-        "verify_ledger": verify_ledger,
         "engine": engine,
         "checkpoint_dir": str(checkpoint_dir) if checkpoint_dir is not None else None,
         "checkpoint_every": checkpoint_every,
@@ -885,9 +886,7 @@ def replay_fleet(
             shard_results = [_replay_shard(payload) for payload in payloads]
             supervisor_resumes = 0
         else:
-            shard_results, supervisor_resumes = _run_shards_supervised(
-                payloads, cfg, mp_context
-            )
+            shard_results, supervisor_resumes = _run_shards_supervised(payloads, cfg)
         wall_s = time.perf_counter() - started
 
         worker_peaks = [shard["worker_peak_rss_mb"] for shard in shard_results]

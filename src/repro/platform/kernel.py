@@ -9,19 +9,24 @@ so every cold start of a function replays the same charge sequence, and
 every warm invocation from the second onwards replays the same charge
 *tape*.  :class:`KernelReplayer` exploits exactly that:
 
-1. **Capture.**  The first cold start and the first two warm
-   invocations of each ``(bundle, event)`` pair run for real, recording
-   the meter's charge sequence (per-event virtual times and memory
-   deltas), the handler's return value, and the error outcome.
+1. **Capture.**  Before the first arrival, :meth:`TemplateStore.capture`
+   runs one real cold start and two real warm invocations of each
+   ``(bundle, event)`` pair on a scratch instance, outside the clock,
+   faults, hosts, log, and ledger, recording the meter's charge sequence
+   (per-event virtual times and memory deltas), the handler's return
+   value, and the error outcome.  This is the only place the kernel
+   runs application code.
 2. **Verify.**  The two warm tapes must match exactly — times, memory,
    value, error — and the memory deltas must account for the meter's
    live footprint (a handler that *frees* memory is not replayable from
-   deltas).  Any mismatch disables the template: the function simply
-   keeps running on the reference path, still byte-identical.
-3. **Synthesize.**  Once verified, further invocations never touch an
-   interpreter: the kernel replays the captured charges as the same
-   sequence of float additions against a per-instance simulated meter
-   (running time, live MB, peak MB) — no
+   deltas).  A pair that fails verification, or whose bundle fails to
+   initialize, is not the kernel's: :meth:`KernelReplayer.replay`
+   refuses it and :func:`~repro.platform.fleet.replay_fleet` serves it
+   on the reference engine.
+3. **Synthesize.**  Every invocation, from the first arrival on, is
+   synthesized without an interpreter: the kernel replays the captured
+   charges as the same sequence of float additions against a
+   per-instance simulated meter (running time, live MB, peak MB) — no
    :class:`~repro.platform.logs.InvocationRecord` objects, no enum
    lookups, no dict churn.
 
@@ -40,23 +45,22 @@ ledgers, telemetry, and dead letters are therefore byte-identical at
 any worker count.
 
 **Two serve loops, one emitter.**  The *general path* serves one
-attempt at a time through :meth:`KernelReplayer._serve` — capture and
-synthesis, faults, hosts, CPU scaling, retries, checkpoints — and
-buffers every billed or throttled row in one bounded chunk.  The chunk
-reaches the sinks in bulk (:meth:`ExecutionLog.append_rows
+attempt at a time through :meth:`KernelReplayer._serve` — synthesis,
+faults, hosts, CPU scaling, retries, checkpoints — and buffers every
+billed or throttled row in one bounded chunk.  The chunk reaches the
+sinks in bulk (:meth:`ExecutionLog.append_rows
 <repro.platform.logs.ExecutionLog.append_rows>`,
 :meth:`TelemetrySink.observe_rows
 <repro.platform.telemetry.TelemetrySink.observe_rows>`,
 :meth:`FunctionBill.charge_batch
 <repro.platform.billing.FunctionBill.charge_batch>`) when it fills,
-before every checkpoint snapshot, before the columnar loop takes over,
-and when :meth:`~KernelReplayer.replay` returns.  Flush boundaries are
-unobservable: every order-dependent float sum continues its sequential
-fold in serve order.
+before every checkpoint snapshot, and when :meth:`~KernelReplayer.replay`
+returns.  Flush boundaries are unobservable: every order-dependent float
+sum continues its sequential fold in serve order.
 
 A *homogeneous* retry-free run — numpy importable, no crash faults, no
 throttle rate or outage covering the function, no hosts, no CPU scaling,
-no checkpoint — hands everything after capture to the *columnar loop*,
+no checkpoint — is served from its first arrival by the *columnar loop*,
 which makes only the decisions that depend on the previous invocation
 (the warm-pool MRU stack + busy heap, the clock fold) and gathers the
 rest from per-*j* outcome tables.  Two observations make that exact:
@@ -84,13 +88,13 @@ reference and provably computes the same maximum.
 
 What falls back to the reference engine: SnapStart functions, non-JSON
 events, a non-``None`` context, fallback managers, and any workload
-whose capture fails verification.  The host layer
-(:mod:`repro.platform.hosts`) never invalidates a template — placement,
-eviction, and host loss operate on pool state *outside* the captured
-meter tapes — so host chaos runs on the general path with the same pool
-hooks, in the same order, as the reference engine.  The parity suite in
-``tests/platform/test_kernel.py`` pins all of this down, with and
-without the columnar loop.
+whose capture fails verification or whose bundle fails to initialize.
+The host layer (:mod:`repro.platform.hosts`) never invalidates a
+template — placement, eviction, and host loss operate on pool state
+*outside* the captured meter tapes — so host chaos runs on the general
+path with the same pool hooks, in the same order, as the reference
+engine.  The parity suite in ``tests/platform/test_kernel.py`` pins all
+of this down, with and without the columnar loop.
 """
 
 from __future__ import annotations
@@ -100,7 +104,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from repro.errors import CheckpointError, PlatformError
+from repro.errors import InvocationError, PlatformError
 from repro.obs import get_recorder
 from repro.platform.checkpoint import (
     ReplayCheckpoint,
@@ -220,8 +224,8 @@ class _ColdTemplate:
     value_key: Any
     error_type: str | None
     #: Aggregated init-phase charge rows ``(label, time_s, memory_mb)``,
-    #: captured once per template when dollar attribution is enabled —
-    #: synthesized cold starts reuse them so profiles stay identical to
+    #: captured once per template — synthesized cold starts reuse them
+    #: when dollar attribution is enabled, so profiles stay identical to
     #: the reference engine's without touching an interpreter.
     modules: tuple = ()
 
@@ -246,48 +250,52 @@ class _WarmTemplate:
 
 
 class _Entry:
-    """Capture state for one ``(bundle root, event)`` pair."""
+    """The captured templates of one ``(bundle root, event)`` pair."""
 
-    __slots__ = ("cold", "warm", "candidate", "disabled", "drift")
+    __slots__ = ("cold", "warm", "drift")
 
-    def __init__(self) -> None:
-        self.cold: _ColdTemplate | None = None
-        self.warm: _WarmTemplate | None = None
-        #: First warm capture, awaiting confirmation by a second.
-        self.candidate: tuple | None = None
-        #: Set when captures disagree or memory frees make the tape
-        #: unreplayable: this pair runs on the reference path forever.
-        self.disabled = False
+    def __init__(
+        self,
+        cold: _ColdTemplate | None = None,
+        warm: _WarmTemplate | None = None,
+    ) -> None:
+        self.cold = cold
+        self.warm = warm
         #: Lazily built :class:`_DriftTables`, owned by the columnar
         #: loop; None until it runs.
         self.drift: Any = None
 
     @property
     def ready(self) -> bool:
-        """Can cold starts be synthesized end to end?
+        """Did the capture verify, so the kernel can serve the pair?"""
+        return self.warm is not None
 
-        Requires the *warm* tape too: a synthesized instance has no real
-        interpreter behind it, so it must never need a warm capture.
-        """
-        return self.cold is not None and self.warm is not None and not self.disabled
 
-    def offer_cold(
-        self,
-        init_s: float,
-        init_live: float,
-        init_peak: float,
-        meter: Any,
-        output: Any,
-        modules: tuple | None,
-    ) -> None:
-        """Keep the first captured cold start as the cold template.
+def _capture(function: DeployedFunction, event: Any) -> _Entry:
+    """Capture one pair's templates on a scratch instance.
 
-        *meter* is the instance meter right after invocation #1, whose
-        *output* it was; *init_live*/*init_peak* were read after init.
-        """
-        if self.cold is not None or self.disabled:
-            return
-        self.cold = _ColdTemplate(
+    One real cold start plus two real warm invocations, outside the
+    clock, faults, hosts, log, and ledger — templates are a pure function
+    of the bundle and the event, because virtual metering is
+    deterministic.  The two warm charge tapes must be equal, and their
+    memory deltas must reproduce the live footprint (a handler that frees
+    memory is not replayable from deltas); otherwise, or when the bundle
+    fails to initialize, the entry is not :attr:`~_Entry.ready`.
+    """
+    instance = FunctionInstance(function.name, function.bundle, created_at=0.0)
+    try:
+        try:
+            init_s = instance.initialize()
+        except InvocationError:
+            return _Entry()
+        meter = instance.app.meter
+        # Aggregate the init charge stream before invoke() appends exec
+        # events; synthesized cold starts reuse it for dollar attribution.
+        modules = tuple(aggregate_charges(meter.events))
+        init_live = meter.live_mb
+        init_peak = meter.peak_mb
+        output = instance.invoke(event, None, at=0.0)
+        cold = _ColdTemplate(
             init_s=init_s,
             init_live=init_live,
             init_peak=init_peak,
@@ -298,44 +306,38 @@ class _Entry:
             value=output.value,
             value_key=_intern_key(output.value),
             error_type=output.error_type,
-            modules=modules if modules is not None else (),
+            modules=modules,
         )
-
-    def offer_warm(
-        self, meter: Any, events_before: int, live_before: float, output: Any
-    ) -> None:
-        """Verify one captured warm invocation against the previous one.
-
-        The charge events past *events_before* are the tape; two equal
-        consecutive tapes become the warm template, any mismatch — or a
-        tape whose memory deltas do not reproduce the live footprint (a
-        handler that frees memory) — disables the pair for good.
-        """
-        if self.warm is not None or self.disabled:
-            return
-        events = meter.events[events_before:]
-        times = tuple(e.time_s for e in events)
-        mems = tuple(e.memory_mb for e in events)
-        live = live_before
-        for mb in mems:
-            if mb:
-                live += mb
-        candidate = (times, mems, output.value, output.error_type)
-        if live != meter.live_mb:
-            self.disabled = True
-        elif self.candidate is None:
-            self.candidate = candidate
-        elif self.candidate == candidate:
-            self.warm = _WarmTemplate(
-                times=times,
-                mems=mems,
-                has_mem=any(mems),
-                value=output.value,
-                value_key=_intern_key(output.value),
-                error_type=output.error_type,
-            )
-        else:
-            self.disabled = True
+        tapes = []
+        for _ in range(2):
+            events_before = len(meter.events)
+            live = meter.live_mb
+            output = instance.invoke(event, None, at=0.0)
+            events = meter.events[events_before:]
+            mems = tuple(e.memory_mb for e in events)
+            for mb in mems:
+                if mb:
+                    live += mb
+            if live != meter.live_mb:
+                return _Entry()
+            times = tuple(e.time_s for e in events)
+            tapes.append((times, mems, output.value, output.error_type))
+    finally:
+        instance.shutdown()
+    if tapes[0] != tapes[1]:
+        return _Entry()
+    times, mems, value, error_type = tapes[1]
+    return _Entry(
+        cold,
+        _WarmTemplate(
+            times=times,
+            mems=mems,
+            has_mem=any(mems),
+            value=value,
+            value_key=_intern_key(value),
+            error_type=error_type,
+        ),
+    )
 
 
 class TemplateStore:
@@ -344,17 +346,30 @@ class TemplateStore:
     Deliberately *not* module-global: a bundle path may be rebuilt with
     different contents across calls, and a store that outlives the shard
     would serve stale templates.  The capture cost (one real cold start
-    plus two real warm invocations per function) is paid once per shard.
+    plus two real warm invocations per pair) is paid once per shard.
     """
 
     def __init__(self) -> None:
         self._entries: dict[Any, _Entry] = {}
 
-    def entry(self, key: Any) -> _Entry:
+    def entry(self, key: Any) -> _Entry | None:
+        """The captured entry for *key*, or None before its capture."""
+        return self._entries.get(key)
+
+    def capture(self, function: DeployedFunction, event: Any) -> _Entry | None:
+        """The verified templates of *function*'s pair, captured once.
+
+        None when the kernel cannot serve the pair: :meth:`key_for`
+        refuses it, its bundle fails to initialize, or its capture fails
+        verification.
+        """
+        key = self.key_for(function, event, None)
+        if key is None:
+            return None
         entry = self._entries.get(key)
         if entry is None:
-            entry = self._entries[key] = _Entry()
-        return entry
+            entry = self._entries[key] = _capture(function, event)
+        return entry if entry.ready else None
 
     @staticmethod
     def key_for(
@@ -376,8 +391,9 @@ class TemplateStore:
 
 
 class _Shadow:
-    """A pool entry: simulated meter state, optionally backing a real
-    instance (capture phase) or standing alone (synthesized).
+    """A pool entry: simulated meter state, standing alone (synthesized)
+    or wrapping a real instance adopted from direct ``emulator.invoke()``
+    calls, whose interpreter the kernel never runs.
 
     Lives in ``function.instances`` like a real instance so
     ``discard_instances`` and kill bookkeeping work unchanged.
@@ -430,7 +446,7 @@ class _Shadow:
             self.real.shutdown()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "captured" if self.real is not None else "synth"
+        kind = "adopted" if self.real is not None else "synth"
         return f"_Shadow({self.instance_id}, {kind}, used {self.invocations}x)"
 
 
@@ -568,10 +584,6 @@ class KernelReplayer:
         self._clamp_cache: dict[int, int] = {}
         self._billed_cache: dict[float, float] = {}
         self._cost_cache: dict[tuple[float, int], float] = {}
-        #: (module rows, include_exec) stashed by the cold paths for
-        #: _emit to price; None outside a cold start or when attribution
-        #: is off.
-        self._cold_pending: tuple | None = None
         #: The general path's emission buffer: one row tuple per billed or
         #: throttled attempt, in :meth:`ExecutionLog.append_rows` column
         #: order plus ``(e2e, arrival)``, at most ``_CHUNK_ROWS`` long; see
@@ -598,16 +610,16 @@ class KernelReplayer:
         :meth:`TraceReplayer.replay <repro.platform.replay.TraceReplayer
         .replay>` without a fallback manager.
 
+        The ``(bundle, event)`` templates are captured before the first
+        arrival (:meth:`TemplateStore.capture`), so every attempt is
+        synthesized; a pair whose capture fails verification, or whose
+        bundle fails to initialize, is refused.
+
         With a *checkpoint*, the full replay state is snapshotted every
-        ``checkpoint.every`` served attempts once the template is ready
-        (capture-phase attempts run real instances, which only the
-        reference snapshot format covers — the kernel waits for
-        synthesis before its first write).  Passing a loaded snapshot
-        back as *resume_state* continues exactly where it was taken:
-        the fresh shard's empty :class:`TemplateStore` is repopulated by
-        re-capturing the (bundle, event) templates on a scratch instance
-        outside the clock, and every pool shadow resumes as a pure
-        synthesized meter.
+        ``checkpoint.every`` served attempts.  Passing a loaded snapshot
+        back as *resume_state* continues exactly where it was taken: the
+        resumed shard captures its templates like any other, and every
+        pool shadow resumes as a pure synthesized meter.
         """
         previous = float("-inf")
         for arrival_time in arrivals:
@@ -616,24 +628,27 @@ class KernelReplayer:
             previous = arrival_time
         emulator = self.emulator
         function = emulator.function(function_name)
-        key = TemplateStore.key_for(function, event, context)
-        if key is None:
+        if TemplateStore.key_for(function, event, context) is None:
             raise PlatformError(
                 f"kernel cannot replay {function_name!r}: snapstart, a "
                 "context object, or a non-JSON event needs the reference "
                 "engine"
             )
-        if self._name is None:
-            self._name = function_name
-        elif self._name != function_name:
+        if self._name is not None and self._name != function_name:
             raise PlatformError(
                 "a KernelReplayer is bound to one function; create another"
             )
+        entry = self.store.capture(function, event)
+        if entry is None:
+            raise PlatformError(
+                f"kernel cannot replay {function_name!r}: its bundle fails "
+                "to initialize or its template does not verify, which needs "
+                "the reference engine"
+            )
+        self._name = function_name
 
         self._function = function
-        self._event = event
-        self._context = context
-        self._entry = self.store.entry(key)
+        self._entry = entry
         self._routing = emulator.routing_s
         instance_init_s, transmission_s = emulator.platform_overhead_s(function)
         self._overhead = (instance_init_s, transmission_s)
@@ -735,27 +750,21 @@ class KernelReplayer:
     ) -> None:
         """The retry-free serve loop: one attempt per arrival, in order.
 
-        Serves on the general path until the template is ready; a
-        homogeneous run whose warm pool sits on the drift sequence then
-        hands the rest of the trace to :meth:`_run_columnar`.
+        A homogeneous run whose warm pool sits on the drift sequence goes
+        to :meth:`_run_columnar` whole; everything else is served here,
+        on the general path.
         """
-        entry = self._entry
-        columnar = (
+        if (
             HAVE_NUMPY
             and checkpoint is None
             and start_index == 0
             and self._homogeneous()
-        )
+            and self._pool_consistent()
+        ):
+            self._run_columnar(arrivals, result, arrival_times, completion_times)
+            return
         serve = self._serve
         for index in range(start_index, len(arrivals)):
-            if columnar and entry.ready:
-                if self._pool_consistent():
-                    self._flush_chunk()
-                    self._run_columnar(
-                        arrivals, index, result, arrival_times, completion_times
-                    )
-                    return
-                columnar = False
             t = arrivals[index]
             status, start, completion, cost, _ = serve(t, False)
             result.attempts += 1
@@ -771,7 +780,7 @@ class KernelReplayer:
             result.total_cost += cost
             arrival_times.append(t)
             completion_times.append(completion)
-            if checkpoint is not None and checkpoint.tick() and entry.ready:
+            if checkpoint is not None and checkpoint.tick():
                 self._flush_chunk()
                 checkpoint.write(
                     self._snapshot_state(
@@ -815,11 +824,7 @@ class KernelReplayer:
                     result.retries += 1
                 else:
                     result.dead_letters.append(letter)
-            if (
-                checkpoint is not None
-                and checkpoint.tick()
-                and self._entry.ready
-            ):
+            if checkpoint is not None and checkpoint.tick():
                 self._flush_chunk()
                 checkpoint.write(
                     self._snapshot_state(
@@ -839,11 +844,10 @@ class KernelReplayer:
     ) -> dict:
         """Everything needed to resume this kernel replay, JSON-safe.
 
-        Only taken once the template is ready, so every shadow —
-        including capture-phase ones still backed by a real instance —
-        serializes as a pure simulated meter: once synthesis is on, the
-        real interpreter behind an adopted shadow is never consulted
-        again, and ``_kill`` tolerates ``real=None``.
+        Every shadow serializes as a pure simulated meter, including one
+        that wraps a real instance adopted from direct invokes: the
+        kernel only synthesizes, so the real interpreter behind it is
+        never consulted, and ``_kill`` tolerates ``real=None``.
         """
         by_container = {
             id(shadow.container): shadow for shadow in self._pool.members()
@@ -936,8 +940,6 @@ class KernelReplayer:
         # The ledger restore replaced every FunctionBill object; re-bind
         # the bill _flush_chunk charges against.
         self._bill = emulator.ledger.bill_for(self._name)
-        if not self._entry.ready:
-            self._recapture_templates()
 
         res = state["result"]
         result.requests = int(res["requests"])
@@ -955,46 +957,6 @@ class KernelReplayer:
         arrival_times.extend(float(t) for t in state["times"]["arrivals"])
         completion_times.extend(float(t) for t in state["times"]["completions"])
         return cursor
-
-    def _recapture_templates(self) -> None:
-        """Rebuild the (bundle, event) templates on a scratch instance.
-
-        Templates are a pure function of the bundle manifest and the
-        event — deterministic virtual metering is the repo's premise —
-        so a resumed shard, whose per-process :class:`TemplateStore`
-        starts empty, re-derives them without touching any replay state:
-        the scratch instance runs outside the clock, faults, hosts, log,
-        and ledger, exactly one real cold start plus two real warm
-        invocations, mirroring the capture paths.
-        """
-        entry = self._entry
-        function = self._function
-        instance = FunctionInstance(function.name, function.bundle, created_at=0.0)
-        try:
-            init_s = instance.initialize()
-            meter = instance.app.meter
-            modules = (
-                tuple(aggregate_charges(meter.events))
-                if self._attribution is not None
-                else None
-            )
-            init_live = meter.live_mb
-            init_peak = meter.peak_mb
-            output = instance.invoke(self._event, self._context, at=0.0)
-            entry.offer_cold(init_s, init_live, init_peak, meter, output, modules)
-            while entry.warm is None and not entry.disabled:
-                events_before = len(meter.events)
-                live_before = meter.live_mb
-                output = instance.invoke(self._event, self._context, at=0.0)
-                entry.offer_warm(meter, events_before, live_before, output)
-        finally:
-            instance.shutdown()
-        if not entry.ready:
-            raise CheckpointError(
-                f"template recapture failed for {function.name!r}: the "
-                "checkpoint was written on the kernel path but the bundle "
-                "no longer verifies"
-            )
 
     # -- serving one attempt ----------------------------------------------
 
@@ -1020,11 +982,7 @@ class KernelReplayer:
         )
         warm_attempt = shadow is not None
         if shadow is not None:
-            entry = self._entry
-            if entry.warm is not None and not entry.disabled:
-                out = self._synth_warm(shadow, t, want_record)
-            else:
-                out = self._capture_warm(shadow, t, want_record)
+            out = self._synth_warm(shadow, t, want_record)
         else:
             placement = (
                 hosts.admit(self._name, t, memory_mb=self._memory_mb)
@@ -1035,11 +993,7 @@ class KernelReplayer:
                 return self._emit_throttle(
                     t, want_record, error="CapacityExhausted"
                 )[:5]
-            entry = self._entry
-            if entry.ready:
-                out = self._synth_cold(t, want_record, placement)
-            else:
-                out = self._capture_cold(t, want_record, placement)
+            out = self._synth_cold(t, want_record, placement)
         shadow = out[5]
         # The reference engine only feeds the footprint tracker when the
         # served instance is still owned by the function: a cold start
@@ -1065,98 +1019,6 @@ class KernelReplayer:
         if self._hosts is not None:
             self._hosts.release(shadow.instance_id)
 
-    # -- capture paths (real execution) ------------------------------------
-
-    def _capture_cold(self, t: float, want_record: bool, placement=None):
-        function = self._function
-        clock = self._clock
-        instance_init_s, transmission_s = self._overhead
-        clock.advance(self._overhead_sum)
-        instance = FunctionInstance(
-            function.name,
-            function.bundle,
-            created_at=clock.now(),
-            sequence=function.instance_seq,
-        )
-        init_s = instance.initialize()
-        clock.advance(init_s)
-        meter = instance.app.meter
-        # Aggregate the init charge stream before invoke() appends exec
-        # events; captured once per template, reused by every synthesis.
-        modules = (
-            tuple(aggregate_charges(meter.events))
-            if self._attribution is not None
-            else None
-        )
-        faults = self._faults
-        if faults is not None and faults.cold_start_crash(function.name, clock.now()):
-            instance.shutdown()
-            if placement is not None:
-                self._hosts.cancel(placement)
-            peak = meter.peak_mb
-            if modules is not None:
-                self._cold_pending = (modules, False)
-            return self._emit_cold_crash(
-                t, instance.instance_id, init_s, peak, want_record
-            )
-        shadow = _Shadow(instance.instance_id, real=instance)
-        function.instances.append(shadow)
-        if placement is not None:
-            self._hosts.bind(placement, shadow, function.instances)
-        init_live = meter.live_mb
-        init_peak = meter.peak_mb
-        output = instance.invoke(self._event, self._context, at=clock.now())
-        self._entry.offer_cold(init_s, init_live, init_peak, meter, output, modules)
-        if modules is not None:
-            self._cold_pending = (modules, True)
-        shadow.t = meter.time_s
-        shadow.live = meter.live_mb
-        shadow.peak = meter.peak_mb
-        shadow.invocations = instance.invocations
-        return self._finish_run(
-            shadow,
-            t,
-            _COLD,
-            instance_init_s,
-            transmission_s,
-            init_s,
-            output.exec_time_s,
-            output.value,
-            None,
-            output.error_type,
-            want_record,
-        )
-
-    def _capture_warm(self, shadow: _Shadow, t: float, want_record: bool):
-        instance = shadow.real
-        if instance is None:  # pragma: no cover - ready-gating prevents it
-            raise PlatformError(
-                "kernel invariant violated: synthesized instance asked to "
-                "capture"
-            )
-        meter = instance.app.meter
-        events_before = len(meter.events)
-        live_before = meter.live_mb
-        output = instance.invoke(self._event, self._context, at=self._clock.now())
-        self._entry.offer_warm(meter, events_before, live_before, output)
-        shadow.t = meter.time_s
-        shadow.live = meter.live_mb
-        shadow.peak = meter.peak_mb
-        shadow.invocations = instance.invocations
-        return self._finish_run(
-            shadow,
-            t,
-            _WARM,
-            0.0,
-            0.0,
-            0.0,
-            output.exec_time_s,
-            output.value,
-            None,
-            output.error_type,
-            want_record,
-        )
-
     # -- synthesis paths (no interpreter) -----------------------------------
 
     def _synth_cold(self, t: float, want_record: bool, placement=None):
@@ -1171,13 +1033,9 @@ class KernelReplayer:
         if faults is not None and faults.cold_start_crash(function.name, clock.now()):
             if placement is not None:
                 self._hosts.cancel(placement)
-            if self._attribution is not None:
-                self._cold_pending = (template.modules, False)
             return self._emit_cold_crash(
                 t, instance_id, template.init_s, template.init_peak, want_record
             )
-        if self._attribution is not None:
-            self._cold_pending = (template.modules, True)
         shadow = _Shadow(
             instance_id,
             t=template.post_t,
@@ -1427,26 +1285,24 @@ class KernelReplayer:
         routing = self._routing
         name = self._name
         if self._attribution is not None and start_index == _COLD:
-            pending = self._cold_pending
-            self._cold_pending = None
-            if pending is not None:
-                modules, include_exec = pending
-                self._attribution.record(
-                    attribute_cold_start(
-                        function=name,
-                        request_id=f"req-{request_num:06d}",
-                        timestamp=timestamp,
-                        pricing=self._pricing,
-                        memory_config_mb=clamped,
-                        modules=modules,
-                        billed_init_s=billed_init_s,
-                        restore_s=0.0,
-                        exec_s=exec_s,
-                        billed_duration_s=billed_s,
-                        cost_usd=cost,
-                        include_exec=include_exec,
-                    )
+            # Every cold start is synthesized from the captured template;
+            # one that crashed during init has no instance and no exec.
+            self._attribution.record(
+                attribute_cold_start(
+                    function=name,
+                    request_id=f"req-{request_num:06d}",
+                    timestamp=timestamp,
+                    pricing=self._pricing,
+                    memory_config_mb=clamped,
+                    modules=self._entry.cold.modules,
+                    billed_init_s=billed_init_s,
+                    restore_s=0.0,
+                    exec_s=exec_s,
+                    billed_duration_s=billed_s,
+                    cost_usd=cost,
+                    include_exec=shadow is not None,
                 )
+            )
         # Same addition order as InvocationRecord.e2e_s.
         e2e = routing + instance_init_s + transmission_s + billed_init_s + 0.0 + exec_s
         chunk = self._chunk
@@ -1559,7 +1415,8 @@ class KernelReplayer:
     def _pool_consistent(self) -> bool:
         """Every live pool instance must sit exactly on the drift sequence.
 
-        Capture-phase shadows always do (the meter performed the same
+        Checked once, before the first arrival.  Shadows a previous
+        replay left in the pool always do (synthesis performs the same
         folds the tables replay), but an instance adopted from direct
         ``emulator.invoke()`` calls may carry foreign history — e.g. a
         different event's charge tape.  Any mismatch keeps the whole run
@@ -1591,14 +1448,13 @@ class KernelReplayer:
             ):
                 return False
         if not pool.adopted:
+            # Shadows a previous replayer left behind, or real instances
+            # warmed by direct invokes, seen as the pool would adopt them.
             for instance in self._function.instances:
                 if not instance.alive:
                     continue
-                meter = instance.app.meter
-                if not on_drift(
-                    instance.invocations, meter.time_s, meter.live_mb,
-                    meter.peak_mb,
-                ):
+                shadow = _adopt(instance)
+                if not on_drift(shadow.invocations, shadow.t, shadow.live, shadow.peak):
                     return False
         return True
 
@@ -1750,9 +1606,10 @@ class KernelReplayer:
         specs.extend(zip(execs, e2es, kills))
 
     def _run_columnar(
-        self, arrivals, index, result, arrival_times, completion_times
+        self, arrivals, result, arrival_times, completion_times
     ) -> None:
-        """The columnar serve loop: one spec index and timestamp per row.
+        """The columnar serve loop: one spec index and timestamp per row,
+        from the first arrival to the last.
 
         The same pool/clock/id decisions as the general path (an inlined
         :meth:`WarmPool.acquire <repro.platform.instance.WarmPool.acquire>`
@@ -1805,20 +1662,20 @@ class KernelReplayer:
         run_iid = None
         run_count = 0
         cold_n = warm_n = 0
-        flushed = index
+        flushed = 0
         n = len(arrivals)
         spec_len = len(specs)
 
-        if not adopted and index < n:
+        if not adopted and n:
             # The pool's adoption, hoisted out of the loop: it can only
             # trigger on the first arrival.
             adopted = True
-            t0 = arrivals[index]
+            t0 = arrivals[0]
             for existing in instances:
                 if existing.alive:
                     idle.append((t0, _adopt(existing)))
 
-        for i, t in enumerate(arrivals[index:] if index else arrivals, index):
+        for i, t in enumerate(arrivals):
             while busy and busy[0][0] <= t:
                 freed = heappop(busy)
                 idle.append((freed[0], freed[2]))

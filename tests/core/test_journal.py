@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import stat
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.core.journal import (
     recover_workspace,
     text_sha256,
 )
+from repro.core.pipeline import LambdaTrim
 from repro.errors import JournalError
 
 
@@ -48,6 +51,33 @@ class TestAtomicWriteText:
         monkeypatch.undo()
         assert target.read_text() == "original\n"
         assert [p.name for p in tmp_path.iterdir()] == ["mod.py"]
+
+    @pytest.mark.parametrize("mode", [0o644, 0o755])
+    def test_replace_keeps_the_file_mode(self, tmp_path, mode):
+        target = tmp_path / "mod.py"
+        target.write_text("a = 1\n")
+        target.chmod(mode)
+        atomic_write_text(target, "a = 2\n")
+        assert stat.S_IMODE(target.stat().st_mode) == mode
+
+    def test_new_file_gets_the_umask_mode(self, tmp_path):
+        # The mode open() gives a new file: 0o666 minus the umask.
+        plain = tmp_path / "plain.py"
+        plain.write_text("a = 1\n")
+        target = tmp_path / "mod.py"
+        atomic_write_text(target, "a = 1\n")
+        assert stat.S_IMODE(target.stat().st_mode) == stat.S_IMODE(
+            plain.stat().st_mode
+        )
+
+    def test_trimmed_module_keeps_the_pristine_mode(self, toy_app, tmp_path):
+        for module in toy_app.root.rglob("*.py"):
+            module.chmod(0o644)
+        report = LambdaTrim().run(toy_app, tmp_path / "trimmed")
+        committed = [r for r in report.module_results if not r.skipped]
+        assert committed
+        for result in committed:
+            assert stat.S_IMODE(Path(result.file).stat().st_mode) == 0o644
 
 
 class TestHashing:

@@ -91,9 +91,11 @@ class TestEmulatorAttribution:
 
 
 class TestEnginesAgree:
-    def _dump(self, tmp_path, engine, arrivals):
+    def _dump(self, tmp_path, engine, arrivals, faults=None):
         store = AttributionStore()
-        emulator = LambdaEmulator(attribution=store, keep_alive_s=60.0)
+        emulator = LambdaEmulator(
+            attribution=store, keep_alive_s=60.0, faults=faults
+        )
         bundle = build_toy_torch_app(tmp_path / f"app-{engine}")
         emulator.deploy(bundle, name="fn")
         if engine == "kernel":
@@ -109,6 +111,16 @@ class TestEnginesAgree:
         assert self._dump(tmp_path, "reference", arrivals) == self._dump(
             tmp_path, "kernel", arrivals
         )
+
+    def test_crashed_cold_start_profiles_byte_identical(self, tmp_path):
+        # Cold starts that die in init (no execution row) and in exec.
+        plan = FaultPlan(
+            seed=7, default=FaultRates(cold_start_crash=0.3, exec_crash=0.3)
+        )
+        arrivals = [i * 120.0 for i in range(12)]
+        reference = self._dump(tmp_path, "reference", arrivals, plan)
+        assert reference == self._dump(tmp_path, "kernel", arrivals, plan)
+        assert '"(execution)"' in reference
 
 
 class TestFleetAttribution:

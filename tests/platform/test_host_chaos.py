@@ -125,8 +125,8 @@ class TestHostChaosAcceptance:
         assert max(w.host_util_peak for w in rollups) > 0.0
 
     def test_ledger_reconciles_and_totals_match(self, chaos_runs):
-        # verify_ledger=True already reconciled every worker float-exactly
-        # before the merge; here we pin the merged totals across runs.
+        # Every worker already reconciled its ledger float-exactly before
+        # the merge; here we pin the merged totals across runs.
         _, _, runs, _ = chaos_runs
         totals = {key: r.ledger.total for key, r in runs.items()}
         assert totals["kernel-1"] > 0.0

@@ -239,7 +239,7 @@ class TestKernelVsReferenceDirect:
 
     def test_timeout_kills_identical(self, tmp_path):
         # A timeout below the toy app's exec duration: every invocation
-        # is killed, on both the capture and the synthesized path.
+        # is killed, cold and warm.
         arrivals = [i * 0.25 for i in range(40)]
         ref = self._run(tmp_path, TraceReplayer, arrivals, timeout_s=1e-6)
         ker = self._run(tmp_path, KernelReplayer, arrivals, timeout_s=1e-6)

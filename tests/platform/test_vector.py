@@ -1,9 +1,9 @@
 """The fast engine's columnar loop must be unobservable except in wall-clock time.
 
-:class:`~repro.platform.kernel.KernelReplayer` hands a homogeneous,
-retry-free run to its numpy columnar loop once the template is captured,
-and serves everything else on the general path.  This suite pins that
-hand-off on the parity workloads of ``tests/platform/test_kernel.py``:
+:class:`~repro.platform.kernel.KernelReplayer` serves a homogeneous,
+retry-free run on its numpy columnar loop from the first arrival, and
+everything else on the general path.  This suite pins that choice on
+the parity workloads of ``tests/platform/test_kernel.py``:
 each test asserts which loop served the run, with the columnar loop's
 flush size shrunk so flush boundaries land inside every columnar run, and
 that the exports — logs, ledgers, telemetry, stats — stay
@@ -39,14 +39,14 @@ needs_numpy = pytest.mark.skipif(
 
 @pytest.fixture
 def columnar(monkeypatch):
-    """Record the start index of every run the columnar loop takes over,
+    """Record the arrival count of every run the columnar loop serves,
     flushing its columns every five rows."""
     runs = []
     run_columnar = KernelReplayer._run_columnar
 
-    def spy(self, arrivals, index, *rest):
-        runs.append(index)
-        return run_columnar(self, arrivals, index, *rest)
+    def spy(self, arrivals, *rest):
+        runs.append(len(arrivals))
+        return run_columnar(self, arrivals, *rest)
 
     monkeypatch.setattr(KernelReplayer, "_run_columnar", spy)
     monkeypatch.setattr(kernel_mod, "_FLUSH_ROWS", 5)
@@ -225,8 +225,8 @@ class TestVectorVsReferenceDirect:
 
     def test_oom_kills_identical(self, tmp_path, columnar):
         # Every instance is OOM-killed at its cold start and never serves
-        # warm, so no warm tape is captured and the general path serves
-        # the whole run.
+        # warm; the warm tape comes from the scratch capture, so the
+        # columnar loop serves the whole run.
         arrivals = [i * 0.25 for i in range(40)]
         ref = self._run(
             tmp_path, TraceReplayer, arrivals, memory_mb=150, builder=build_fat_app
@@ -234,7 +234,7 @@ class TestVectorVsReferenceDirect:
         vec = self._run(
             tmp_path, KernelReplayer, arrivals, memory_mb=150, builder=build_fat_app
         )
-        assert columnar == []
+        assert columnar == [len(arrivals)]
         self._assert_identical(ref, vec)
         assert ref.log.status_counts().get("oom", 0) > 0
 
