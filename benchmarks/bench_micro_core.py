@@ -3,7 +3,8 @@
 These are conventional pytest-benchmark timings (many iterations) of the
 operations the DD loop executes thousands of times per application:
 decomposition, source rebuilding, oracle probes and their loads, DD
-itself, and the platform emulator's invocation path.
+itself, the platform emulator's invocation path, and the fast replay
+engine's general serve loop.
 """
 
 from __future__ import annotations
@@ -18,6 +19,10 @@ from repro.core.execution import LoadedApp
 from repro.core.granularity import decompose_module
 from repro.core.oracle import ModuleCandidate, OracleRunner
 from repro.platform import LambdaEmulator
+from repro.platform.faults import FaultPlan, FaultRates
+from repro.platform.hosts import HostConfig
+from repro.platform.kernel import KernelReplayer, TemplateStore
+from repro.platform.retry import RetryPolicy
 from repro.workloads.apps import build_app
 from repro.workloads.catalog import library_spec
 from repro.workloads.synthlib import render_module
@@ -135,3 +140,41 @@ def test_emulator_cold_invocation(benchmark, toy_session_app):
 
     record = benchmark(lambda: emulator.invoke("cold", event, force_cold=True))
     assert record.is_cold
+
+
+#: 20k arrivals 50 ms apart: one steady function on the kernel.
+KERNEL_ARRIVALS = [i * 0.05 for i in range(20_000)]
+
+
+def _kernel_replay(bundle, store, faults=None, retry=None):
+    emulator = LambdaEmulator(
+        hosts=HostConfig(count=3, memory_mb=1024.0), faults=faults
+    )
+    emulator.deploy(bundle, name="replay")
+    event = {"x": [1.0, 2.0], "y": [3.0, 4.0]}
+    return KernelReplayer(emulator, store).replay(
+        "replay", KERNEL_ARRIVALS, event, retry=retry
+    )
+
+
+def test_kernel_general_path_on_hosts(benchmark, toy_session_app):
+    """A host pool keeps the kernel off the columnar loop: every arrival
+    goes through the general serve loop over the attempt timeline, with
+    no retries.  No perfbench workload takes this path."""
+    store = TemplateStore()
+    result = benchmark(lambda: _kernel_replay(toy_session_app, store))
+    assert result.lost == 0
+    assert result.requests == len(KERNEL_ARRIVALS)
+
+
+def test_kernel_general_path_with_retries(benchmark, toy_session_app):
+    """The same replay with 1% exec crashes, 2% throttles and up to four
+    attempts: re-drives merge into the timeline's arrival walk."""
+    store = TemplateStore()
+    faults = FaultPlan(seed=7, default=FaultRates(exec_crash=0.01, throttle=0.02))
+    retry = RetryPolicy(max_attempts=4)
+    result = benchmark(
+        lambda: _kernel_replay(toy_session_app, store, faults=faults, retry=retry)
+    )
+    assert result.lost == 0
+    assert result.retries > 0

@@ -23,11 +23,12 @@ fleet-wide)::
                                             replaying
 
 A ``.ckpt.json`` snapshot carries everything needed to continue the
-trace bit-exactly: the virtual clock, the trace cursor (or the
-:class:`~repro.platform.retry.RetryTimeline` of pending attempts, failed
-attempts and retry RNG), the :class:`~repro.platform.instance.WarmPool`
-and its members, :class:`~repro.platform.hosts.HostPool` dynamic state
-(the static ``crash_at`` schedule is re-derived from the plan and seed),
+trace bit-exactly: the virtual clock, the
+:class:`~repro.platform.retry.RetryTimeline` every non-columnar replay
+walks (the trace cursor, the pending re-drives, failed attempts and the
+retry RNG), the :class:`~repro.platform.instance.WarmPool` and its
+members, :class:`~repro.platform.hosts.HostPool` dynamic state (the
+static ``crash_at`` schedule is re-derived from the plan and seed),
 the :class:`~repro.platform.faults.FaultInjector` RNG state,
 :class:`~repro.platform.telemetry.TelemetrySink` window/sketch state,
 the :class:`~repro.platform.billing.BillingLedger`, the
@@ -79,7 +80,7 @@ __all__ = [
     "write_state",
 ]
 
-CHECKPOINT_SCHEMA = 2
+CHECKPOINT_SCHEMA = 3
 _KIND = "repro-replay-checkpoint"
 
 # Crash-injection hook for the kill-and-resume harness: called after every
@@ -347,10 +348,12 @@ def restore_platform_state(emulator: Any, function: Any, state: dict) -> int:
 # -- replay-level snapshot/restore --------------------------------------------
 
 # Everything a replay checkpoint holds beyond the emulator and that both
-# engines share: the trace cursor or the retry timeline
-# (:class:`~repro.platform.retry.RetryTimeline`), the host pool, the warm
-# pool (:class:`~repro.platform.instance.WarmPool`) and its members.  An
-# engine adds only how it (de)serializes one instance and its result.
+# engines share: the attempt timeline
+# (:class:`~repro.platform.retry.RetryTimeline`: the trace cursor, the
+# pending re-drives, failure histories and the retry session), the host
+# pool, the warm pool (:class:`~repro.platform.instance.WarmPool`) and its
+# members.  An engine adds only how it (de)serializes one instance and its
+# result.
 
 
 def snapshot_replay_state(
@@ -359,7 +362,6 @@ def snapshot_replay_state(
     function: Any,
     *,
     arrivals: int,
-    cursor: int | None,
     timeline: Any,
     pool: Any,
     instance_state: Callable[[Any, bool], dict],
@@ -368,13 +370,12 @@ def snapshot_replay_state(
 
     Taken between attempts: none is in flight, the emulator's pending
     cold-start stash is consumed, and the log's spill offset marks exactly
-    the rows already durable.  A retry-free loop passes its *cursor* (the
-    next arrival index) and no *timeline*.  *instance_state* serializes
-    one instance and whether ``function.instances`` owns it: owned
-    instances come first, in list order (the cold-start recovery check
-    reads ``function.instances[-1]``, so order is behaviour), then any
-    pool member already dropped from that list but still awaiting lazy
-    discard in the busy heap or idle stack.
+    the rows already durable.  The *timeline* snapshot carries where the
+    loop continues.  *instance_state* serializes one instance and whether
+    ``function.instances`` owns it: owned instances come first, in list
+    order (the cold-start recovery check reads ``function.instances[-1]``,
+    so order is behaviour), then any pool member already dropped from that
+    list but still awaiting lazy discard in the busy heap or idle stack.
     """
     items = []
     seen: set[str] = set()
@@ -390,9 +391,7 @@ def snapshot_replay_state(
         "engine": engine,
         "function": function.name,
         "arrivals": arrivals,
-        "mode": "fast" if timeline is None else "retry",
-        "cursor": cursor,
-        "timeline": timeline.snapshot() if timeline is not None else None,
+        "timeline": timeline.snapshot(),
         "platform": snapshot_platform_state(emulator, function),
         "hosts": hosts.snapshot() if hosts is not None else None,
         "instances": items,
@@ -410,18 +409,17 @@ def restore_replay_state(
     timeline: Any,
     pool: Any,
     instance_from_state: Callable[[dict], Any],
-) -> tuple[int, int]:
+) -> int:
     """Check that *state* resumes this replay, then adopt it.
 
     Refuses, before touching any state, a snapshot written by the other
-    engine, for another function, over a trace of another length, under
-    the other retry mode, or with a host pool added or removed.  Then
-    restores the emulator, rebuilds every instance through
+    engine, for another function, over a trace of another length, with a
+    retry session added or removed, or with a host pool added or removed.
+    Then restores the emulator, rebuilds every instance through
     *instance_from_state* (back into ``function.instances`` when owned),
-    and re-binds the host placements, the warm pool and the retry
-    *timeline* (whose session continues its RNG and budget).  Returns
-    ``(cursor, reexecuted)``: where a retry-free loop continues, and how
-    many spilled rows past the durable watermark run again.
+    and re-binds the host placements, the warm pool and the *timeline*
+    (its cursor and re-drives; its session continues its RNG and budget).
+    Returns how many spilled rows past the durable watermark run again.
     """
     written = state.get("engine")
     if written != engine:
@@ -439,7 +437,7 @@ def restore_replay_state(
             f"checkpoint covers {state.get('arrivals')} arrivals but the "
             f"trace has {arrivals}: trace changed since the snapshot"
         )
-    if state.get("mode") != ("fast" if timeline is None else "retry"):
+    if (state["timeline"]["session"] is None) != (timeline.session is None):
         raise CheckpointError(
             "retry configuration changed since the checkpoint was written"
         )
@@ -469,7 +467,5 @@ def restore_replay_state(
     if hosts is not None:
         hosts.restore(state["hosts"], by_id, owners)
     pool.restore(state["pool"], by_id)
-    if timeline is not None:
-        timeline.restore(state["timeline"])
-    cursor = state["cursor"]
-    return (int(cursor) if cursor is not None else 0), reexecuted
+    timeline.restore(state["timeline"])
+    return reexecuted

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from repro.bundle import AppBundle
 from repro.core.execution import InvocationOutput, LoadedApp
@@ -129,21 +129,20 @@ class WarmPool:
 
     Members are anything with ``instance_id`` and ``alive``: real
     :class:`FunctionInstance` objects in the reference engine, simulated
-    meters in the kernel.  *adopt* turns an instance that predates the
-    pool (e.g. warmed by direct invokes) into a member; ``None`` adopts
-    it as is.  The kernel's columnar loop inlines :meth:`acquire` on
-    ``busy``/``idle`` and writes ``seq``/``adopted`` back when it ends.
+    meters in the kernel.  Alive instances that predate the pool (warmed
+    by direct invokes, or left by an earlier replay) join it as they are.
+    The kernel's columnar loop inlines :meth:`acquire` on ``busy``/``idle``
+    and writes ``seq``/``adopted`` back when it ends.
     """
 
-    __slots__ = ("busy", "idle", "seq", "adopted", "_adopt")
+    __slots__ = ("busy", "idle", "seq", "adopted")
 
-    def __init__(self, adopt: Callable[[Any], Any] | None = None) -> None:
+    def __init__(self) -> None:
         self.busy: list[tuple[float, int, Any]] = []
         self.idle: list[tuple[float, Any]] = []
         self.seq = SerialCounter()
         #: Set once the instances that predate the pool were adopted.
         self.adopted = False
-        self._adopt = adopt
 
     def acquire(
         self,
@@ -162,12 +161,9 @@ class WarmPool:
         idle = self.idle
         if not self.adopted:
             self.adopted = True
-            adopt = self._adopt
             for existing in instances:
                 if existing.alive:
-                    idle.append(
-                        (arrival, existing if adopt is None else adopt(existing))
-                    )
+                    idle.append((arrival, existing))
         busy = self.busy
         # Everything that completed by this arrival becomes idle; heap
         # order makes the pushes monotone in freed-at.

@@ -44,11 +44,12 @@ checkpoint snapshot and resume check
 ledgers, telemetry, and dead letters are therefore byte-identical at
 any worker count.
 
-**Two serve loops, one emitter.**  The *general path* serves one
-attempt at a time through :meth:`KernelReplayer._serve` — synthesis,
-faults, hosts, CPU scaling, retries, checkpoints — and buffers every
-billed or throttled row in one bounded chunk.  The chunk reaches the
-sinks in bulk (:meth:`ExecutionLog.append_rows
+**Two serve loops, one emitter.**  The *general path* walks the
+reference engine's attempt timeline, with or without a retry policy,
+and serves one attempt at a time through :meth:`KernelReplayer._serve`
+— synthesis, faults, hosts, CPU scaling, retries, checkpoints — and
+buffers every billed or throttled row in one bounded chunk.  The chunk
+reaches the sinks in bulk (:meth:`ExecutionLog.append_rows
 <repro.platform.logs.ExecutionLog.append_rows>`,
 :meth:`TelemetrySink.observe_rows
 <repro.platform.telemetry.TelemetrySink.observe_rows>`,
@@ -60,10 +61,11 @@ sum continues its sequential fold in serve order.
 
 A *homogeneous* retry-free run — numpy importable, no crash faults, no
 throttle rate or outage covering the function, no hosts, no CPU scaling,
-no checkpoint — is served from its first arrival by the *columnar loop*,
-which makes only the decisions that depend on the previous invocation
-(the warm-pool MRU stack + busy heap, the clock fold) and gathers the
-rest from per-*j* outcome tables.  Two observations make that exact:
+no checkpoint or resume, a warm pool on the drift sequence (below) — is
+served from its first arrival by the *columnar loop*, which makes only
+the decisions that depend on the previous invocation (the warm-pool MRU
+stack + busy heap, the clock fold) and gathers the rest from per-*j*
+outcome tables.  Two observations make that exact:
 
 1. *Shared drift sequences.*  Every synthesized instance of a template
    lives on one float-drift sequence: ``W[0]`` is the cold template's
@@ -73,8 +75,8 @@ rest from per-*j* outcome tables.  Two observations make that exact:
    exec time ``W[j+1] - W[j]``, billed duration, cost, status ladder,
    and e2e are pure functions of ``j`` — computed once per *j* instead
    of once per invocation.  The same holds for live/peak memory.  A pool
-   holding an instance off that sequence (adopted from direct
-   ``emulator.invoke()`` calls) keeps the whole run on the general path.
+   holding a shadow off that sequence (left warm by an earlier replayer
+   of another event) keeps the whole run on the general path.
 2. *Order-dependent sums stay sequential.*  The clock, the per-function
    billing sums, the telemetry histogram ``_sum`` folds, and the log's
    accounting folds are sequential float additions whose order is
@@ -87,8 +89,10 @@ peak-concurrency sweep — is vectorized with numpy when available
 reference and provably computes the same maximum.
 
 What falls back to the reference engine: SnapStart functions, non-JSON
-events, a non-``None`` context, fallback managers, and any workload
-whose capture fails verification or whose bundle fails to initialize.
+events, a non-``None`` context, fallback managers, any workload whose
+capture fails verification or whose bundle fails to initialize, and a
+function holding live instances warmed by direct ``emulator.invoke()``
+calls (the kernel's pool holds only its own simulated instances).
 The host layer (:mod:`repro.platform.hosts`) never invalidates a
 template — placement, eviction, and host loss operate on pool state
 *outside* the captured meter tapes — so host chaos runs on the general
@@ -124,7 +128,12 @@ from repro.platform.logs import (
     StartType,
     _intern_key,
 )
-from repro.platform.retry import DeadLetter, RetryPolicy, RetryTimeline
+from repro.platform.retry import (
+    DeadLetter,
+    RetryPolicy,
+    RetryTimeline,
+    check_arrivals,
+)
 from repro.obs.attribution import attribute_cold_start
 from repro.vm import aggregate_charges
 
@@ -391,25 +400,13 @@ class TemplateStore:
 
 
 class _Shadow:
-    """A pool entry: simulated meter state, standing alone (synthesized)
-    or wrapping a real instance adopted from direct ``emulator.invoke()``
-    calls, whose interpreter the kernel never runs.
+    """A pool entry: one synthesized instance's simulated meter state.
 
     Lives in ``function.instances`` like a real instance so
     ``discard_instances`` and kill bookkeeping work unchanged.
     """
 
-    __slots__ = (
-        "instance_id",
-        "alive",
-        "t",
-        "live",
-        "peak",
-        "invocations",
-        "real",
-        "container",
-        "host_id",
-    )
+    __slots__ = ("instance_id", "alive", "t", "live", "peak", "invocations", "host_id")
 
     def __init__(
         self,
@@ -417,7 +414,6 @@ class _Shadow:
         t: float = 0.0,
         live: float = 0.0,
         peak: float = 0.0,
-        real: FunctionInstance | None = None,
     ) -> None:
         self.instance_id = instance_id
         self.alive = True
@@ -425,15 +421,10 @@ class _Shadow:
         self.live = live
         self.peak = peak
         self.invocations = 0
-        self.real = real
         # Host the pool placed this shadow on (None without a host layer);
         # mirrors FunctionInstance.host_id so kernel and reference engines
         # carry identical placement state.
         self.host_id: str | None = None
-        #: What actually sits in ``function.instances`` for this shadow —
-        #: the shadow itself for kernel-created instances, the wrapped
-        #: real instance for adopted ones.
-        self.container: Any = self
 
     def is_warm(self, now: float, keep_alive_s: float) -> bool:
         # Direct emulator.invoke() between kernel replays is not a
@@ -442,33 +433,9 @@ class _Shadow:
 
     def shutdown(self) -> None:
         self.alive = False
-        if self.real is not None:
-            self.real.shutdown()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "adopted" if self.real is not None else "synth"
-        return f"_Shadow({self.instance_id}, {kind}, used {self.invocations}x)"
-
-
-def _wrap(instance: FunctionInstance) -> _Shadow:
-    """A shadow backed by a pre-existing real instance."""
-    meter = instance.app.meter
-    shadow = _Shadow(
-        instance.instance_id,
-        t=meter.time_s,
-        live=meter.live_mb,
-        peak=meter.peak_mb,
-        real=instance,
-    )
-    shadow.invocations = instance.invocations
-    shadow.container = instance
-    shadow.host_id = instance.host_id
-    return shadow
-
-
-def _adopt(existing: Any) -> _Shadow:
-    """Warm-pool adoption: shadows join as they are, real instances wrapped."""
-    return existing if isinstance(existing, _Shadow) else _wrap(existing)
+        return f"_Shadow({self.instance_id}, used {self.invocations}x)"
 
 
 class _DriftTables:
@@ -577,7 +544,7 @@ class KernelReplayer:
         self.store = store if store is not None else TemplateStore()
         self._hosts = emulator.hosts
         # The reference engine's warm pool, over shadows.
-        self._pool = WarmPool(adopt=_adopt)
+        self._pool = WarmPool()
         self._name: str | None = None
         # Pricing caches keyed on exact float bits: the billed-duration
         # quantization collapses exec-time drift onto few values.
@@ -613,7 +580,9 @@ class KernelReplayer:
         The ``(bundle, event)`` templates are captured before the first
         arrival (:meth:`TemplateStore.capture`), so every attempt is
         synthesized; a pair whose capture fails verification, or whose
-        bundle fails to initialize, is refused.
+        bundle fails to initialize, is refused.  So is a function holding
+        a live instance warmed by direct invokes: the pool adopts only
+        shadows, such as those an earlier replayer left warm.
 
         With a *checkpoint*, the full replay state is snapshotted every
         ``checkpoint.every`` served attempts.  Passing a loaded snapshot
@@ -621,11 +590,7 @@ class KernelReplayer:
         resumed shard captures its templates like any other, and every
         pool shadow resumes as a pure synthesized meter.
         """
-        previous = float("-inf")
-        for arrival_time in arrivals:
-            if arrival_time < previous:
-                raise PlatformError("arrivals must be sorted")
-            previous = arrival_time
+        check_arrivals(arrivals)
         emulator = self.emulator
         function = emulator.function(function_name)
         if TemplateStore.key_for(function, event, context) is None:
@@ -633,6 +598,15 @@ class KernelReplayer:
                 f"kernel cannot replay {function_name!r}: snapstart, a "
                 "context object, or a non-JSON event needs the reference "
                 "engine"
+            )
+        if any(
+            instance.alive and not isinstance(instance, _Shadow)
+            for instance in function.instances
+        ):
+            raise PlatformError(
+                f"kernel cannot replay {function_name!r}: it holds live "
+                "instances warmed by direct invokes, which needs the "
+                "reference engine"
             )
         if self._name is not None and self._name != function_name:
             raise PlatformError(
@@ -681,19 +655,20 @@ class KernelReplayer:
             for start in range(len(_START_TYPES))
         ]
 
-        timeline = (
-            RetryTimeline(function_name, arrivals, retry.session())
-            if retry is not None
-            else None
+        timeline = RetryTimeline(
+            function_name, arrivals, retry.session() if retry is not None else None
         )
         recorder = get_recorder()
         result = KernelResult(arrivals=len(arrivals))
         arrival_times: list[float] = []
         completion_times: list[float] = []
-        start_index = 0
         if resume_state is not None:
-            start_index = self._restore_state(
-                arrivals, timeline, result, arrival_times, completion_times,
+            self._restore_state(
+                arrivals,
+                timeline,
+                result,
+                arrival_times,
+                completion_times,
                 resume_state,
             )
 
@@ -701,15 +676,20 @@ class KernelReplayer:
             "replay.run", label=function_name, arrivals=len(arrivals)
         ) as span:
             try:
-                if timeline is None:
-                    self._run_fast(
-                        arrivals, start_index, result, arrival_times,
-                        completion_times, checkpoint,
+                if (
+                    HAVE_NUMPY
+                    and retry is None
+                    and checkpoint is None
+                    and resume_state is None
+                    and self._homogeneous()
+                    and self._pool_consistent()
+                ):
+                    self._run_columnar(
+                        arrivals, result, arrival_times, completion_times
                     )
                 else:
-                    self._replay_with_retries(
-                        arrivals, timeline, result, arrival_times,
-                        completion_times, checkpoint,
+                    self._run_general(
+                        timeline, result, arrival_times, completion_times, checkpoint
                     )
             finally:
                 self._flush_chunk()
@@ -739,78 +719,36 @@ class KernelReplayer:
                 span.set_attr("dead_letters", len(result.dead_letters))
         return result
 
-    def _run_fast(
+    def _run_general(
         self,
-        arrivals: list[float],
-        start_index: int,
-        result: KernelResult,
-        arrival_times: list[float],
-        completion_times: list[float],
-        checkpoint: ReplayCheckpoint | None,
-    ) -> None:
-        """The retry-free serve loop: one attempt per arrival, in order.
-
-        A homogeneous run whose warm pool sits on the drift sequence goes
-        to :meth:`_run_columnar` whole; everything else is served here,
-        on the general path.
-        """
-        if (
-            HAVE_NUMPY
-            and checkpoint is None
-            and start_index == 0
-            and self._homogeneous()
-            and self._pool_consistent()
-        ):
-            self._run_columnar(arrivals, result, arrival_times, completion_times)
-            return
-        serve = self._serve
-        for index in range(start_index, len(arrivals)):
-            t = arrivals[index]
-            status, start, completion, cost, _ = serve(t, False)
-            result.attempts += 1
-            if status == _S_THROTTLED:
-                result.throttled += 1
-            result.requests += 1
-            if status == _S_SUCCESS:
-                result.delivered += 1
-            if start == _COLD:
-                result.cold_starts += 1
-            elif start == _WARM:
-                result.warm_starts += 1
-            result.total_cost += cost
-            arrival_times.append(t)
-            completion_times.append(completion)
-            if checkpoint is not None and checkpoint.tick():
-                self._flush_chunk()
-                checkpoint.write(
-                    self._snapshot_state(
-                        result, index + 1, None, arrival_times, completion_times
-                    )
-                )
-
-    def _replay_with_retries(
-        self,
-        arrivals: list[float],
         timeline: RetryTimeline,
         result: KernelResult,
         arrival_times: list[float],
         completion_times: list[float],
         checkpoint: ReplayCheckpoint | None,
     ) -> None:
-        """The retry loop over the reference engine's timeline.  Failed
+        """The general serve loop: every attempt the timeline yields.
+
+        Without a retry session every attempt is final.  With one, failed
         attempts materialise real records (the retry decision and dead
-        letters consume them); successes stay on the record-free fast
-        path."""
-        while timeline:
-            t, seq, attempt = timeline.pop()
-            status, start, completion, cost, record = self._serve(t, True)
+        letters consume them) while successes stay on the record-free
+        path.
+        """
+        arrivals = timeline.arrivals
+        retrying = timeline.session is not None
+        serve = self._serve
+        for t, seq, attempt in timeline:
+            status, start, completion, cost, record = serve(t, retrying)
             result.attempts += 1
             if status == _S_THROTTLED:
                 result.throttled += 1
-            if status == _S_SUCCESS:
-                timeline.settle(seq)
+            if status == _S_SUCCESS or not retrying:
+                if attempt > 1:
+                    # Only a re-drive has failed attempts to drop.
+                    timeline.settle(seq)
                 result.requests += 1
-                result.delivered += 1
+                if status == _S_SUCCESS:
+                    result.delivered += 1
                 if start == _COLD:
                     result.cold_starts += 1
                 elif start == _WARM:
@@ -828,7 +766,7 @@ class KernelReplayer:
                 self._flush_chunk()
                 checkpoint.write(
                     self._snapshot_state(
-                        result, None, timeline, arrival_times, completion_times
+                        result, timeline, arrival_times, completion_times
                     )
                 )
 
@@ -837,53 +775,19 @@ class KernelReplayer:
     def _snapshot_state(
         self,
         result: KernelResult,
-        cursor: int | None,
-        timeline: RetryTimeline | None,
+        timeline: RetryTimeline,
         arrival_times: list[float],
         completion_times: list[float],
     ) -> dict:
-        """Everything needed to resume this kernel replay, JSON-safe.
-
-        Every shadow serializes as a pure simulated meter, including one
-        that wraps a real instance adopted from direct invokes: the
-        kernel only synthesizes, so the real interpreter behind it is
-        never consulted, and ``_kill`` tolerates ``real=None``.
-        """
-        by_container = {
-            id(shadow.container): shadow for shadow in self._pool.members()
-        }
-
-        def shadow_state(element: Any, owned: bool) -> dict:
-            shadow = (
-                element
-                if isinstance(element, _Shadow)
-                else by_container.get(id(element))
-            )
-            if shadow is None:
-                # An adopted real instance the pool already dropped (idle
-                # expiry without a host layer): never serves again, but
-                # list membership is behaviour, so keep a pure stand-in.
-                shadow = _wrap(element)
-            return {
-                "instance_id": shadow.instance_id,
-                "owned": owned,
-                "alive": shadow.alive,
-                "t": shadow.t,
-                "live": shadow.live,
-                "peak": shadow.peak,
-                "invocations": shadow.invocations,
-                "host_id": shadow.host_id,
-            }
-
+        """Everything needed to resume this kernel replay, JSON-safe."""
         state = snapshot_replay_state(
             "kernel",
             self.emulator,
             self._function,
             arrivals=result.arrivals,
-            cursor=cursor,
             timeline=timeline,
             pool=self._pool,
-            instance_state=shadow_state,
+            instance_state=self._shadow_state,
         )
         state["times"] = {
             "arrivals": list(arrival_times),
@@ -904,6 +808,19 @@ class KernelReplayer:
         return state
 
     @staticmethod
+    def _shadow_state(shadow: _Shadow, owned: bool) -> dict:
+        return {
+            "instance_id": shadow.instance_id,
+            "owned": owned,
+            "alive": shadow.alive,
+            "t": shadow.t,
+            "live": shadow.live,
+            "peak": shadow.peak,
+            "invocations": shadow.invocations,
+            "host_id": shadow.host_id,
+        }
+
+    @staticmethod
     def _shadow_from_state(item: dict) -> _Shadow:
         shadow = _Shadow(
             item["instance_id"],
@@ -919,15 +836,15 @@ class KernelReplayer:
     def _restore_state(
         self,
         arrivals: list[float],
-        timeline: RetryTimeline | None,
+        timeline: RetryTimeline,
         result: KernelResult,
         arrival_times: list[float],
         completion_times: list[float],
         state: dict,
-    ) -> int:
-        """Adopt a :meth:`_snapshot_state` dict; returns the loop cursor."""
+    ) -> None:
+        """Adopt a :meth:`_snapshot_state` dict."""
         emulator = self.emulator
-        cursor, result.reexecuted = restore_replay_state(
+        result.reexecuted = restore_replay_state(
             state,
             "kernel",
             emulator,
@@ -956,7 +873,6 @@ class KernelReplayer:
         ]
         arrival_times.extend(float(t) for t in state["times"]["arrivals"])
         completion_times.extend(float(t) for t in state["times"]["completions"])
-        return cursor
 
     # -- serving one attempt ----------------------------------------------
 
@@ -1014,8 +930,8 @@ class KernelReplayer:
     def _kill(self, shadow: _Shadow) -> None:
         shadow.shutdown()
         instances = self._function.instances
-        if shadow.container in instances:
-            instances.remove(shadow.container)
+        if shadow in instances:
+            instances.remove(shadow)
         if self._hosts is not None:
             self._hosts.release(shadow.instance_id)
 
@@ -1416,11 +1332,11 @@ class KernelReplayer:
         """Every live pool instance must sit exactly on the drift sequence.
 
         Checked once, before the first arrival.  Shadows a previous
-        replay left in the pool always do (synthesis performs the same
-        folds the tables replay), but an instance adopted from direct
-        ``emulator.invoke()`` calls may carry foreign history — e.g. a
-        different event's charge tape.  Any mismatch keeps the whole run
-        on the general path.  Read-only: safe to call before adoption.
+        replay left in the pool always do when it synthesized the same
+        ``(bundle, event)`` pair (synthesis performs the same folds the
+        tables replay), but one left by another event's replayer carries
+        that event's charge tape.  Any mismatch keeps the whole run on
+        the general path.  Read-only: safe to call before adoption.
         """
         entry = self._entry
         drift = entry.drift
@@ -1448,13 +1364,12 @@ class KernelReplayer:
             ):
                 return False
         if not pool.adopted:
-            # Shadows a previous replayer left behind, or real instances
-            # warmed by direct invokes, seen as the pool would adopt them.
-            for instance in self._function.instances:
-                if not instance.alive:
-                    continue
-                shadow = _adopt(instance)
-                if not on_drift(shadow.invocations, shadow.t, shadow.live, shadow.peak):
+            # Shadows a previous replayer left behind, which the pool
+            # adopts as they are.
+            for shadow in self._function.instances:
+                if shadow.alive and not on_drift(
+                    shadow.invocations, shadow.t, shadow.live, shadow.peak
+                ):
                     return False
         return True
 
@@ -1673,7 +1588,7 @@ class KernelReplayer:
             t0 = arrivals[0]
             for existing in instances:
                 if existing.alive:
-                    idle.append((t0, _adopt(existing)))
+                    idle.append((t0, existing))
 
         for i, t in enumerate(arrivals):
             while busy and busy[0][0] <= t:

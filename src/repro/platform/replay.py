@@ -14,12 +14,15 @@ time; the replayer therefore keeps its own trace-time warm pool (per-
 instance busy-until and freed-at times) instead of the global virtual
 clock, which only ever moves forward.
 
-The replayer is also the client in the failure model: with a
-:class:`~repro.platform.retry.RetryPolicy` it re-drives attempts whose
-status is transient (backoff scheduled on the same trace timeline, via a
-:class:`~repro.platform.retry.RetryTimeline` of pending attempts),
-dead-letters requests that exhaust their attempts, and — given a
-:class:`~repro.core.fallback.FallbackManager` — serves trigger errors
+Every replay walks its trace through one
+:class:`~repro.platform.retry.RetryTimeline`: a cursor over the sorted
+arrivals merged with a heap of pending re-drives, yielding attempts in
+trace-time order.  The replayer is also the client in the failure
+model: with a :class:`~repro.platform.retry.RetryPolicy` it re-drives
+attempts whose status is transient (backoff scheduled on the same
+timeline), dead-letters requests that exhaust their attempts, and
+without one every attempt is final.  Given a
+:class:`~repro.core.fallback.FallbackManager`, it serves trigger errors
 from the original function while feeding the manager's circuit breaker.
 Every arrival ends as exactly one replayed request or one dead letter:
 nothing is silently lost.
@@ -53,7 +56,12 @@ from repro.platform.checkpoint import (
 from repro.platform.emulator import DeployedFunction, LambdaEmulator
 from repro.platform.instance import FunctionInstance, WarmPool
 from repro.platform.logs import InvocationRecord, StartType
-from repro.platform.retry import DeadLetter, RetryPolicy, RetryTimeline
+from repro.platform.retry import (
+    DeadLetter,
+    RetryPolicy,
+    RetryTimeline,
+    check_arrivals,
+)
 
 __all__ = ["ReplayResult", "ReplayedRequest", "TraceReplayer"]
 
@@ -182,13 +190,7 @@ class TraceReplayer:
         (the fleet layout) and does not compose with *fallback* — breaker
         state is not snapshotted.
         """
-        # Linear monotonicity scan — sorting a million-arrival copy just
-        # to compare it costs more than the check is worth.
-        previous = float("-inf")
-        for arrival_time in arrivals:
-            if arrival_time < previous:
-                raise PlatformError("arrivals must be sorted")
-            previous = arrival_time
+        check_arrivals(arrivals)
         function = self.emulator.function(function_name)
         fallback_function: DeployedFunction | None = None
         if fallback is not None:
@@ -205,48 +207,15 @@ class TraceReplayer:
             )
 
         session = retry.session() if retry is not None else None
-        timeline = (
-            RetryTimeline(function_name, arrivals, session)
-            if session is not None or fallback is not None
-            else None
-        )
+        timeline = RetryTimeline(function_name, arrivals, session)
         result = ReplayResult(arrivals=len(arrivals))
-        start_index = 0
         if resume_state is not None:
-            start_index = self._restore_state(
-                function, arrivals, timeline, result, resume_state
-            )
+            self._restore_state(function, arrivals, timeline, result, resume_state)
 
         with recorder.span(
             "replay.run", label=function_name, arrivals=len(arrivals)
         ) as span:
-            if timeline is None:
-                # No retry timeline and no fallback detours: every arrival
-                # is exactly one attempt served in order, so skip the
-                # pending-attempt heap entirely.
-                serve = self._serve_attempt
-                requests_append = result.requests.append
-                for index in range(start_index, len(arrivals)):
-                    arrival = arrivals[index]
-                    record, completion = serve(function, arrival, event, context)
-                    result.attempts += 1
-                    if not record.billed:
-                        result.throttled += 1
-                    requests_append(
-                        ReplayedRequest(
-                            arrival=arrival,
-                            completion=completion,
-                            record=record,
-                        )
-                    )
-                    if checkpoint is not None and checkpoint.tick():
-                        checkpoint.write(
-                            self._snapshot_state(function, result, index + 1, None)
-                        )
-                return self._finish(result, recorder, span)
-
-            while timeline:
-                t, seq, attempt = timeline.pop()
+            for t, seq, attempt in timeline:
                 arrival = arrivals[seq]
                 record, completion = self._serve_attempt(function, t, event, context)
                 result.attempts += 1
@@ -300,9 +269,7 @@ class TraceReplayer:
                         result.dead_letters.append(letter)
 
                 if checkpoint is not None and checkpoint.tick():
-                    checkpoint.write(
-                        self._snapshot_state(function, result, None, timeline)
-                    )
+                    checkpoint.write(self._snapshot_state(function, result, timeline))
 
             return self._finish(result, recorder, span)
 
@@ -312,8 +279,7 @@ class TraceReplayer:
         self,
         function: DeployedFunction,
         result: ReplayResult,
-        cursor: int | None,
-        timeline: RetryTimeline | None,
+        timeline: RetryTimeline,
     ) -> dict:
         """Everything needed to resume this replay, as one JSON-safe dict."""
         state = snapshot_replay_state(
@@ -321,7 +287,6 @@ class TraceReplayer:
             self.emulator,
             function,
             arrivals=result.arrivals,
-            cursor=cursor,
             timeline=timeline,
             pool=self._pool(function.name),
             instance_state=self._instance_state,
@@ -367,12 +332,12 @@ class TraceReplayer:
         self,
         function: DeployedFunction,
         arrivals: list[float],
-        timeline: RetryTimeline | None,
+        timeline: RetryTimeline,
         result: ReplayResult,
         state: dict,
-    ) -> int:
-        """Adopt a :meth:`_snapshot_state` dict; returns the loop cursor."""
-        cursor, result.reexecuted = restore_replay_state(
+    ) -> None:
+        """Adopt a :meth:`_snapshot_state` dict."""
+        result.reexecuted = restore_replay_state(
             state,
             "reference",
             self.emulator,
@@ -399,7 +364,6 @@ class TraceReplayer:
         result.dead_letters = [
             DeadLetter.from_dict(item) for item in res["dead_letters"]
         ]
-        return cursor
 
     def _instance_from_state(
         self, function: DeployedFunction, item: dict

@@ -7,8 +7,8 @@ A :class:`RetryPolicy` declares which statuses are worth retrying, how
 many attempts a request gets, and how the backoff delay grows; a
 :class:`RetrySession` executes the policy with a seeded RNG over the
 virtual timeline — no wall clock, so a replay with the same seed backs
-off identically every run — and a :class:`RetryTimeline` schedules one
-replay's re-drives on its trace timeline for both replay engines.
+off identically every run — and a :class:`RetryTimeline` walks one
+replay's arrivals and re-drives in serve order for both replay engines.
 
 Requests that exhaust their attempts (or the session-wide retry budget)
 are *dead-lettered*, not dropped: :class:`DeadLetter` keeps the full
@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import heapq
 import random
+import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.errors import PlatformError
 from repro.platform.logs import InvocationRecord, InvocationStatus
@@ -32,6 +33,7 @@ __all__ = [
     "RetryTimeline",
     "DeadLetter",
     "RETRYABLE_DEFAULT",
+    "check_arrivals",
 ]
 
 #: Statuses that are transient by construction: a throttle clears when the
@@ -39,6 +41,8 @@ __all__ = [
 #: Timeouts and OOMs are *deterministic* for a given bundle and input, so
 #: retrying them by default would just burn the budget.
 RETRYABLE_DEFAULT = frozenset({InvocationStatus.THROTTLED, InvocationStatus.CRASHED})
+
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -163,17 +167,41 @@ class RetrySession:
         self._rng.setstate(rng_state_from_json(state["rng"]))
 
 
-class RetryTimeline:
-    """One replay's pending attempts and the history of its failed ones.
+def check_arrivals(arrivals: Sequence[float]) -> None:
+    """Refuse arrivals a timeline cannot walk: unsorted or non-finite.
 
-    A heap of ``(time, seq, attempt)`` holds every initial arrival (``seq``
-    indexes *arrivals*) plus the retry re-drives scheduled so far.
-    Re-drives always land after the attempt that spawned them, so pops come
-    out in non-decreasing time order and the warm pool's bookkeeping stays
-    valid.  Each request's failed attempts are kept until it gets a final
-    outcome: success, or a dead letter carrying every attempt.  Both replay
-    engines drive the same timeline; without a *session* (a reference
-    replay with only fallback detours) every attempt is final.
+    A linear scan, since sorting a million-arrival copy just to compare
+    it costs more than the check is worth.  Starting below every finite
+    float rejects ``-inf``; the chained comparison rejects NaN and
+    ``+inf``.
+    """
+    previous = -sys.float_info.max
+    for arrival in arrivals:
+        if not previous <= arrival < _INF:
+            raise PlatformError("arrivals must be sorted and finite")
+        previous = arrival
+
+
+class RetryTimeline:
+    """One replay's attempts in serve order, and its failed attempts.
+
+    Iterating yields ``(time, seq, attempt)`` for every attempt the replay
+    serves (``seq`` indexes *arrivals*): a cursor walks the sorted
+    arrivals as first attempts, merged with a heap of the retry re-drives
+    scheduled so far.  The order is that of one heap holding every
+    arrival: by time, then ``seq``, then attempt.  A re-drive that lands
+    on an arrival's instant goes first, since its request arrived
+    earlier.  Re-drives always land after the attempt that spawned them,
+    so attempts come out in non-decreasing time order and the warm pool's
+    bookkeeping stays valid.  Each request's failed attempts are kept
+    until it gets a final outcome: success, or a dead letter carrying
+    every attempt.
+
+    Every non-columnar replay of both engines walks its trace through
+    one timeline; without a *session* every attempt is final and the
+    heap stays empty.  The cursor counts the first attempts already
+    yielded, so a snapshot taken between attempts holds only the cursor
+    and the pending re-drives, and a new iteration resumes from there.
     """
 
     def __init__(
@@ -185,16 +213,24 @@ class RetryTimeline:
         self.function = function
         self.arrivals = arrivals
         self.session = session
-        self.heap = [(t, seq, 1) for seq, t in enumerate(arrivals)]
-        heapq.heapify(self.heap)
+        self.cursor = 0
+        self.heap: list[tuple[float, int, int]] = []
         self.failed: dict[int, list[InvocationRecord]] = {}
 
-    def __bool__(self) -> bool:
-        return bool(self.heap)
-
-    def pop(self) -> tuple[float, int, int]:
-        """The next pending ``(time, seq, attempt)``."""
-        return heapq.heappop(self.heap)
+    def __iter__(self) -> Iterator[tuple[float, int, int]]:
+        arrivals = self.arrivals
+        heap = self.heap
+        heappop = heapq.heappop
+        for cursor in range(self.cursor, len(arrivals)):
+            t = arrivals[cursor]
+            # Every pending re-drive belongs to an earlier arrival, so one
+            # at this very instant still goes first.
+            while heap and heap[0][0] <= t:
+                yield heappop(heap)
+            self.cursor = cursor + 1
+            yield t, cursor, 1
+        while heap:
+            yield heappop(heap)
 
     def settle(self, seq: int) -> None:
         """Request *seq* got its final record: drop its failure history."""
@@ -231,8 +267,9 @@ class RetryTimeline:
     # -- checkpointing -----------------------------------------------------
 
     def snapshot(self) -> dict:
-        """JSON-safe pending heap, failure histories and session state."""
+        """JSON-safe cursor, pending re-drives, failures and session state."""
         return {
+            "cursor": self.cursor,
             "heap": [[t, seq, attempt] for t, seq, attempt in self.heap],
             "failed": {
                 str(seq): [record.to_dict() for record in records]
@@ -243,6 +280,7 @@ class RetryTimeline:
 
     def restore(self, state: dict) -> None:
         """Adopt a :meth:`snapshot`; the session resumes its RNG and budget."""
+        self.cursor = int(state["cursor"])
         self.heap = [(float(t), int(s), int(a)) for t, s, a in state["heap"]]
         heapq.heapify(self.heap)
         self.failed = {

@@ -18,6 +18,7 @@ function landed in.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -234,15 +235,19 @@ class FleetTrace:
                     continue
                 try:
                     data = json.loads(line)
+                    timestamps = tuple(float(t) for t in data["timestamps"])
+                    # Outside input enters here: a NaN or infinite
+                    # timestamp would pass the sorted check and poison
+                    # every replay downstream.
+                    if not all(map(math.isfinite, timestamps)):
+                        raise ValueError("timestamps must be finite")
                     traces.append(
                         FunctionTrace(
                             function_id=data["function_id"],
                             pattern=data["pattern"],
                             memory_mb=float(data["memory_mb"]),
                             duration_s=float(data["duration_s"]),
-                            timestamps=tuple(
-                                float(t) for t in data["timestamps"]
-                            ),
+                            timestamps=timestamps,
                         )
                     )
                 except (

@@ -267,6 +267,25 @@ class TestReplayCommand:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_replay_non_finite_trace_is_a_one_line_error(
+        self, toy_app, tmp_path, capsys
+    ):
+        trace_path = tmp_path / "trace.jsonl"
+        trace_path.write_text(
+            '{"function_id": "fn-a", "pattern": "steady", "memory_mb": 128.0, '
+            '"duration_s": 60.0, "timestamps": [0.0, NaN, 2.0]}\n',
+            encoding="utf-8",
+        )
+        code = main([
+            "replay", str(toy_app.root), "--trace", str(trace_path),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "timestamps must be finite" in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_replay_checkpointed_reports_resume_accounting(
         self, toy_app, tmp_path, capsys
     ):

@@ -128,6 +128,17 @@ class TestPersistence:
         with pytest.raises(TraceError, match="line 1"):
             FleetTrace.load(path)
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", '"nan"'])
+    def test_load_rejects_non_finite_timestamps(self, tmp_path, bad):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"function_id": "f", "pattern": "steady", "memory_mb": 128.0, '
+            f'"duration_s": 60.0, "timestamps": [0.0, {bad}]}}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(TraceError, match="line 1: bad trace: .*finite"):
+            FleetTrace.load(path)
+
     def test_load_skips_blank_lines(self, tmp_path):
         fleet = FleetTrace.generate(3, seed=7)
         path = fleet.save(tmp_path / "trace.jsonl")
