@@ -3,8 +3,8 @@
 These are conventional pytest-benchmark timings (many iterations) of the
 operations the DD loop executes thousands of times per application:
 decomposition, source rebuilding, oracle probes and their loads, DD
-itself, the platform emulator's invocation path, and the fast replay
-engine's general serve loop.
+itself, the platform emulator's invocation path, the reference replay
+engine's serve step, and the fast replay engine's general serve loop.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro.platform import LambdaEmulator
 from repro.platform.faults import FaultPlan, FaultRates
 from repro.platform.hosts import HostConfig
 from repro.platform.kernel import KernelReplayer, TemplateStore
+from repro.platform.replay import TraceReplayer
 from repro.platform.retry import RetryPolicy
 from repro.workloads.apps import build_app
 from repro.workloads.catalog import library_spec
@@ -144,6 +145,24 @@ def test_emulator_cold_invocation(benchmark, toy_session_app):
 
 #: 20k arrivals 50 ms apart: one steady function on the kernel.
 KERNEL_ARRIVALS = [i * 0.05 for i in range(20_000)]
+#: The first 2k of them: the reference engine runs the handler for each.
+REFERENCE_ARRIVALS = KERNEL_ARRIVALS[:2_000]
+
+
+def test_reference_serve_step_on_hosts(benchmark, toy_session_app):
+    """The reference engine's per-attempt path on a host pool: every
+    arrival of a 2k-arrival replay goes through the emulator's one serve
+    step and runs the toy handler for real."""
+    event = {"x": [1.0, 2.0], "y": [3.0, 4.0]}
+
+    def replay():
+        emulator = LambdaEmulator(hosts=HostConfig(count=3, memory_mb=1024.0))
+        emulator.deploy(toy_session_app, name="replay")
+        return TraceReplayer(emulator).replay("replay", REFERENCE_ARRIVALS, event)
+
+    result = benchmark(replay)
+    assert result.lost == 0
+    assert len(result.requests) == len(REFERENCE_ARRIVALS)
 
 
 def _kernel_replay(bundle, store, faults=None, retry=None):

@@ -30,7 +30,7 @@ INVOCATIONS = int(os.environ.get("REPRO_BENCH_DAY_INVOCATIONS", "10000000"))
 RSS_BUDGET_MB = 256.0
 
 _SCRIPT = """
-import json, resource, sys, tempfile, time
+import json, resource, shutil, sys, tempfile, time
 from pathlib import Path
 from repro.platform import replay_fleet
 from repro.traces import FleetTrace
@@ -38,33 +38,37 @@ from repro.workloads.toy import build_toy_torch_app
 
 target = int(sys.argv[1])
 root = Path(tempfile.mkdtemp())
-bundle = build_toy_torch_app(root / "toy")
-started = time.perf_counter()
-arrivals = 0
-functions = 0
-batches = 0
-replay_wall = 0.0
-for batch in FleetTrace.stream_invocations(
-    target, seed=2025, max_per_function=6250, batch_functions=256
-):
-    result = replay_fleet(
-        bundle, batch, {"x": [1.0, 2.0], "y": [3.0, 4.0]},
-        workers=1, log_dir=root / "logs", spill_threshold=4096,
-    )
-    arrivals += result.arrivals
-    functions += len(batch)
-    batches += 1
-    replay_wall += result.wall_s
-wall = time.perf_counter() - started
-peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({
-    "arrivals": arrivals,
-    "functions": functions,
-    "batches": batches,
-    "wall_s": round(wall, 1),
-    "replay_wall_s": round(replay_wall, 1),
-    "peak_rss_mb": round(peak, 1),
-}))
+try:
+    bundle = build_toy_torch_app(root / "toy")
+    started = time.perf_counter()
+    arrivals = 0
+    functions = 0
+    batches = 0
+    replay_wall = 0.0
+    for batch in FleetTrace.stream_invocations(
+        target, seed=2025, max_per_function=6250, batch_functions=256
+    ):
+        result = replay_fleet(
+            bundle, batch, {"x": [1.0, 2.0], "y": [3.0, 4.0]},
+            workers=1, log_dir=root / "logs", spill_threshold=4096,
+        )
+        arrivals += result.arrivals
+        functions += len(batch)
+        batches += 1
+        replay_wall += result.wall_s
+    wall = time.perf_counter() - started
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(json.dumps({
+        "arrivals": arrivals,
+        "functions": functions,
+        "batches": batches,
+        "wall_s": round(wall, 1),
+        "replay_wall_s": round(replay_wall, 1),
+        "peak_rss_mb": round(peak, 1),
+    }))
+finally:
+    # Spilled logs grow with the day: about 460 MB per 1M invocations.
+    shutil.rmtree(root, ignore_errors=True)
 """
 
 

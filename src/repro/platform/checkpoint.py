@@ -80,7 +80,7 @@ __all__ = [
     "write_state",
 ]
 
-CHECKPOINT_SCHEMA = 3
+CHECKPOINT_SCHEMA = 4
 _KIND = "repro-replay-checkpoint"
 
 # Crash-injection hook for the kill-and-resume harness: called after every

@@ -8,8 +8,12 @@ Lambda:
   from the image size), then billed Function Initialization (really
   importing the handler module under the instance meter), then billed
   Function Execution;
-* **warm start** — an idle instance within its keep-alive window serves
-  the request with only routing delay plus execution;
+* **warm start** — an instance whose last request completed no more
+  than the keep-alive ago serves the request with only routing delay
+  plus execution.  Every warm start comes from a
+  :class:`~repro.platform.instance.WarmPool` owned by one caller: each
+  function's own pool for direct invokes, a per-call pool for each replay;
+  :meth:`LambdaEmulator._serve` is the one serve step they share;
 * **forced cold starts** — :meth:`update_function` discards warm
   instances, the paper's trick of editing the function description;
 * **billing** — Eq. 1 with the provider's granularity, memory configured
@@ -22,7 +26,7 @@ Lambda:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 from repro.bundle import AppBundle
 from repro.checkpoint import Checkpoint, CriuSimulator
@@ -34,7 +38,7 @@ from repro.platform.checkpoint import SerialCounter
 from repro.platform.clock import VirtualClock
 from repro.platform.faults import FaultInjector, FaultPlan
 from repro.platform.hosts import HostConfig, HostPool
-from repro.platform.instance import FunctionInstance
+from repro.platform.instance import FunctionInstance, WarmPool
 from repro.platform.logs import (
     ExecutionLog,
     InvocationRecord,
@@ -82,12 +86,11 @@ class DeployedFunction:
     overhead_cache: tuple[float, float] | None = field(
         default=None, repr=False, compare=False
     )
-
-    def warm_instance(self, now: float, keep_alive_s: float) -> FunctionInstance | None:
-        for instance in self.instances:
-            if instance.is_warm(now, keep_alive_s):
-                return instance
-        return None
+    #: The warm pool of direct invokes, in virtual-clock time.  It holds
+    #: only instances direct invokes served; replays build their own.
+    pool: WarmPool = field(
+        default_factory=WarmPool, init=False, repr=False, compare=False
+    )
 
     def discard_instances(self) -> None:
         for instance in self.instances:
@@ -273,29 +276,58 @@ class LambdaEmulator:
         *,
         force_cold: bool = False,
     ) -> InvocationRecord:
-        """Invoke a function; cold or warm depending on instance state."""
+        """Invoke a function; cold or warm depending on its warm pool."""
         function = self.function(name)
         if force_cold:
             self.update_function(name)
 
         now = self.clock.now()
         self.clock.advance(self.routing_s)
+        record, served = self._serve(function, function.pool, now, event, context, ())
+        if served is not None and served.alive:
+            # Free as of the clock at completion: ``now + record.e2e_s``
+            # can land one ulp past the arrival of a back-to-back invoke,
+            # which would then find the instance still busy.
+            function.pool.release(served, self.clock.now(), self.hosts)
+        self._record_invocation(record)
+        return record
 
+    def _serve(
+        self,
+        function: DeployedFunction,
+        pool: WarmPool,
+        arrival: float,
+        event: Any,
+        context: Any,
+        adopt: Iterable[FunctionInstance],
+    ) -> tuple[InvocationRecord, FunctionInstance | None]:
+        """Serve one request arriving at *arrival*: the one serve step.
+
+        Host faults due by *arrival* fire first, then the throttle draw,
+        then *pool* serves a warm start (adopting the alive instances in
+        *adopt* on its first acquire) or a host admits a cold start; the
+        served instance's reservation is then trued up to its measured
+        peak.  Returns the record and the instance that served it: None
+        for a throttle and for a cold start whose instance died, but a
+        warm instance even if it died serving.  The caller releases a
+        still-alive instance to *pool* at the request's completion in the
+        pool's time, then logs the record.
+        """
         hosts = self.hosts
         if hosts is not None:
-            hosts.advance(now)
+            hosts.advance(arrival)
         served: FunctionInstance | None = None
-        if self.faults is not None and self.faults.throttled(name, now):
+        if self.faults is not None and self.faults.throttled(function.name, arrival):
             record = self._throttle_record(function)
         else:
-            instance = function.warm_instance(now, self.keep_alive_s)
-            if instance is not None:
+            served = pool.acquire(adopt, arrival, self.keep_alive_s, hosts)
+            if served is not None:
                 # Float zeros: warm records must carry the same field types
                 # as cold ones, or exports that serialize the record object
                 # directly (dead letters) differ from the columnar log.
                 record = self._run(
                     function,
-                    instance,
+                    served,
                     event,
                     context,
                     StartType.WARM,
@@ -303,35 +335,35 @@ class LambdaEmulator:
                     0.0,
                     0.0,
                     0.0,
-                    arrival=now,
+                    arrival=arrival,
                 )
-                served = instance
             else:
                 placement = (
-                    hosts.admit(name, now, memory_mb=function.memory_mb)
+                    hosts.admit(function.name, arrival, memory_mb=function.memory_mb)
                     if hosts is not None
                     else None
                 )
                 if hosts is not None and placement is None:
-                    record = self._throttle_record(
-                        function, error="CapacityExhausted"
-                    )
+                    # No host can take a new instance and nothing idle is
+                    # left to evict: the request bounces as a (retryable,
+                    # unbilled) capacity throttle.
+                    record = self._throttle_record(function, error="CapacityExhausted")
                 else:
                     record = self._cold_start(
-                        function, event, context, arrival=now, placement=placement
+                        function, event, context, arrival=arrival, placement=placement
                     )
-                    if (
-                        function.instances
-                        and function.instances[-1].instance_id == record.instance_id
-                    ):
-                        served = function.instances[-1]
+                    # The cold start's instance is the newest in the list,
+                    # unless it crashed before joining or was killed.
+                    instances = function.instances
+                    if instances and instances[-1].instance_id == record.instance_id:
+                        served = instances[-1]
         if hosts is not None and served is not None:
-            hosts.adjust(served.instance_id, record.peak_memory_mb, now)
-            hosts.observe_footprint(name, record.peak_memory_mb)
-            if served.alive:
-                hosts.record_use(served.instance_id, now + record.e2e_s)
-        self._record_invocation(record)
-        return record
+            # True the reservation up to the measured peak (may evict idle
+            # neighbours under pressure) and remember the footprint for
+            # future placements of this function.
+            hosts.adjust(served.instance_id, record.peak_memory_mb, arrival)
+            hosts.observe_footprint(function.name, record.peak_memory_mb)
+        return record, served
 
     def _record_invocation(
         self,
@@ -613,7 +645,7 @@ class LambdaEmulator:
         *,
         arrival: float | None = None,
     ) -> InvocationRecord:
-        output = instance.invoke(event, context, at=self.clock.now())
+        output = instance.invoke(event, context)
 
         configured = self._configured_mb(function, instance)
         clamped_mb = self.pricing.clamp_memory_mb(configured)

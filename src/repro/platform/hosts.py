@@ -533,8 +533,8 @@ class HostPool:
     def retire(self, instance_id: str) -> bool:
         """Keep-alive expiry: shut the instance down and free its slot.
 
-        Returns ``False`` for instances the pool never placed (legacy
-        warm instances adopted mid-replay), which callers leave alone.
+        Returns ``False`` for an instance the pool never placed, which
+        callers leave alone.
         """
         entry = self._entries.get(instance_id)
         if entry is None:
@@ -552,11 +552,9 @@ class HostPool:
             self._release_entry(entry)
 
     def _remove_from_owner(self, entry: _Entry) -> None:
-        if entry.owner is None:
-            return
-        container = getattr(entry.instance, "container", entry.instance)
-        if container in entry.owner:
-            entry.owner.remove(container)
+        owner = entry.owner
+        if owner is not None and entry.instance in owner:
+            owner.remove(entry.instance)
 
     def _release_entry(self, entry: _Entry) -> None:
         instance_id = entry.instance.instance_id

@@ -1,4 +1,4 @@
-"""Function instances and the trace-time warm pool replays keep them in."""
+"""Function instances and the warm pools that serve them again."""
 
 from __future__ import annotations
 
@@ -18,9 +18,9 @@ class FunctionInstance:
     """One VM/container running one copy of a function.
 
     Wraps a :class:`LoadedApp` with the lifecycle metadata the emulator
-    needs: creation time, last-use time (for keep-alive), and a busy flag
-    (an instance serves one request at a time, so bursts force new cold
-    starts).
+    needs: creation time, invocation count, liveness, and host placement.
+    When it may serve again is not its own state: the :class:`WarmPool`
+    that holds it decides, so keep-alive follows one rule everywhere.
 
     Instance ids are numbered per function (``{function}-i00001``, …) via
     the ``sequence`` counter the owning :class:`DeployedFunction` passes
@@ -35,8 +35,6 @@ class FunctionInstance:
         "function",
         "app",
         "created_at",
-        "last_used_at",
-        "busy",
         "invocations",
         "alive",
         "host_id",
@@ -55,8 +53,6 @@ class FunctionInstance:
         self.function = function
         self.app = LoadedApp(bundle)
         self.created_at = created_at
-        self.last_used_at = created_at
-        self.busy = False
         self.invocations = 0
         # Cleared on shutdown.  ``app.loaded`` alone cannot tell a killed
         # instance apart (close() keeps init metrics readable), so pools
@@ -87,21 +83,8 @@ class FunctionInstance:
     def peak_memory_mb(self) -> float:
         return self.app.peak_memory_mb
 
-    def is_warm(self, now: float, keep_alive_s: float) -> bool:
-        """Can this instance still serve a warm start at time *now*?"""
-        return (
-            self.app.loaded
-            and not self.busy
-            and now - self.last_used_at <= keep_alive_s
-        )
-
-    def invoke(self, event, context, *, at: float) -> InvocationOutput:
-        self.busy = True
-        try:
-            output = self.app.invoke(event, context)
-        finally:
-            self.busy = False
-        self.last_used_at = at
+    def invoke(self, event, context) -> InvocationOutput:
+        output = self.app.invoke(event, context)
         self.invocations += 1
         return output
 
@@ -114,25 +97,29 @@ class FunctionInstance:
 
 
 class WarmPool:
-    """One function's warm pool in trace time, shared by both replay engines.
+    """One function's warm instances, and the one keep-alive rule.
 
-    Replayed requests overlap in trace time while the emulator serves them
-    one at a time, so replays keep their own bookkeeping instead of the
-    forward-only virtual clock: a heap of ``(busy_until, seq, instance)``
-    for in-flight instances and a LIFO stack of ``(freed_at, instance)``
-    for idle ones.  Arrivals are non-decreasing and every instance with
-    ``busy_until <= arrival`` moves to the idle stack at each acquire, so
-    the stack is monotone in ``freed_at``: the top is the most recently
-    used instance, and a stale top means everything beneath it is stale
-    too.  Acquire and expiry are therefore O(log instances) instead of a
-    per-arrival scan over the instance list.
+    Every warm start is served from a pool that belongs to exactly one
+    caller: each :class:`~repro.platform.emulator.DeployedFunction` owns
+    one for direct invokes, and each replay call builds its own.  A pool
+    keeps a heap of ``(busy_until, seq, instance)`` for in-flight
+    instances and a LIFO stack of ``(freed_at, instance)`` for idle ones,
+    in the caller's time: the virtual clock for direct invokes, trace time
+    for replays, whose requests overlap while the emulator serves them one
+    at a time.  An instance idle for more than the keep-alive since its
+    last request completed has expired.  Arrivals are non-decreasing and
+    every instance with ``busy_until <= arrival`` moves to the idle stack
+    at each acquire, so the stack is monotone in ``freed_at``: the top is
+    the most recently used instance, and a stale top means everything
+    beneath it is stale too.  Acquire and expiry are therefore
+    O(log instances) instead of a per-arrival scan over the instance list.
 
     Members are anything with ``instance_id`` and ``alive``: real
-    :class:`FunctionInstance` objects in the reference engine, simulated
-    meters in the kernel.  Alive instances that predate the pool (warmed
-    by direct invokes, or left by an earlier replay) join it as they are.
-    The kernel's columnar loop inlines :meth:`acquire` on ``busy``/``idle``
-    and writes ``seq``/``adopted`` back when it ends.
+    :class:`FunctionInstance` objects in the reference engine and for
+    direct invokes, simulated meters in the kernel.  A reference replay's
+    pool adopts the function's alive instances on its first acquire; the
+    other pools adopt nothing.  The kernel's columnar loop inlines
+    :meth:`acquire` on ``busy``/``idle``.
     """
 
     __slots__ = ("busy", "idle", "seq", "adopted")

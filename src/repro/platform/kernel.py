@@ -61,11 +61,11 @@ sum continues its sequential fold in serve order.
 
 A *homogeneous* retry-free run — numpy importable, no crash faults, no
 throttle rate or outage covering the function, no hosts, no CPU scaling,
-no checkpoint or resume, a warm pool on the drift sequence (below) — is
-served from its first arrival by the *columnar loop*, which makes only
-the decisions that depend on the previous invocation (the warm-pool MRU
-stack + busy heap, the clock fold) and gathers the rest from per-*j*
-outcome tables.  Two observations make that exact:
+no checkpoint or resume — is served from its first arrival by the
+*columnar loop*, which makes only the decisions that depend on the
+previous invocation (the warm-pool MRU stack + busy heap, the clock
+fold) and gathers the rest from per-*j* outcome tables.  Two
+observations make that exact:
 
 1. *Shared drift sequences.*  Every synthesized instance of a template
    lives on one float-drift sequence: ``W[0]`` is the cold template's
@@ -74,9 +74,9 @@ outcome tables.  Two observations make that exact:
    serve its ``j+1``-th invocation has ``t == W[j]`` exactly, so its
    exec time ``W[j+1] - W[j]``, billed duration, cost, status ladder,
    and e2e are pure functions of ``j`` — computed once per *j* instead
-   of once per invocation.  The same holds for live/peak memory.  A pool
-   holding a shadow off that sequence (left warm by an earlier replayer
-   of another event) keeps the whole run on the general path.
+   of once per invocation.  The same holds for live/peak memory.  Each
+   replay call starts with an empty pool, so every shadow it serves was
+   born on its own template's sequence.
 2. *Order-dependent sums stay sequential.*  The clock, the per-function
    billing sums, the telemetry histogram ``_sum`` folds, and the log's
    accounting folds are sequential float additions whose order is
@@ -91,8 +91,10 @@ reference and provably computes the same maximum.
 What falls back to the reference engine: SnapStart functions, non-JSON
 events, a non-``None`` context, fallback managers, any workload whose
 capture fails verification or whose bundle fails to initialize, and a
-function holding live instances warmed by direct ``emulator.invoke()``
-calls (the kernel's pool holds only its own simulated instances).
+function holding any live instance — warmed by direct
+``emulator.invoke()`` calls or left by an earlier replay, shadows
+included — because each kernel replay serves from a pool of its own
+simulated instances, born in that call.
 The host layer (:mod:`repro.platform.hosts`) never invalidates a
 template — placement, eviction, and host loss operate on pool state
 *outside* the captured meter tapes — so host chaos runs on the general
@@ -303,7 +305,7 @@ def _capture(function: DeployedFunction, event: Any) -> _Entry:
         modules = tuple(aggregate_charges(meter.events))
         init_live = meter.live_mb
         init_peak = meter.peak_mb
-        output = instance.invoke(event, None, at=0.0)
+        output = instance.invoke(event, None)
         cold = _ColdTemplate(
             init_s=init_s,
             init_live=init_live,
@@ -321,7 +323,7 @@ def _capture(function: DeployedFunction, event: Any) -> _Entry:
         for _ in range(2):
             events_before = len(meter.events)
             live = meter.live_mb
-            output = instance.invoke(event, None, at=0.0)
+            output = instance.invoke(event, None)
             events = meter.events[events_before:]
             mems = tuple(e.memory_mb for e in events)
             for mb in mems:
@@ -426,11 +428,6 @@ class _Shadow:
         # carry identical placement state.
         self.host_id: str | None = None
 
-    def is_warm(self, now: float, keep_alive_s: float) -> bool:
-        # Direct emulator.invoke() between kernel replays is not a
-        # supported mix; report not-warm so it cold-starts safely.
-        return False
-
     def shutdown(self) -> None:
         self.alive = False
 
@@ -526,12 +523,13 @@ class KernelResult:
 
 
 class KernelReplayer:
-    """Replays one function's arrivals through the template kernel.
+    """Replays functions' arrivals through the template kernel.
 
     The fast engine (see the module docstring): the general serve path
     with bulk emission, plus the columnar loop for homogeneous runs.
-    Bound to a single function name per instance (the warm pool is
-    per-function state).  Use :class:`~repro.platform.replay.
+    Each :meth:`replay` call builds its own warm pool, so one replayer
+    may replay several functions in turn, with the same records as a
+    fresh replayer per function.  Use :class:`~repro.platform.replay.
     TraceReplayer` when you need fallback managers or non-replayable
     workloads; :func:`~repro.platform.fleet.replay_fleet` picks the
     engine per function automatically.
@@ -543,9 +541,6 @@ class KernelReplayer:
         self.emulator = emulator
         self.store = store if store is not None else TemplateStore()
         self._hosts = emulator.hosts
-        # The reference engine's warm pool, over shadows.
-        self._pool = WarmPool()
-        self._name: str | None = None
         # Pricing caches keyed on exact float bits: the billed-duration
         # quantization collapses exec-time drift onto few values.
         self._clamp_cache: dict[int, int] = {}
@@ -580,9 +575,10 @@ class KernelReplayer:
         The ``(bundle, event)`` templates are captured before the first
         arrival (:meth:`TemplateStore.capture`), so every attempt is
         synthesized; a pair whose capture fails verification, or whose
-        bundle fails to initialize, is refused.  So is a function holding
-        a live instance warmed by direct invokes: the pool adopts only
-        shadows, such as those an earlier replayer left warm.
+        bundle fails to initialize, is refused.  The call serves from a
+        warm pool of its own that adopts nothing, so a function holding
+        any live instance — warmed by direct invokes or left by an
+        earlier replay, shadows included — is refused too.
 
         With a *checkpoint*, the full replay state is snapshotted every
         ``checkpoint.every`` served attempts.  Passing a loaded snapshot
@@ -599,18 +595,10 @@ class KernelReplayer:
                 "context object, or a non-JSON event needs the reference "
                 "engine"
             )
-        if any(
-            instance.alive and not isinstance(instance, _Shadow)
-            for instance in function.instances
-        ):
+        if any(instance.alive for instance in function.instances):
             raise PlatformError(
                 f"kernel cannot replay {function_name!r}: it holds live "
-                "instances warmed by direct invokes, which needs the "
-                "reference engine"
-            )
-        if self._name is not None and self._name != function_name:
-            raise PlatformError(
-                "a KernelReplayer is bound to one function; create another"
+                "instances, which needs the reference engine"
             )
         entry = self.store.capture(function, event)
         if entry is None:
@@ -620,7 +608,7 @@ class KernelReplayer:
                 "the reference engine"
             )
         self._name = function_name
-
+        self._pool = WarmPool()
         self._function = function
         self._entry = entry
         self._routing = emulator.routing_s
@@ -682,7 +670,6 @@ class KernelReplayer:
                     and checkpoint is None
                     and resume_state is None
                     and self._homogeneous()
-                    and self._pool_consistent()
                 ):
                     self._run_columnar(
                         arrivals, result, arrival_times, completion_times
@@ -893,9 +880,7 @@ class KernelReplayer:
         faults = self._faults
         if faults is not None and faults.throttled(self._name, t):
             return self._emit_throttle(t, want_record)[:5]
-        shadow = self._pool.acquire(
-            self._function.instances, t, self.emulator.keep_alive_s, hosts
-        )
+        shadow = self._pool.acquire((), t, self.emulator.keep_alive_s, hosts)
         warm_attempt = shadow is not None
         if shadow is not None:
             out = self._synth_warm(shadow, t, want_record)
@@ -1328,51 +1313,6 @@ class KernelReplayer:
             outage.function in (ANY_FUNCTION, name) for outage in plan.outages
         )
 
-    def _pool_consistent(self) -> bool:
-        """Every live pool instance must sit exactly on the drift sequence.
-
-        Checked once, before the first arrival.  Shadows a previous
-        replay left in the pool always do when it synthesized the same
-        ``(bundle, event)`` pair (synthesis performs the same folds the
-        tables replay), but one left by another event's replayer carries
-        that event's charge tape.  Any mismatch keeps the whole run on
-        the general path.  Read-only: safe to call before adoption.
-        """
-        entry = self._entry
-        drift = entry.drift
-        if drift is None:
-            drift = entry.drift = _DriftTables(entry.cold)
-        warm = entry.warm
-        t_table = drift.t
-        live_table = drift.live
-        peak_table = drift.peak
-
-        def on_drift(invocations: int, t: float, live: float, peak: float) -> bool:
-            if invocations < 1:
-                return False
-            k = invocations - 1
-            drift.extend_array(k, warm)
-            return t == t_table[k] and live == live_table[k] and peak == peak_table[k]
-
-        pool = self._pool
-        for _, _, shadow in pool.busy:
-            if not on_drift(shadow.invocations, shadow.t, shadow.live, shadow.peak):
-                return False
-        for _, shadow in pool.idle:
-            if shadow.alive and not on_drift(
-                shadow.invocations, shadow.t, shadow.live, shadow.peak
-            ):
-                return False
-        if not pool.adopted:
-            # Shadows a previous replayer left behind, which the pool
-            # adopts as they are.
-            for shadow in self._function.instances:
-                if shadow.alive and not on_drift(
-                    shadow.invocations, shadow.t, shadow.live, shadow.peak
-                ):
-                    return False
-        return True
-
     def _init_spec_cols(self) -> tuple:
         """Seed the per-*j* outcome columns with the cold outcome at 0.
 
@@ -1388,8 +1328,11 @@ class KernelReplayer:
         request id, and instance id; returns its ``(exec_s, e2e, kill,
         clamped, billed_s, cost)`` for the loop.
         """
-        cold = self._entry.cold
-        warm = self._entry.warm
+        entry = self._entry
+        if entry.drift is None:
+            entry.drift = _DriftTables(entry.cold)
+        cold = entry.cold
+        warm = entry.warm
         peak = cold.post_peak
         memory_mb = self._memory_mb
         configured = memory_mb if memory_mb is not None else max(int(peak + 0.999), 1)
@@ -1568,7 +1511,6 @@ class KernelReplayer:
         seq = pool.seq.value
         ids = self._request_ids
         rid_base = ids.value
-        adopted = pool.adopted
 
         idx_list: list = []
         ts_list: list = []
@@ -1580,15 +1522,6 @@ class KernelReplayer:
         flushed = 0
         n = len(arrivals)
         spec_len = len(specs)
-
-        if not adopted and n:
-            # The pool's adoption, hoisted out of the loop: it can only
-            # trigger on the first arrival.
-            adopted = True
-            t0 = arrivals[0]
-            for existing in instances:
-                if existing.alive:
-                    idle.append((t0, existing))
 
         for i, t in enumerate(arrivals):
             while busy and busy[0][0] <= t:
@@ -1690,7 +1623,10 @@ class KernelReplayer:
             rid_base += len(idx_list)
             ids.value = rid_base
 
-        self._write_back(now, seq, adopted)
+        # The local clock fold is authoritative.  Shadow meters are not
+        # written back: the pool ends with this call, and no later replay
+        # serves its shadows.
+        clock._now = now
 
     def _flush_cols(
         self, result, idx_list, ts_list, comps, inst_runs, served, rid_base,
@@ -1784,28 +1720,6 @@ class KernelReplayer:
             )
         arrival_times.extend(served)
         completion_times.extend(comps)
-
-    def _write_back(self, now: float, seq: int, adopted: bool) -> None:
-        """Deferred state write-backs: the local folds are authoritative."""
-        self._clock._now = now
-        pool = self._pool
-        pool.seq.value = seq
-        pool.adopted = adopted
-        drift = self._entry.drift
-        t_table = drift.t
-        live_table = drift.live
-        peak_table = drift.peak
-        for _, _, shadow in pool.busy:
-            k = shadow.invocations - 1
-            shadow.t = t_table[k]
-            shadow.live = live_table[k]
-            shadow.peak = peak_table[k]
-        for _, shadow in pool.idle:
-            if shadow.alive:
-                k = shadow.invocations - 1
-                shadow.t = t_table[k]
-                shadow.live = live_table[k]
-                shadow.peak = peak_table[k]
 
     # -- pricing caches ----------------------------------------------------
 

@@ -10,9 +10,15 @@ spills onto a new instance and pays a full cold start (Section 2.1's
 instances").
 
 Requests overlap in trace time, but the emulator executes them one at a
-time; the replayer therefore keeps its own trace-time warm pool (per-
-instance busy-until and freed-at times) instead of the global virtual
-clock, which only ever moves forward.
+time; each :meth:`TraceReplayer.replay` call therefore builds its own
+trace-time :class:`~repro.platform.instance.WarmPool` (per-instance
+busy-until and freed-at times) instead of the function's direct-invoke
+pool, which follows the forward-only virtual clock.  The function's pool
+adopts its alive instances on the first acquire, so a replay after
+direct invokes (or after an earlier replay) starts warm; a function
+holding the kernel's simulated instances is refused.  Each attempt goes
+through the emulator's one serve step,
+:meth:`~repro.platform.emulator.LambdaEmulator._serve`.
 
 Every replay walks its trace through one
 :class:`~repro.platform.retry.RetryTimeline`: a cursor over the sorted
@@ -55,6 +61,7 @@ from repro.platform.checkpoint import (
 )
 from repro.platform.emulator import DeployedFunction, LambdaEmulator
 from repro.platform.instance import FunctionInstance, WarmPool
+from repro.platform.kernel import peak_concurrency
 from repro.platform.logs import InvocationRecord, StartType
 from repro.platform.retry import (
     DeadLetter,
@@ -132,16 +139,10 @@ class ReplayResult:
     @property
     def peak_concurrency(self) -> int:
         """Maximum number of simultaneously in-flight requests."""
-        edges: list[tuple[float, int]] = []
-        for request in self.requests:
-            edges.append((request.arrival, 1))
-            edges.append((request.completion, -1))
-        edges.sort()
-        peak = current = 0
-        for _, delta in edges:
-            current += delta
-            peak = max(peak, current)
-        return peak
+        return peak_concurrency(
+            [r.arrival for r in self.requests],
+            [r.completion for r in self.requests],
+        )
 
 
 class TraceReplayer:
@@ -149,15 +150,6 @@ class TraceReplayer:
 
     def __init__(self, emulator: LambdaEmulator):
         self.emulator = emulator
-        # Trace-time warm pools, one per function served, independent of
-        # the global virtual clock.
-        self._pools: dict[str, WarmPool] = {}
-
-    def _pool(self, name: str) -> WarmPool:
-        pool = self._pools.get(name)
-        if pool is None:
-            pool = self._pools[name] = WarmPool()
-        return pool
 
     def replay(
         self,
@@ -186,9 +178,14 @@ class TraceReplayer:
         ``checkpoint.every`` served attempts; passing a loaded snapshot
         back as *resume_state* continues exactly where the snapshot was
         taken, byte-identical to an uninterrupted run.  Checkpointing
-        assumes this replayer serves exactly one function per replayer
-        (the fleet layout) and does not compose with *fallback* — breaker
-        state is not snapshotted.
+        does not compose with *fallback*: breaker state is not
+        snapshotted.
+
+        Each call builds its own trace-time warm pools, one for the
+        function and one for the fallback function, and each adopts its
+        function's alive instances on the first acquire.  A function that
+        holds the kernel's simulated instances is refused before the
+        first arrival.
         """
         check_arrivals(arrivals)
         function = self.emulator.function(function_name)
@@ -197,6 +194,15 @@ class TraceReplayer:
             if fallback.emulator is not self.emulator:
                 raise PlatformError("fallback manager is bound to a different emulator")
             fallback_function = self.emulator.function(fallback.fallback)
+        for deployed in (function, fallback_function):
+            if deployed is not None and any(
+                instance.alive and not isinstance(instance, FunctionInstance)
+                for instance in deployed.instances
+            ):
+                raise PlatformError(
+                    f"reference engine cannot replay {deployed.name!r}: it "
+                    "holds live kernel instances"
+                )
         recorder = get_recorder()
 
         if (checkpoint is not None or resume_state is not None) and (
@@ -209,15 +215,21 @@ class TraceReplayer:
         session = retry.session() if retry is not None else None
         timeline = RetryTimeline(function_name, arrivals, session)
         result = ReplayResult(arrivals=len(arrivals))
+        pool = WarmPool()
+        fallback_pool = WarmPool()
         if resume_state is not None:
-            self._restore_state(function, arrivals, timeline, result, resume_state)
+            self._restore_state(
+                function, arrivals, timeline, pool, result, resume_state
+            )
 
         with recorder.span(
             "replay.run", label=function_name, arrivals=len(arrivals)
         ) as span:
             for t, seq, attempt in timeline:
                 arrival = arrivals[seq]
-                record, completion = self._serve_attempt(function, t, event, context)
+                record, completion = self._serve_attempt(
+                    function, pool, t, event, context
+                )
                 result.attempts += 1
                 if not record.billed:
                     result.throttled += 1
@@ -233,6 +245,7 @@ class TraceReplayer:
                     fallback.record_trigger(t)
                     fb_record, fb_completion = self._serve_attempt(
                         fallback_function,
+                        fallback_pool,
                         completion + SETUP_OVERHEAD_S,
                         event,
                         context,
@@ -269,7 +282,9 @@ class TraceReplayer:
                         result.dead_letters.append(letter)
 
                 if checkpoint is not None and checkpoint.tick():
-                    checkpoint.write(self._snapshot_state(function, result, timeline))
+                    checkpoint.write(
+                        self._snapshot_state(function, pool, result, timeline)
+                    )
 
             return self._finish(result, recorder, span)
 
@@ -278,6 +293,7 @@ class TraceReplayer:
     def _snapshot_state(
         self,
         function: DeployedFunction,
+        pool: WarmPool,
         result: ReplayResult,
         timeline: RetryTimeline,
     ) -> dict:
@@ -288,7 +304,7 @@ class TraceReplayer:
             function,
             arrivals=result.arrivals,
             timeline=timeline,
-            pool=self._pool(function.name),
+            pool=pool,
             instance_state=self._instance_state,
         )
         state["result"] = {
@@ -312,7 +328,6 @@ class TraceReplayer:
             "instance_id": instance.instance_id,
             "owned": owned,
             "created_at": instance.created_at,
-            "last_used_at": instance.last_used_at,
             "invocations": instance.invocations,
             "alive": instance.alive,
             "host_id": instance.host_id,
@@ -333,6 +348,7 @@ class TraceReplayer:
         function: DeployedFunction,
         arrivals: list[float],
         timeline: RetryTimeline,
+        pool: WarmPool,
         result: ReplayResult,
         state: dict,
     ) -> None:
@@ -344,7 +360,7 @@ class TraceReplayer:
             function,
             arrivals=len(arrivals),
             timeline=timeline,
-            pool=self._pool(function.name),
+            pool=pool,
             instance_from_state=partial(self._instance_from_state, function),
         )
         res = state["result"]
@@ -380,7 +396,6 @@ class TraceReplayer:
             function.name, function.bundle, float(item["created_at"])
         )
         instance.instance_id = item["instance_id"]
-        instance.last_used_at = float(item["last_used_at"])
         instance.invocations = int(item["invocations"])
         instance.host_id = item["host_id"]
         if item["alive"]:
@@ -436,91 +451,23 @@ class TraceReplayer:
     def _serve_attempt(
         self,
         function: DeployedFunction,
+        pool: WarmPool,
         arrival: float,
         event: Any,
         context: Any,
     ) -> tuple[InvocationRecord, float]:
         """Serve one attempt at trace time *arrival*; log/bill/observe it."""
         emulator = self.emulator
-        hosts = emulator.hosts
-        if hosts is not None:
-            # Fire host faults due by this arrival before any serving
-            # decision — identical ordering in the kernel replayer keeps
-            # the engines byte-for-byte interchangeable.
-            hosts.advance(arrival)
-        pool = self._pool(function.name)
-        instance: FunctionInstance | None = None
-        if emulator.faults is not None and emulator.faults.throttled(
-            function.name, arrival
-        ):
-            record = emulator._throttle_record(function)
-        else:
-            instance = pool.acquire(
-                function.instances, arrival, emulator.keep_alive_s, hosts
-            )
-            if instance is not None:
-                record = self._serve_warm(function, instance, event, context, arrival)
-            else:
-                placement = (
-                    hosts.admit(function.name, arrival, memory_mb=function.memory_mb)
-                    if hosts is not None
-                    else None
-                )
-                if hosts is not None and placement is None:
-                    # No host can take a new instance and nothing idle is
-                    # left to evict: the request bounces as a (retryable,
-                    # unbilled) capacity throttle.
-                    record = emulator._throttle_record(
-                        function, error="CapacityExhausted"
-                    )
-                else:
-                    record = emulator._cold_start(
-                        function, event, context, arrival=arrival, placement=placement
-                    )
-                    # Recover the instance the cold start created (it is the
-                    # newest in the list) — unless it crashed before joining.
-                    if (
-                        function.instances
-                        and function.instances[-1].instance_id == record.instance_id
-                    ):
-                        instance = function.instances[-1]
+        record, served = emulator._serve(
+            function, pool, arrival, event, context, function.instances
+        )
+        completion = arrival + record.e2e_s
+        if served is not None and served.alive:
+            # Still alive after serving (not OOM-killed / crashed): it is
+            # busy until this request's trace-time completion.
+            pool.release(served, completion, emulator.hosts)
         # Trace-time accounting, not the forward-only virtual clock:
         # windows and concurrency follow the arrivals.  Replay does not
         # re-emit per-record obs counters (it reports in aggregate).
         emulator._record_invocation(record, arrival=arrival, emit_obs=False)
-        completion = arrival + record.e2e_s
-        if hosts is not None and instance is not None:
-            # True the reservation up to the measured peak (may evict idle
-            # neighbours under pressure) and remember the footprint for
-            # future placements of this function.
-            hosts.adjust(instance.instance_id, record.peak_memory_mb, arrival)
-            hosts.observe_footprint(function.name, record.peak_memory_mb)
-        if instance is not None and instance.alive:
-            # Still alive after serving (not OOM-killed / crashed): it is
-            # busy until this request's trace-time completion.
-            pool.release(instance, completion, hosts)
         return record, completion
-
-    def _serve_warm(
-        self,
-        function: DeployedFunction,
-        instance: FunctionInstance,
-        event: Any,
-        context: Any,
-        arrival: float | None = None,
-    ) -> InvocationRecord:
-        # Float zeros: warm records must carry the same field types as
-        # cold ones, or exports that serialize the record object directly
-        # (dead letters) differ byte-wise from the kernel engine's.
-        return self.emulator._run(
-            function,
-            instance,
-            event,
-            context,
-            StartType.WARM,
-            0.0,
-            0.0,
-            0.0,
-            0.0,
-            arrival=arrival,
-        )

@@ -2,9 +2,10 @@
 
 Both engines walk a trace through one attempt timeline, whose cursor
 merge relies on sorted, finite arrivals: a NaN compares false against
-everything and would slip past a plain sortedness scan.  The kernel also
-serves only its own simulated instances, so a function holding a live
-instance warmed by a direct invoke is the reference engine's.
+everything and would slip past a plain sortedness scan.  Each engine
+also serves only its own kind of instance: the kernel refuses a function
+holding any live instance, such as one warmed by a direct invoke, and
+the reference engine refuses one holding the kernel's simulated ones.
 """
 
 from __future__ import annotations
@@ -56,3 +57,12 @@ def test_kernel_refuses_instances_warmed_by_direct_invokes(toy_app_session):
     # The reference engine adopts the warm instance as it is.
     result = TraceReplayer(emulator).replay("fn", [0.0, 1.0], EVENT)
     assert [request.is_cold for request in result.requests] == [False, False]
+
+
+def test_reference_refuses_kernel_shadows(toy_app_session):
+    emulator = _emulator(toy_app_session)
+    KernelReplayer(emulator).replay("fn", [0.0, 1.0], EVENT)
+    rows = len(emulator.log)
+    with pytest.raises(PlatformError, match="^reference engine cannot replay 'fn'"):
+        TraceReplayer(emulator).replay("fn", [0.0, 1.0], EVENT)
+    assert len(emulator.log) == rows

@@ -395,15 +395,23 @@ class TestRejection:
         with pytest.raises(PlatformError, match="cannot replay"):
             KernelReplayer(emulator).replay("fn", [0.0], {"x": {1, 2}})
 
-    def test_replayer_is_bound_to_one_function(self, tmp_path):
-        emulator = LambdaEmulator()
+    def test_one_replayer_replays_several_functions(self, tmp_path):
+        # Each replay call builds its own pool: one replayer serving two
+        # functions writes what a fresh replayer per function writes.  The
+        # host pool keeps both on the general path (test_vector.py covers
+        # the columnar loop).
         bundle = build_toy_torch_app(tmp_path / "toy")
-        emulator.deploy(bundle, name="a")
-        emulator.deploy(bundle, name="b")
-        replayer = KernelReplayer(emulator)
-        replayer.replay("a", [0.0], EVENT)
-        with pytest.raises(PlatformError, match="bound"):
-            replayer.replay("b", [0.0], EVENT)
+        exports = []
+        for shared in (True, False):
+            emulator = LambdaEmulator(hosts=HostConfig(count=3, memory_mb=1024.0))
+            replayer = KernelReplayer(emulator)
+            for name, count in (("a", 20), ("b", 12)):
+                emulator.deploy(bundle, name=name)
+                engine = replayer if shared else KernelReplayer(emulator)
+                engine.replay(name, [i * 0.25 for i in range(count)], EVENT)
+            exports.append((emulator.log.records, dict(emulator.ledger.bills)))
+        assert exports[0] == exports[1]
+        assert len(exports[0][0]) == 32
 
     def test_fleet_engine_auto_falls_back(self, tmp_path):
         # auto must quietly use the reference engine when the event is

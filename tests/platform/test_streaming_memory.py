@@ -29,30 +29,34 @@ INVOCATIONS = 1_000_000
 RSS_BUDGET_MB = 192.0
 
 _SCRIPT = """
-import json, resource, sys, tempfile
+import json, resource, shutil, sys, tempfile
 from pathlib import Path
 from repro.platform import replay_fleet
 from repro.traces import FleetTrace
 from repro.workloads.toy import build_toy_torch_app
 
 root = Path(tempfile.mkdtemp())
-bundle = build_toy_torch_app(root / "toy")
-arrivals = 0
-batches = 0
-for batch in FleetTrace.stream_invocations(
-    {invocations}, seed=2025, max_per_function=6250, batch_functions=256
-):
-    result = replay_fleet(
-        bundle, batch, {{"x": [1.0, 2.0], "y": [3.0, 4.0]}},
-        workers=1, log_dir=root / "logs", spill_threshold=4096,
-    )
-    arrivals += result.arrivals
-    batches += 1
-peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({{
-    "arrivals": arrivals, "batches": batches,
-    "peak_rss_mb": round(peak, 1),
-}}))
+try:
+    bundle = build_toy_torch_app(root / "toy")
+    arrivals = 0
+    batches = 0
+    for batch in FleetTrace.stream_invocations(
+        {invocations}, seed=2025, max_per_function=6250, batch_functions=256
+    ):
+        result = replay_fleet(
+            bundle, batch, {{"x": [1.0, 2.0], "y": [3.0, 4.0]}},
+            workers=1, log_dir=root / "logs", spill_threshold=4096,
+        )
+        arrivals += result.arrivals
+        batches += 1
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(json.dumps({{
+        "arrivals": arrivals, "batches": batches,
+        "peak_rss_mb": round(peak, 1),
+    }}))
+finally:
+    # The spilled logs of 1M invocations take about 460 MB.
+    shutil.rmtree(root, ignore_errors=True)
 """
 
 

@@ -181,22 +181,25 @@ class TestKernelLoadsOncePerTemplate:
 
 
 class TestSecondReplayerOnOneFunction:
-    """The pool check runs before the first arrival, when a fresh replayer
-    has not yet adopted the instances a previous one left warm."""
+    """Each kernel replay serves only the shadows it creates, so it refuses
+    a function an earlier replay left warm; the reference engine's pool
+    adopts the instances its earlier replay left warm."""
 
-    @staticmethod
-    def _run(tmp_path, engine_cls):
-        emulator = LambdaEmulator()
-        emulator.deploy(build_toy_torch_app(tmp_path / "toy"), name="fn")
-        for start in (0.0, 10.0):
-            engine_cls(emulator).replay(
-                "fn", [start + i * 0.5 for i in range(10)], EVENT
-            )
-        return emulator
+    def test_kernel_refuses_reuse(self, tmp_path):
+        bundle = build_toy_torch_app(tmp_path / "toy")
+        runs = ([i * 0.5 for i in range(10)], [10.0 + i * 0.5 for i in range(10)])
 
-    def test_adopts_the_warm_shadows_like_the_reference(self, tmp_path):
-        ref = self._run(tmp_path / "reference", TraceReplayer)
-        ker = self._run(tmp_path / "kernel", KernelReplayer)
-        assert ker.log.records == ref.log.records
-        assert dict(ker.ledger.bills) == dict(ref.ledger.bills)
-        assert len(ref.log.warm_starts()) > 10  # the second run reused them
+        kernel = LambdaEmulator()
+        kernel.deploy(bundle, name="fn")
+        KernelReplayer(kernel).replay("fn", runs[0], EVENT)
+        rows = len(kernel.log)
+        with pytest.raises(PlatformError, match="kernel cannot replay 'fn'"):
+            KernelReplayer(kernel).replay("fn", runs[1], EVENT)
+        assert len(kernel.log) == rows
+
+        reference = LambdaEmulator()
+        reference.deploy(bundle, name="fn")
+        replayer = TraceReplayer(reference)
+        for arrivals in runs:
+            replayer.replay("fn", arrivals, EVENT)
+        assert len(reference.log.warm_starts()) > 10  # the second run reused them

@@ -10,7 +10,7 @@ that the exports — logs, ledgers, telemetry, stats — stay
 **byte-identical** to the reference
 :class:`~repro.platform.replay.TraceReplayer`, to the general path, and
 across worker counts.  Plus the engine plumbing: ``auto`` without numpy
-and a replayer bound to one function.
+and one replayer serving several functions.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import json
 
 import pytest
 
-from repro.errors import PlatformError
 from repro.platform import LambdaEmulator, replay_fleet
 from repro.platform import kernel as kernel_mod
 from repro.platform.faults import FaultPlan, FaultRates
@@ -257,7 +256,7 @@ class TestVectorVsReferenceDirect:
 
 
 class TestVectorEngineSelection:
-    """Engine plumbing: the no-numpy gate and one function per replayer."""
+    """Engine plumbing: the no-numpy gate and several functions per replayer."""
 
     def test_fleet_engine_auto_degrades_without_numpy(
         self, tmp_path, monkeypatch
@@ -273,14 +272,18 @@ class TestVectorEngineSelection:
         assert result.delivered == result.arrivals
 
     @needs_numpy
-    def test_replayer_is_bound_to_one_function(self, tmp_path, columnar):
-        # Binding survives a run the columnar loop took over.
-        emulator = LambdaEmulator()
+    def test_one_replayer_replays_several_functions(self, tmp_path, columnar):
+        # A run the columnar loop served leaves nothing behind that
+        # changes the next function's replay on the same replayer.
         bundle = build_toy_torch_app(tmp_path / "toy")
-        emulator.deploy(bundle, name="a")
-        emulator.deploy(bundle, name="b")
-        replayer = KernelReplayer(emulator)
-        replayer.replay("a", [i * 0.25 for i in range(20)], EVENT)
-        assert columnar
-        with pytest.raises(PlatformError, match="bound"):
-            replayer.replay("b", [0.0], EVENT)
+        exports = []
+        for shared in (True, False):
+            emulator = LambdaEmulator()
+            replayer = KernelReplayer(emulator)
+            for name, count in (("a", 20), ("b", 12)):
+                emulator.deploy(bundle, name=name)
+                engine = replayer if shared else KernelReplayer(emulator)
+                engine.replay(name, [i * 0.25 for i in range(count)], EVENT)
+            exports.append((emulator.log.records, dict(emulator.ledger.bills)))
+        assert columnar == [20, 12, 20, 12]
+        assert exports[0] == exports[1]
