@@ -2,9 +2,10 @@
 
 These are conventional pytest-benchmark timings (many iterations) of the
 operations the DD loop executes thousands of times per application:
-decomposition, source rebuilding, oracle probes and their loads, DD
-itself, the platform emulator's invocation path, the reference replay
-engine's serve step, and the fast replay engine's general serve loop.
+decomposition, a run's first graph refresh, statement selection, source
+rebuilding, oracle probes and their loads, DD itself, the platform
+emulator's invocation path, the reference replay engine's serve step,
+and the fast replay engine's general serve loop.
 """
 
 from __future__ import annotations
@@ -12,12 +13,14 @@ from __future__ import annotations
 import itertools
 import os
 
-from repro.core.ast_transform import rebuild_source
+from repro.core.ast_transform import rebuild_code, rebuild_source
 from repro.core.callgraph import CallGraphCache, build_bundle_call_graph
 from repro.core.dd import ddmin_keep
+from repro.core.debloater import decompose_file
 from repro.core.execution import LoadedApp
 from repro.core.granularity import decompose_module
 from repro.core.oracle import ModuleCandidate, OracleRunner
+from repro.core.pipeline import LambdaTrim
 from repro.platform import LambdaEmulator
 from repro.platform.faults import FaultPlan, FaultRates
 from repro.platform.hosts import HostConfig
@@ -49,9 +52,49 @@ def test_rebuild_numpy_root(benchmark):
     assert source
 
 
+def test_cold_refresh_then_decompose_huggingface(benchmark, tmp_path):
+    """A run's first, cold graph refresh of the pristine huggingface
+    bundle, then each module the trim selects decomposed from the tree
+    that refresh parsed: each file is parsed once for both."""
+    bundle = build_app("huggingface", tmp_path / "huggingface")
+    trim = LambdaTrim()
+    external, _ = trim.analyze(bundle)
+    files = [
+        bundle.module_file(module)
+        for module in trim.select_modules(bundle, trim.profile(bundle, external))
+    ]
+
+    def refresh_and_decompose():
+        cache = CallGraphCache()
+        cache.refresh(bundle)
+        return [decompose_file(file, trees=cache) for file in files]
+
+    decompositions = benchmark(refresh_and_decompose)
+    assert len(decompositions) == len(files) > 5
+    assert [d.components for d in decompositions] == [
+        decompose_file(file).components for file in files
+    ]
+
+
+def test_select_half_of_synth_torch(benchmark, tmp_path):
+    """A DD probe's statement selection alone: ``rebuild_code`` with the
+    first half of ``synth_torch``'s components kept, from a built plan.
+    It compiles nothing; the probe's load calls the function it returns."""
+    bundle = build_app("resnet", tmp_path / "resnet")
+    decomposition = decompose_file(bundle.module_file("synth_torch"))
+    components = decomposition.components
+    half = components[: len(components) // 2]
+    rebuild_code(decomposition, half)  # builds the plan
+    code = benchmark(lambda: rebuild_code(decomposition, half))
+    kept = {index for index, _ in code.args[0]}
+    assert kept == {*decomposition.pinned_statements, *(c.stmt_index for c in half)}
+
+
 def test_bundle_graph_refresh_after_one_rewrite(benchmark, tmp_path):
-    """The whole-program graph after one module commit (per module): a
-    warm per-file cache re-analyses only the rewritten file."""
+    """The minor, post-commit path of a trim's graph refresh: after one
+    module commit a warm per-file cache reads and hashes every file and
+    re-analyses only the rewritten one.  A run's first, cold refresh is
+    where its graph time goes (``test_cold_refresh_then_decompose_*``)."""
     bundle = build_app("huggingface", tmp_path / "huggingface")
     cache = CallGraphCache()
     cache.refresh(bundle)

@@ -25,6 +25,7 @@ import ast
 import copy
 import dis
 import functools
+import itertools
 from types import CodeType
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -67,16 +68,29 @@ class _RebuildPlan:
         components = decomposition.components
         # Keyed by identity: hashing a frozen dataclass is a Python call,
         # and a DD search rebuilds from this decomposition's own objects.
-        self.by_id = {id(c): c for c in components}
+        # ``at_slot`` holds every component, so no id here is reused.
+        self.slot_of = {id(c): (c.stmt_index, c.alias_index) for c in components}
         self.at_slot = {(c.stmt_index, c.alias_index): c for c in components}
         removable_by_statement: dict[int, set[int]] = {}
         for component in components:
             removable_by_statement.setdefault(component.stmt_index, set()).add(
                 component.alias_index
             )
-        self.source_lines = decomposition.source.splitlines()
+        self.source = decomposition.source
         self.filename = decomposition.filename
+        body = decomposition.tree.body
         self.steps: list[_Step] = []
+        #: The form of each statement kept verbatim, by statement index.
+        self.verbatim = list(zip(range(len(body)), itertools.repeat(None)))
+        #: Statements with no component: they always stay verbatim.
+        self.pinned: list[int] = []
+        #: Slot -> its statement, for a statement that stays verbatim when
+        #: that one slot is kept and goes when it is not.
+        self.statement_of: dict[tuple[int, int], int] = {}
+        #: Every other statement with components (a partly kept import),
+        #: and the slots of those statements.
+        self.mixed: list[int] = []
+        self.mixed_slots: set[tuple[int, int]] = set()
         #: Statements a module compiler takes as the docstring when first.
         self.bare_strings: set[int] = set()
         #: ``from __future__`` imports: each alias's compiler flag.
@@ -84,7 +98,7 @@ class _RebuildPlan:
         #: (statement, surviving aliases or None, future flags) -> its code,
         #: and whether that code sets up ``__annotations__``.
         self.compiled: dict[tuple, tuple[CodeType, bool]] = {}
-        for index, stmt in enumerate(decomposition.tree.body):
+        for index, stmt in enumerate(body):
             if _is_bare_string(stmt):
                 self.bare_strings.add(index)
             elif isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
@@ -92,6 +106,7 @@ class _RebuildPlan:
             removable = removable_by_statement.get(index)
             if removable is None:
                 self.steps.append(_Step(stmt, None, frozenset(), False))
+                self.pinned.append(index)
                 continue
             aliases = frozenset(_alias_indices(stmt))
             whole = WHOLE_STATEMENT in removable
@@ -100,40 +115,85 @@ class _RebuildPlan:
                 frozenset(_magic_alias_indices(stmt)) if whole else aliases - removable
             )
             self.steps.append(_Step(stmt, aliases, always, whole))
+            if len(removable) == 1 and not always:
+                (alias,) = removable
+                self.statement_of[index, alias] = index
+            else:
+                self.mixed.append(index)
+                self.mixed_slots.update((index, alias) for alias in removable)
+
+    # Rendering text (a commit, or a probe whose oracle reads the disk)
+    # needs the source's lines and where statements share one.
+
+    @functools.cached_property
+    def source_lines(self) -> list[str]:
+        """The source's lines as the tokenizer counts them: ``splitlines``
+        also breaks at form feeds and other separators within a line."""
+        return self.source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+    @functools.cached_property
+    def shares_line(self) -> set[int]:
+        """Statements sharing a physical line with a neighbour."""
+        shared: set[int] = set()
+        previous_end = 0
+        for index, step in enumerate(self.steps):
+            start, end = _statement_lines(step.stmt)
+            if start == previous_end:
+                shared.update((index - 1, index))
+            previous_end = end
+        return shared
 
     def survivors(
         self, keep: Iterable[AttributeComponent]
-    ) -> Iterator[tuple[int, frozenset[int] | None]]:
+    ) -> tuple[tuple[int, frozenset[int] | None], ...]:
         """Each statement that stays, by index, with its surviving alias
         indices; None when it stays verbatim (pinned, or all aliases kept)."""
-        kept_by_statement: dict[int, set[int]] = {}
+        keep = tuple(keep)  # it may be an iterator: read it once
+        slots = set(map(self.slot_of.get, map(id, keep)))
+        if None in slots:
+            slots.discard(None)
+            slots.update(self._equal_slots(keep))
+        chosen = {*self.pinned, *map(self.statement_of.get, slots)}
+        chosen.discard(None)
+        partial: dict[int, tuple[int, frozenset[int]]] = {}
+        if self.mixed:
+            kept_by_statement: dict[int, set[int]] = {}
+            for index, alias in slots & self.mixed_slots:
+                kept_by_statement.setdefault(index, set()).add(alias)
+            for index in self.mixed:
+                step = self.steps[index]
+                kept_aliases = kept_by_statement.get(index)
+                if step.whole:
+                    surviving = (
+                        step.aliases
+                        if kept_aliases and WHOLE_STATEMENT in kept_aliases
+                        else step.always
+                    )
+                else:
+                    surviving = (
+                        step.always | kept_aliases if kept_aliases else step.always
+                    )
+                if surviving:
+                    chosen.add(index)
+                    if surviving != step.aliases:
+                        partial[index] = (index, surviving)
+        order = sorted(chosen)
+        verbatim = map(self.verbatim.__getitem__, order)
+        if partial:
+            return tuple(map(partial.get, order, verbatim))
+        return tuple(verbatim)
+
+    def _equal_slots(
+        self, keep: tuple[AttributeComponent, ...]
+    ) -> Iterator[tuple[int, int]]:
+        """Slots of the components in *keep* that are not this
+        decomposition's own objects: each counts only if it equals the
+        component at its position."""
         for component in keep:
-            if self.by_id.get(id(component)) is not component:
-                # Not one of this decomposition's own objects: it counts
-                # only if it equals the component at its position.
+            if id(component) not in self.slot_of:
                 slot = (component.stmt_index, component.alias_index)
-                if self.at_slot.get(slot) != component:
-                    continue
-            kept_by_statement.setdefault(component.stmt_index, set()).add(
-                component.alias_index
-            )
-        for index, step in enumerate(self.steps):
-            if step.aliases is None:
-                yield index, None
-                continue
-            kept_aliases = kept_by_statement.get(index)
-            if step.whole:
-                surviving = (
-                    step.aliases
-                    if kept_aliases and WHOLE_STATEMENT in kept_aliases
-                    else step.always
-                )
-            else:
-                surviving = step.always | kept_aliases if kept_aliases else step.always
-            if surviving == step.aliases:
-                yield index, None
-            elif surviving:
-                yield index, surviving
+                if self.at_slot.get(slot) == component:
+                    yield slot
 
     def code(
         self, forms: tuple[tuple[int, frozenset[int] | None], ...]
@@ -208,7 +268,7 @@ def rebuild_code(
     of it runs, so a statement that does not compile fails the load first.
     """
     plan = _plan(decomposition)
-    return functools.partial(plan.code, tuple(plan.survivors(keep)))
+    return functools.partial(plan.code, plan.survivors(keep))
 
 
 def rebuild_source(
@@ -217,17 +277,21 @@ def rebuild_source(
     """Source text of the module rebuilt with only *keep* attributes.
 
     Statements that survive intact are copied verbatim from the original
-    source; only partially kept import statements go through the AST
-    unparser.  DD probes run :func:`rebuild_code` instead: text is
-    rendered when a module is committed, or for a probe whose oracle
-    reads the disk.
+    source: their whole lines, or just their own columns when they share
+    a line with another statement (``import os; import sys``).  Only
+    partially kept import statements go through the AST unparser.  DD
+    probes run :func:`rebuild_code` instead: text is rendered when a
+    module is committed, or for a probe whose oracle reads the disk.
     """
     plan = _plan(decomposition)
     chunks: list[str] = []
     for index, surviving in plan.survivors(keep):
         stmt = plan.steps[index].stmt
         if surviving is None:
-            chunks.append(_statement_text(stmt, plan.source_lines))
+            if index in plan.shares_line:
+                chunks.append(_statement_segment(stmt, plan.source_lines))
+            else:
+                chunks.append(_statement_text(stmt, plan.source_lines))
             continue
         filtered = _filter_statement(stmt, surviving)
         if filtered is not None:
@@ -252,14 +316,31 @@ def _future_flag(name: str) -> int:
     return getattr(getattr(__future__, name, None), "compiler_flag", 0)
 
 
-def _statement_text(stmt: ast.stmt, source_lines: list[str]) -> str:
-    """Verbatim source text of one top-level statement (with decorators)."""
+def _statement_lines(stmt: ast.stmt) -> tuple[int, int]:
+    """First and last physical line of a statement (with decorators)."""
     start = stmt.lineno
     decorators = getattr(stmt, "decorator_list", None)
     if decorators:
         start = min(start, decorators[0].lineno)
     end = stmt.end_lineno if stmt.end_lineno is not None else stmt.lineno
+    return start, end
+
+
+def _statement_text(stmt: ast.stmt, source_lines: list[str]) -> str:
+    """Verbatim source text of the whole lines of one top-level statement
+    (with decorators)."""
+    start, end = _statement_lines(stmt)
     return "\n".join(source_lines[start - 1 : end])
+
+
+def _statement_segment(stmt: ast.stmt, source_lines: list[str]) -> str:
+    """Verbatim source text of a statement that shares a line: only its
+    own columns (offsets count UTF-8 bytes).  Such a statement is a
+    simple one, so it has no decorators."""
+    lines = [line.encode() for line in source_lines[stmt.lineno - 1 : stmt.end_lineno]]
+    lines[-1] = lines[-1][: stmt.end_col_offset]
+    lines[0] = lines[0][stmt.col_offset :]
+    return b"\n".join(lines).decode()
 
 
 def _magic_alias_indices(stmt: ast.stmt) -> set[int]:

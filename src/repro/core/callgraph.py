@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import os
 from dataclasses import dataclass, field
 
-from repro.core.static_analyzer import import_bindings
-from repro.errors import AnalysisError
+from repro.core.static_analyzer import import_bindings, parse_source
 
 __all__ = [
     "CallGraph",
@@ -38,6 +38,18 @@ __all__ = [
 ]
 
 _MAX_ALIAS_PASSES = 10
+
+#: Nodes below which no binding or access can sit: constants, expression
+#: contexts, operators, and import aliases (an import binds from its own
+#: node).  The walk never pushes them; a ``Name`` is read where it is met.
+_LEAVES = frozenset(
+    [ast.Constant, ast.alias]
+    + [
+        leaf
+        for base in (ast.expr_context, ast.boolop, ast.operator, ast.unaryop, ast.cmpop)
+        for leaf in base.__subclasses__()
+    ]
+)
 
 
 @dataclass
@@ -65,19 +77,23 @@ class CallGraph:
         self.accessed.setdefault(module, set()).add(attribute)
 
 
-def build_call_graph(source: str, *, filename: str = "<application>") -> CallGraph:
+def build_call_graph(
+    source: str,
+    *,
+    filename: str = "<application>",
+    tree: ast.Module | None = None,
+) -> CallGraph:
     """Analyze application *source* and return its attribute-access graph.
 
-    One parse and one depth-first walk feed every pass.  Imports bind in
-    the walk's order, which is the static analyzer's; later imports of a
-    name shadow earlier ones.  Simple aliases then resolve in
+    One parse and one depth-first walk feed every pass; *tree*, when
+    given, is *source* already parsed and is walked as is.  Imports bind
+    in the walk's order, which is the static analyzer's; later imports of
+    a name shadow earlier ones.  Simple aliases then resolve in
     ``ast.walk`` order (by depth, then walk order), and the access
     candidates the walk collected resolve against the final bindings.
     """
-    try:
-        tree = ast.parse(source, filename=filename)
-    except SyntaxError as exc:
-        raise AnalysisError(f"cannot parse {filename}: {exc}") from exc
+    if tree is None:
+        tree = parse_source(source, filename=filename)
 
     graph = CallGraph()
     bindings: dict[str, str] = {}
@@ -90,19 +106,17 @@ def build_call_graph(source: str, *, filename: str = "<application>") -> CallGra
     stack: list[tuple[ast.AST, int]] = [(tree, 0)]
     while stack:
         node, depth = stack.pop()
-        if isinstance(node, ast.Attribute):
+        kind = type(node)
+        if kind is ast.Attribute:
             attributes.append(node)
-        elif isinstance(node, ast.Name):
-            if isinstance(node.ctx, ast.Load):
-                loads.append(node.id)
-        elif isinstance(node, ast.Call):
+        elif kind is ast.Call:
             calls.append(node)
-        elif isinstance(node, ast.Assign):
-            if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+        elif kind is ast.Assign:
+            if len(node.targets) == 1 and type(node.targets[0]) is ast.Name:
                 assignments.append(
                     (depth, len(assignments), node.targets[0].id, node.value)
                 )
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+        elif kind is ast.Import or kind is ast.ImportFrom:
             for imp in import_bindings(node):
                 if imp.binding == "*":
                     graph.star_modules.add(imp.module)
@@ -113,17 +127,24 @@ def build_call_graph(source: str, *, filename: str = "<application>") -> CallGra
                         imp.module,
                         imp.target.rsplit(".", 1)[1],
                     )
+        depth += 1
         children: list[tuple[ast.AST, int]] = []
         for name in node._fields:
             value = getattr(node, name, None)
-            if isinstance(value, ast.AST):
-                children.append((value, depth + 1))
-            elif isinstance(value, list):
-                for item in value:
-                    if isinstance(item, ast.AST):
-                        children.append((item, depth + 1))
-        children.reverse()
-        stack.extend(children)
+            if type(value) is not list:
+                if not isinstance(value, ast.AST):
+                    continue
+                value = (value,)
+            for child in value:
+                kind = type(child)
+                if kind is ast.Name:
+                    if type(child.ctx) is ast.Load:
+                        loads.append(child.id)
+                elif kind not in _LEAVES and isinstance(child, ast.AST):
+                    children.append((child, depth))
+        if children:
+            children.reverse()
+            stack.extend(children)
 
     assignments.sort()
     _collect_aliases([(name, value) for _, _, name, value in assignments], bindings)
@@ -149,13 +170,18 @@ class CallGraphCache:
     another (squiggle using numpy) are protected too.  A refresh reflects
     the bundle's *current* files: once the debloater removes a re-export,
     the next refresh releases the attributes only that re-export needed.
-    Each file's graph is kept under its path and checked against the
-    SHA-256 of the file's current bytes, so after a module rewrite only
+    Each file's graph is kept under its absolute path and checked against
+    the SHA-256 of the file's current bytes, so after a module rewrite only
     that file is analysed again.  Files that disappear leave the cache.
+
+    Each tree a refresh parses is kept too, until :meth:`take_tree` hands
+    it to the file's decomposition, so a file is parsed once for both.
     """
 
     def __init__(self) -> None:
         self._files: dict[str, tuple[bytes, CallGraph]] = {}
+        #: Absolute path -> (digest, tree) of each parse not yet taken.
+        self._trees: dict[str, tuple[bytes, ast.Module]] = {}
 
     def refresh(self, bundle) -> CallGraph:
         """The graph of handler plus every library file in *bundle*.
@@ -171,19 +197,32 @@ class CallGraphCache:
         graph = CallGraph()
         files: dict[str, tuple[bytes, CallGraph]] = {}
         for path in paths:
-            filename = str(path)
+            key = os.path.abspath(path)
             data = path.read_bytes()
             digest = hashlib.sha256(data).digest()
-            entry = self._files.get(filename)
+            entry = self._files.get(key)
             if entry is None or entry[0] != digest:
+                filename = str(path)
+                source = data.decode("utf-8")
+                tree = parse_source(source, filename=filename)
+                self._trees[key] = (digest, tree)
                 entry = (
                     digest,
-                    build_call_graph(data.decode("utf-8"), filename=filename),
+                    build_call_graph(source, filename=filename, tree=tree),
                 )
-            files[filename] = entry
+            files[key] = entry
             graph.merge(entry[1])
         self._files = files
         return graph
+
+    def take_tree(self, path: str | os.PathLike, data: bytes) -> ast.Module | None:
+        """The tree a refresh parsed from the file at *path*, if *data*
+        are still its bytes; None otherwise.  Either way the cache lets go
+        of that file's tree: it is handed over at most once."""
+        entry = self._trees.pop(os.path.abspath(path), None)
+        if entry is None or entry[0] != hashlib.sha256(data).digest():
+            return None
+        return entry[1]
 
 
 def build_bundle_call_graph(bundle) -> CallGraph:

@@ -3,7 +3,8 @@
 For each module the profiler selects, the debloater:
 
 1. loads the module's file and decomposes it into attribute components
-   (Section 6.1);
+   (Section 6.1), from the tree the call graph's refresh parsed when the
+   bytes are the same, so a trim parses each file content once;
 2. journals a BEGIN record so an interrupted search is recoverable;
 3. builds the set of potentially redundant attributes — everything except
    the attributes in the call-graph output and the magic attributes;
@@ -38,10 +39,12 @@ from typing import Callable, Mapping, Sequence
 
 from repro.bundle import AppBundle
 from repro.core.ast_transform import rebuild_source
+from repro.core.callgraph import CallGraphCache
 from repro.core.dd import DDTraceStep, DeltaDebugger
 from repro.core.granularity import (
     GRANULARITY_ATTRIBUTE,
     AttributeComponent,
+    ModuleDecomposition,
     decompose_module,
 )
 from repro.core.journal import (
@@ -53,11 +56,32 @@ from repro.core.journal import (
 from repro.core.oracle import ModuleCandidate, OracleRunner
 from repro.errors import DebloatError
 
-__all__ = ["ModuleDebloatResult", "ModuleDebloater"]
+__all__ = ["ModuleDebloatResult", "ModuleDebloater", "decompose_file"]
 
 #: Journal granularity marker for the single seed-adoption probe
 #: (continuous debloating), which runs outside the DD partition loop.
 SEED_PROBE_GRANULARITY = 0
+
+
+def decompose_file(
+    file: Path,
+    *,
+    granularity: str = GRANULARITY_ATTRIBUTE,
+    trees: CallGraphCache | None = None,
+) -> ModuleDecomposition:
+    """The module at *file*, decomposed from its current bytes.
+
+    The decomposition is named by the absolute path a load gives the
+    module, which probe code is compiled under and the module overlay is
+    keyed by.  When *trees* holds the tree a refresh parsed from these
+    very bytes, that tree is taken instead of parsing the file again.
+    """
+    filename = os.path.abspath(file)
+    data = file.read_bytes()
+    tree = trees.take_tree(filename, data) if trees is not None else None
+    return decompose_module(
+        data.decode("utf-8"), filename=filename, granularity=granularity, tree=tree
+    )
 
 
 @dataclass
@@ -187,6 +211,10 @@ class ModuleDebloater:
         verdicts are re-checked live and disagreements decided by a
         majority vote over up to ``quorum`` runs (see
         :class:`~repro.core.dd.DeltaDebugger`).
+    trees:
+        The call-graph cache the caller refreshes against *bundle*: a
+        module is decomposed from the tree it parsed, if any (see
+        :func:`decompose_file`).
     """
 
     def __init__(
@@ -201,6 +229,7 @@ class ModuleDebloater:
         seed: int = 0,
         verify_seeds: bool = False,
         quorum: int = 3,
+        trees: CallGraphCache | None = None,
     ):
         self.bundle = bundle
         self.runner = runner
@@ -211,6 +240,7 @@ class ModuleDebloater:
         self._seed = seed
         self._verify_seeds = verify_seeds
         self._quorum = quorum
+        self._trees = trees
 
     @staticmethod
     def component_key(components: Sequence[AttributeComponent]) -> str:
@@ -244,12 +274,8 @@ class ModuleDebloater:
         the search instead of re-probing.
         """
         file = self.bundle.module_file(dotted)
-        decomposition = decompose_module(
-            file.read_text(encoding="utf-8"),
-            # The path a load gives the module, which probe code is compiled
-            # under and the module overlay is keyed by.
-            filename=os.path.abspath(file),
-            granularity=self._granularity,
+        decomposition = decompose_file(
+            file, granularity=self._granularity, trees=self._trees
         )
 
         removable = decomposition.removable(set(protected))

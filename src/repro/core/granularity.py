@@ -133,6 +133,7 @@ def decompose_module(
     *,
     filename: str = "<module>",
     granularity: str = GRANULARITY_ATTRIBUTE,
+    tree: ast.Module | None = None,
 ) -> ModuleDecomposition:
     """Parse *source* and split its top level into components.
 
@@ -140,14 +141,17 @@ def decompose_module(
     ``"attribute"`` (the λ-trim default — individual ``from … import``
     names are separately removable) or ``"statement"`` (the coarser
     alternative where an import statement "removes all or none" of its
-    names).
+    names).  *tree*, when given, is *source* already parsed (a trim hands
+    over the one its call graph was built from); the decomposition keeps
+    it instead of parsing again.
     """
     if granularity not in (GRANULARITY_ATTRIBUTE, GRANULARITY_STATEMENT):
         raise DebloatError(f"unknown granularity: {granularity!r}")
-    try:
-        tree = ast.parse(source, filename=filename)
-    except SyntaxError as exc:
-        raise DebloatError(f"cannot parse {filename}: {exc}") from exc
+    if tree is None:
+        try:
+            tree = ast.parse(source, filename=filename)
+        except SyntaxError as exc:
+            raise DebloatError(f"cannot parse {filename}: {exc}") from exc
 
     components: list[AttributeComponent] = []
     pinned: list[int] = []

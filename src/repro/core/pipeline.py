@@ -38,7 +38,7 @@ from repro.core.journal import (
 )
 from repro.core.oracle import OracleRunner, OracleSpec
 from repro.core.profiler import profile_bundle
-from repro.core.static_analyzer import analyze_source
+from repro.core.static_analyzer import analyze_source, parse_source
 from repro.errors import DebloatError
 from repro.obs import get_recorder
 
@@ -201,10 +201,12 @@ class LambdaTrim:
     def analyze(self, bundle: AppBundle) -> tuple[list[str], CallGraph]:
         """Stage 1: imported external modules + definitely-used attributes."""
         source = bundle.handler_source()
-        analysis = analyze_source(source, filename=str(bundle.handler_path))
+        filename = str(bundle.handler_path)
+        tree = parse_source(source, filename=filename)
+        analysis = analyze_source(source, filename=filename, tree=tree)
         local = set(self.config.local_modules) | {bundle.manifest.handler_module}
         external = analysis.external_modules(local_modules=local)
-        graph = build_call_graph(source, filename=str(bundle.handler_path))
+        graph = build_call_graph(source, filename=filename, tree=tree)
         return external, graph
 
     def profile(self, bundle: AppBundle, external: list[str]) -> ProfileReport:
@@ -319,6 +321,11 @@ class LambdaTrim:
 
             spec = OracleSpec.from_bundle(bundle)
             runner = OracleRunner(bundle, spec)
+            # Per-file graphs live for this run only: a module commit
+            # rewrites one file, and only that file is analysed again.  The
+            # debloater decomposes each module from the tree its graph was
+            # built from, so each file content is parsed once.
+            graphs = CallGraphCache()
             debloater = ModuleDebloater(
                 working,
                 runner,
@@ -329,11 +336,9 @@ class LambdaTrim:
                 seed=self.config.seed,
                 verify_seeds=self.config.verify_journal_probes,
                 quorum=self.config.probe_quorum,
+                trees=graphs,
             )
 
-            # Per-file graphs live for this run only: a module commit
-            # rewrites one file, and only that file is analysed again.
-            graphs = CallGraphCache()
             try:
                 results: list[ModuleDebloatResult] = []
                 for module in selected:

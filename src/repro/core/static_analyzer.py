@@ -25,6 +25,7 @@ __all__ = [
     "StaticAnalysis",
     "analyze_source",
     "import_bindings",
+    "parse_source",
 ]
 
 _STDLIB_MODULES = frozenset(sys.stdlib_module_names)
@@ -148,12 +149,27 @@ class _ImportCollector(ast.NodeVisitor):
     visit_ImportFrom = visit_Import
 
 
-def analyze_source(source: str, *, filename: str = "<application>") -> StaticAnalysis:
-    """Run the import-discovery pass over application source text."""
+def parse_source(source: str, *, filename: str = "<application>") -> ast.Module:
+    """Parse *source*; a syntax error becomes an :class:`AnalysisError`
+    naming *filename*."""
     try:
-        tree = ast.parse(source, filename=filename)
+        return ast.parse(source, filename=filename)
     except SyntaxError as exc:
         raise AnalysisError(f"cannot parse {filename}: {exc}") from exc
+
+
+def analyze_source(
+    source: str,
+    *,
+    filename: str = "<application>",
+    tree: ast.Module | None = None,
+) -> StaticAnalysis:
+    """Run the import-discovery pass over application source text.
+
+    *tree*, when given, is *source* already parsed: it is walked as is.
+    """
+    if tree is None:
+        tree = parse_source(source, filename=filename)
     collector = _ImportCollector()
     collector.visit(tree)
     return StaticAnalysis(imports=collector.imports)

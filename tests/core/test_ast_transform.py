@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import functools
 import types
 
@@ -13,11 +14,16 @@ from repro.core.ast_transform import (
     _alias_indices,
     _filter_statement,
     _magic_alias_indices,
+    _plan,
     _statement_text,
     rebuild_code,
     rebuild_source,
 )
-from repro.core.granularity import WHOLE_STATEMENT, decompose_module
+from repro.core.granularity import (
+    WHOLE_STATEMENT,
+    AttributeComponent,
+    decompose_module,
+)
 from repro.vm import Meter, exec_cost, metered
 from repro.workloads.catalog import library_spec
 from repro.workloads.synthlib import render_module
@@ -108,6 +114,34 @@ class TestRebuild:
         decomposition = decompose_module(source)
         rebuilt = rebuild_source(decomposition, decomposition.components)
         assert rebuilt.startswith("@staticmethod")
+
+    def test_statements_sharing_a_line_are_copied_by_columns(self):
+        source = "import os; import sys  # both\nx = 1; y = (2,\n    3); z = 4\n"
+        decomposition = decompose_module(source)
+        keep = _keep_named(decomposition, "sys", "y")
+        assert rebuild_source(decomposition, keep) == "import sys\ny = (2,\n    3)\n"
+        everything = rebuild_source(decomposition, decomposition.components)
+        assert everything == "import os\nimport sys\nx = 1\ny = (2,\n    3)\nz = 4\n"
+
+    def test_a_shared_line_is_written_once(self):
+        decomposition = decompose_module("n = 0\nn += 1; m = n\n")
+        rebuilt = rebuild_source(decomposition, decomposition.components)
+        namespace: dict = {}
+        exec(rebuilt, namespace)  # noqa: S102 - controlled test input
+        assert (namespace["n"], namespace["m"]) == (1, 1)
+
+    def test_column_offsets_count_utf8_bytes(self):
+        decomposition = decompose_module("é = 'ü'; ß = 'ø'\n")
+        keep = _keep_named(decomposition, "ß")
+        assert rebuild_source(decomposition, keep) == "ß = 'ø'\n"
+
+    def test_form_feeds_do_not_break_lines(self):
+        """The tokenizer counts lines at line ends only; a form feed, or a
+        line separator inside a string, is not one."""
+        source = "a = 1\n\x0c\nb = 'x\x0cy\u2028z'\nc = 3\n"
+        decomposition = decompose_module(source)
+        rebuilt = rebuild_source(decomposition, decomposition.components)
+        assert rebuilt == "a = 1\nb = 'x\x0cy\u2028z'\nc = 3\n"
 
     def test_statement_code_runs_under_the_files_line_numbers(self):
         decomposition = decompose_module(FIGURE_7A, filename="/lib/torch/__init__.py")
@@ -305,6 +339,98 @@ def test_planned_rebuild_matches_reference_on_synthlib_numpy(granularity, data):
     _assert_plans_match(_numpy_root(granularity), granularity, data, rounds=4)
 
 
+def reference_survivors(decomposition, keep):
+    """``_RebuildPlan.survivors`` before the slot lookup: one pass over
+    *keep* with an identity check per component, then one over every
+    statement."""
+    plan = _plan(decomposition)
+    by_id = {id(c): c for c in decomposition.components}
+    kept_by_statement: dict[int, set[int]] = {}
+    for component in keep:
+        if by_id.get(id(component)) is not component:
+            slot = (component.stmt_index, component.alias_index)
+            if plan.at_slot.get(slot) != component:
+                continue
+        kept_by_statement.setdefault(component.stmt_index, set()).add(
+            component.alias_index
+        )
+    for index, step in enumerate(plan.steps):
+        if step.aliases is None:
+            yield index, None
+            continue
+        kept_aliases = kept_by_statement.get(index)
+        if step.whole:
+            surviving = (
+                step.aliases
+                if kept_aliases and WHOLE_STATEMENT in kept_aliases
+                else step.always
+            )
+        else:
+            surviving = step.always | kept_aliases if kept_aliases else step.always
+        if surviving == step.aliases:
+            yield index, None
+        elif surviving:
+            yield index, surviving
+
+
+def _foreign(components) -> list[AttributeComponent]:
+    """Components at this module's slots that are not its components: a
+    renamed twin of each, and one past the last statement."""
+    foreign = [dataclasses.replace(c, name=c.name + "_other") for c in components]
+    last = max((c.stmt_index for c in components), default=0)
+    return foreign + [AttributeComponent(last + 1, 0, "beyond", "assign")]
+
+
+def _assert_survivors_match(decomposition, granularity, data, rounds: int) -> None:
+    twin = decompose_module(decomposition.source, granularity=granularity)
+    foreign = _foreign(decomposition.components)
+    plan = _plan(decomposition)
+    for _ in range(rounds):
+        keep = data.draw(_keeps(decomposition.components))
+        if data.draw(st.booleans()):
+            keep = keep + data.draw(_keeps(twin.components))
+        if data.draw(st.booleans()):
+            keep = keep + data.draw(_keeps(foreign))
+        keep = data.draw(st.permutations(keep))
+        expected = tuple(reference_survivors(decomposition, keep))
+        assert plan.survivors(keep) == expected
+        assert plan.survivors(iter(keep)) == expected
+        assert plan.survivors(c for c in keep) == expected
+
+
+#: Imports binding magic names, which stay whatever DD keeps: with
+#: removable siblings they survive in part, or whole.
+_MAGIC_IMPORTS = st.lists(
+    st.sampled_from(
+        [
+            "from pkg import __version__, helper",
+            "import os, __main__",
+            "from pkg import __all__",
+        ]
+    ),
+    max_size=3,
+)
+
+
+@settings(deadline=None)
+@given(_MODULE_STATEMENTS, _MAGIC_IMPORTS, _GRANULARITY, st.data())
+def test_survivors_match_reference_on_generated_modules(
+    statements, magic, granularity, data
+):
+    """Keeps with duplicates, equal-but-distinct components, foreign
+    components, in any order, as lists and as one-shot iterators."""
+    lines = data.draw(st.permutations([stmt for _, stmt in statements] + magic))
+    source = "\n".join(lines) + "\n"
+    decomposition = decompose_module(source, granularity=granularity)
+    _assert_survivors_match(decomposition, granularity, data, rounds=8)
+
+
+@settings(deadline=None, max_examples=30)
+@given(_GRANULARITY, st.data())
+def test_survivors_match_reference_on_synthlib_numpy(granularity, data):
+    _assert_survivors_match(_numpy_root(granularity), granularity, data, rounds=4)
+
+
 def test_plan_is_built_once_per_decomposition():
     decomposition = decompose_module(FIGURE_7A)
     rebuild_source(decomposition, [])
@@ -349,6 +475,11 @@ _CODE_STATEMENTS = st.lists(
             "charge('pinned', 0.25)",
             "LIMIT = charge('limit', 0.125)",
             "total: float = LIMIT",
+            # Statements sharing a line, and a form feed inside a line.
+            "a = charge('a', 0.5); b = charge('b', 0.25)",
+            "import os, json as j; LIMIT = charge('limit', 0.125)",
+            "hits = []; hits.append(charge('hit', 0.5))",
+            "FEED = charge('feed\x0c', 0.375)",
         ]
     ),
     max_size=10,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import hashlib
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from repro.core.callgraph import (
     build_call_graph,
 )
 from repro.core.pipeline import LambdaTrim
-from repro.core.static_analyzer import analyze_source
+from repro.core.static_analyzer import analyze_source, import_bindings
 from repro.errors import AnalysisError
 from repro.workloads.catalog import _BUILDERS, library_spec
 from repro.workloads.synthlib import render_module
@@ -198,6 +199,133 @@ def test_one_walk_matches_reference_on_every_synthlib_module():
     assert modules > 100
 
 
+# -- the leaf-skipping walk against the full walk -----------------------------
+
+
+def reference_walk_call_graph(
+    source: str, filename: str = "<application>"
+) -> CallGraph:
+    """``build_call_graph`` before the leaf-skipping walk: every node,
+    constants and expression contexts included, is pushed and dispatched
+    by ``isinstance``."""
+    tree = ast.parse(source, filename=filename)
+    graph = CallGraph()
+    bindings: dict[str, str] = {}
+    from_bindings: dict[str, tuple[str, str]] = {}
+    assignments: list[tuple[int, int, str, ast.expr]] = []
+    attributes: list[ast.Attribute] = []
+    loads: list[str] = []
+    calls: list[ast.Call] = []
+    stack: list[tuple[ast.AST, int]] = [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, ast.Attribute):
+            attributes.append(node)
+        elif isinstance(node, ast.Name):
+            if isinstance(node.ctx, ast.Load):
+                loads.append(node.id)
+        elif isinstance(node, ast.Call):
+            calls.append(node)
+        elif isinstance(node, ast.Assign):
+            if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+                assignments.append(
+                    (depth, len(assignments), node.targets[0].id, node.value)
+                )
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for imp in import_bindings(node):
+                if imp.binding == "*":
+                    graph.star_modules.add(imp.module)
+                    continue
+                bindings[imp.binding] = imp.target
+                if imp.is_from:
+                    from_bindings[imp.binding] = (
+                        imp.module,
+                        imp.target.rsplit(".", 1)[1],
+                    )
+        children: list[tuple[ast.AST, int]] = []
+        for name in node._fields:
+            value = getattr(node, name, None)
+            if isinstance(value, ast.AST):
+                children.append((value, depth + 1))
+            elif isinstance(value, list):
+                for item in value:
+                    if isinstance(item, ast.AST):
+                        children.append((item, depth + 1))
+        children.reverse()
+        stack.extend(children)
+    assignments.sort()
+    callgraph._collect_aliases(
+        [(name, value) for _, _, name, value in assignments], bindings
+    )
+    for node in attributes:
+        base = _resolve_chain(node.value, bindings)
+        if base is not None:
+            graph._mark(base, node.attr)
+    for name in loads:
+        hit = from_bindings.get(name)
+        if hit is not None:
+            graph._mark(*hit)
+    for node in calls:
+        literal = _constant_getattr(node, bindings)
+        if literal is not None:
+            graph._mark(*literal)
+    return graph
+
+
+# Constructs whose leaves the walk skips or reads in place: constants in
+# every position, names in load/store/del contexts, operators, comparisons,
+# f-strings, slices, comprehensions, lambdas, annotations, decorators,
+# keywords, starred targets and ``match`` patterns.
+_LEAF_SNIPPETS = st.sampled_from(
+    [
+        "x = a.b[1:2, ::3]",
+        "del a.b, x",
+        "x: a.T = getattr(a, 'k')",
+        "f'{a.b!r:>{x.w}}'",
+        "y = [a.c for a in x if not -a.d < 3 <= a.e]",
+        "z = {k: getattr(x, 'v') for k in (1, 2.5, None, ...)}",
+        "g = lambda q=a.b, *r, s=x.t, **u: q.v",
+        "@a.deco(x.y, key=b.k)\nclass C(a.Base, metaclass=x.M):\n    n: b.N = 0",
+        "async def h(p: a.P = x) -> b.R:\n    async with a.cm() as x:\n"
+        "        await x.go()",
+        "(*x.s, y) = a.p, b",
+        "x = y = a.b",
+        "x += a.inc or b.dec and not x.flag",
+        "match a.m:\n    case {'k': b.v, **rest}:\n        x = b.r\n"
+        "    case [1, *more] if x.ok:\n        pass\n    case a.C(q=2) | None:\n"
+        "        pass",
+        "while x.more:\n    x = x.next\nelse:\n    y = a.done",
+        "try:\n    import a.b as x\nexcept (a.E, x.F) as err:\n"
+        "    raise err.w from b.c",
+        "global g2\nnonlocal_free = b'bytes' + b.bytes",
+        "assert x.ok, a.msg",
+        "with a.ctx() as (x, y):\n    yield_ = x.y",
+    ]
+)
+
+
+@settings(deadline=None)
+@given(st.lists(st.one_of(_SNIPPETS, _LEAF_SNIPPETS), min_size=1, max_size=10))
+def test_leaf_skipping_walk_matches_full_walk_on_generated_sources(snippets):
+    source = "\n".join(snippets) + "\n"
+    assert build_call_graph(source) == reference_walk_call_graph(source)
+
+
+def test_leaf_skipping_walk_matches_full_walk_on_the_repository():
+    """Every ``.py`` file of ``src/`` and ``tests/``."""
+    root = Path(__file__).resolve().parents[2]
+    files = sorted(
+        [*root.joinpath("src").rglob("*.py"), *root.joinpath("tests").rglob("*.py")]
+    )
+    for path in files:
+        source = path.read_text(encoding="utf-8")
+        tree = ast.parse(source, filename=str(path))
+        expected = reference_walk_call_graph(source, filename=str(path))
+        assert build_call_graph(source, filename=str(path)) == expected, path
+        assert build_call_graph(source, tree=tree) == expected, path
+    assert len(files) > 150
+
+
 def test_parse_errors_name_the_file():
     with pytest.raises(AnalysisError, match="cannot parse broken.py"):
         build_call_graph("def (:\n", filename="broken.py")
@@ -274,6 +402,26 @@ class TestCallGraphCache:
         first.star_modules.add("torch")
         assert cache.refresh(toy_app) == _fold(toy_app)
 
+    def test_each_parsed_tree_is_handed_over_once(
+        self, toy_app, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        cache = CallGraphCache()
+        cache.refresh(toy_app)
+        path = toy_app.module_file("torch")
+        relative = os.path.relpath(path)
+        data = path.read_bytes()
+        assert cache.take_tree(path, data + b"#\n") is None  # bytes differ
+        cache.refresh(toy_app)  # unchanged bytes: nothing is parsed again
+        assert cache.take_tree(relative, data) is None  # dropped on the miss
+        path.write_bytes(data + b"#\n")
+        cache.refresh(toy_app)
+        tree = cache.take_tree(relative, data + b"#\n")
+        assert ast.dump(tree) == ast.dump(ast.parse(data + b"#\n"))
+        assert cache.take_tree(path, data + b"#\n") is None  # taken already
+        handler = toy_app.handler_path
+        assert cache.take_tree(handler, handler.read_bytes()) is not None
+
     def test_one_build_per_distinct_file_content_in_a_trim(
         self, toy_app, tmp_path, monkeypatch
     ):
@@ -281,9 +429,9 @@ class TestCallGraphCache:
         seen: set[tuple[str, str]] = set()
         build, refresh = callgraph.build_call_graph, CallGraphCache.refresh
 
-        def counted(source, *, filename="<application>"):
+        def counted(source, *, filename="<application>", tree=None):
             builds.append((filename, hashlib.sha256(source.encode()).hexdigest()))
-            return build(source, filename=filename)
+            return build(source, filename=filename, tree=tree)
 
         def snapshot(self, bundle):
             for path in [bundle.handler_path, *bundle.site_packages.rglob("*.py")]:

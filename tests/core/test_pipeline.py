@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import ast
+import hashlib
 import json
+import os
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from repro.core.execution import run_once
+from repro.core.incremental import IncrementalTrim, TrimLog
 from repro.core.pipeline import DEFAULT_K, LambdaTrim, TrimConfig
 from repro.errors import DebloatError
 
@@ -194,3 +200,38 @@ class TestDebloatTelemetryMeta:
         from repro.platform.telemetry import FleetReport
 
         assert _render_debloat(FleetReport(window_s=60.0)) == ""
+
+
+class TestOneParsePerFileContent:
+    """Within one run, each (absolute path, content) is parsed once: the
+    call graph's tree of a module is the one its decomposition uses."""
+
+    @pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
+    def test_fresh_and_seeded_trims(self, toy_app, tmp_path, monkeypatch, relative):
+        parses: Counter = Counter()
+        parse = ast.parse
+
+        def counted(source, filename="<unknown>", *args, **kwargs):
+            data = source if isinstance(source, bytes) else source.encode()
+            key = (os.path.abspath(filename), hashlib.sha256(data).hexdigest())
+            parses[key] += 1
+            return parse(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counted)
+        monkeypatch.chdir(tmp_path)
+        out = Path("out") if relative else tmp_path / "out"
+        fresh = LambdaTrim().run(toy_app, out / "fresh", journal_fsync=False)
+        fresh_parses = dict(parses)
+        parses.clear()
+        seeded = IncrementalTrim(log=TrimLog.from_report(fresh)).run(
+            toy_app, out / "seeded", journal_fsync=False
+        )
+        assert fresh.attributes_removed > 0
+        assert [r.seeded for r in seeded.module_results] == [True] * 3
+        for report, counts in ((fresh, fresh_parses), (seeded, dict(parses))):
+            assert set(counts.values()) == {1}, counts
+            # The spy saw each module's pristine bytes in the working bundle.
+            for result in report.module_results:
+                data = toy_app.module_file(result.module).read_bytes()
+                key = (os.path.abspath(result.file), hashlib.sha256(data).hexdigest())
+                assert key in counts, result.module
