@@ -5,13 +5,16 @@ operations the DD loop executes thousands of times per application:
 decomposition, a run's first graph refresh, statement selection, source
 rebuilding, oracle probes and their loads, DD itself, the platform
 emulator's invocation path, the reference replay engine's serve step,
-and the fast replay engine's general serve loop.
+the fast replay engine's general serve loop, and its columnar loop on
+one long-lived instance.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+
+import pytest
 
 from repro.core.ast_transform import rebuild_code, rebuild_source
 from repro.core.callgraph import CallGraphCache, build_bundle_call_graph
@@ -22,6 +25,7 @@ from repro.core.granularity import decompose_module
 from repro.core.oracle import ModuleCandidate, OracleRunner
 from repro.core.pipeline import LambdaTrim
 from repro.platform import LambdaEmulator
+from repro.platform import kernel as kernel_mod
 from repro.platform.faults import FaultPlan, FaultRates
 from repro.platform.hosts import HostConfig
 from repro.platform.kernel import KernelReplayer, TemplateStore
@@ -240,3 +244,45 @@ def test_kernel_general_path_with_retries(benchmark, toy_session_app):
     )
     assert result.lost == 0
     assert result.retries > 0
+
+
+#: 20k arrivals 1 s apart.  The first cold start is still running when the
+#: second request arrives, so a second instance starts; from the fourth
+#: arrival on, that second instance serves every request.
+SERIAL_ARRIVALS = [float(i) for i in range(20_000)]
+
+
+@pytest.mark.skipif(
+    not kernel_mod.HAVE_NUMPY, reason="the columnar loop requires numpy"
+)
+def test_kernel_columnar_one_instance(benchmark, toy_session_app, monkeypatch):
+    """The columnar loop on one function whose second instance serves
+    almost all of its 20k arrivals, so the outcome table grows to 20k
+    entries: the table's worst case.  Each call captures into a fresh
+    template store, so each builds its table from scratch."""
+    served = []
+    last = {}
+    run_columnar = KernelReplayer._run_columnar
+
+    def spy(self, arrivals, *rest):
+        served.append(len(arrivals))
+        return run_columnar(self, arrivals, *rest)
+
+    monkeypatch.setattr(KernelReplayer, "_run_columnar", spy)
+    event = {"x": [1.0, 2.0], "y": [3.0, 4.0]}
+
+    def replay():
+        emulator = LambdaEmulator()
+        function = emulator.deploy(toy_session_app, name="serial")
+        last["key"] = TemplateStore.key_for(function, event, None)
+        last["store"] = TemplateStore()
+        return KernelReplayer(emulator, last["store"]).replay(
+            "serial", SERIAL_ARRIVALS, event
+        )
+
+    result = benchmark(replay)
+    assert served and set(served) == {len(SERIAL_ARRIVALS)}
+    assert result.cold_starts == 2
+    assert result.warm_starts == len(SERIAL_ARRIVALS) - 2
+    (table,) = last["store"].entry(last["key"]).tables.values()
+    assert len(table.specs) == len(SERIAL_ARRIVALS) - 2

@@ -56,6 +56,10 @@ try:
         functions += len(batch)
         batches += 1
         replay_wall += result.wall_s
+        # Counted: drop the batch's spilled logs (about 460 MB per 1M
+        # invocations), so the day needs one batch of disk, not O(day).
+        # The next replay_fleet call recreates the directory.
+        shutil.rmtree(root / "logs")
     wall = time.perf_counter() - started
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(json.dumps({
@@ -67,7 +71,6 @@ try:
         "peak_rss_mb": round(peak, 1),
     }))
 finally:
-    # Spilled logs grow with the day: about 460 MB per 1M invocations.
     shutil.rmtree(root, ignore_errors=True)
 """
 

@@ -18,6 +18,8 @@ analogue captures the two properties Table 2 turns on:
 from __future__ import annotations
 
 import ast
+import hashlib
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +27,8 @@ from pathlib import Path
 from repro.bundle import AppBundle
 from repro.core.ast_transform import rebuild_source
 from repro.core.callgraph import CallGraphCache
-from repro.core.granularity import decompose_module
+from repro.core.debloater import decompose_file
+from repro.core.granularity import ModuleDecomposition
 
 __all__ = ["FaasLight", "FaasLightReport"]
 
@@ -55,6 +58,20 @@ def _loaded_names(tree: ast.Module) -> set[str]:
     }
 
 
+def _decomposition(
+    path: Path, graphs: CallGraphCache, carried: dict
+) -> ModuleDecomposition:
+    """The decomposition of the file at *path*, for its current bytes: the
+    one *carried* keeps under its absolute path while its digest holds,
+    else one from the tree the graph refresh parsed."""
+    key = os.path.abspath(path)
+    digest = hashlib.sha256(path.read_bytes()).digest()
+    entry = carried.get(key)
+    if entry is None or entry[0] != digest:
+        entry = carried[key] = (digest, decompose_file(path, trees=graphs))
+    return entry[1]
+
+
 class FaasLight:
     """Statement-granularity static debloater."""
 
@@ -74,14 +91,25 @@ class FaasLight:
         # code requires.  A surviving ``from m import X`` statement is a
         # hard requirement on ``m.X`` even if X is never otherwise used —
         # removing it would break the import chain.  Only the files a pass
-        # rewrote are analysed again by the next.
+        # rewrote are analysed again by the next: each file content is
+        # parsed once, by the graph refresh, and its tree and decomposition
+        # carry over (by absolute path and digest) while the bytes stay.
         graphs = CallGraphCache()
+        carried: dict[str, tuple[bytes, ModuleDecomposition]] = {}
         for _ in range(self.MAX_PASSES):
             graph = graphs.refresh(working)
-            required = self._import_requirements(working)
+            paths = sorted(site.rglob("*.py"))
+            # The handler is decomposed only for its tree.
+            handler = _decomposition(working.handler_path, graphs, carried)
+            decompositions = [_decomposition(p, graphs, carried) for p in paths]
+            required = self._import_requirements(
+                [d.tree for d in (handler, *decompositions)]
+            )
             removed_this_pass = 0
-            for path in sorted(site.rglob("*.py")):
-                removed = self._rewrite_module(working, path, graph, required)
+            for path, decomposition in zip(paths, decompositions):
+                removed = self._rewrite_module(
+                    working, path, decomposition, graph, required
+                )
                 if removed:
                     dotted = self._dotted(working, path)
                     if dotted not in report.attributes_removed:
@@ -95,13 +123,11 @@ class FaasLight:
         report.wall_time_s = time.perf_counter() - wall_start
         return report
 
-    def _import_requirements(self, bundle: AppBundle) -> dict[str, set[str]]:
-        """Names each module must export for current import statements."""
+    def _import_requirements(self, trees: list[ast.Module]) -> dict[str, set[str]]:
+        """Names each module must export for the import statements in
+        *trees*: the handler's and every library file's."""
         required: dict[str, set[str]] = {}
-        files = [bundle.handler_path]
-        files.extend(sorted(bundle.site_packages.rglob("*.py")))
-        for path in files:
-            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for tree in trees:
             for node in ast.walk(tree):
                 if isinstance(node, ast.ImportFrom) and node.module and not node.level:
                     for alias in node.names:
@@ -119,12 +145,16 @@ class FaasLight:
         return ".".join(parts)
 
     def _rewrite_module(
-        self, bundle: AppBundle, path: Path, graph, required: dict[str, set[str]]
+        self,
+        bundle: AppBundle,
+        path: Path,
+        decomposition: ModuleDecomposition,
+        graph,
+        required: dict[str, set[str]],
     ) -> int:
-        """Remove statically-dead statements; returns removed count."""
+        """Remove statically-dead statements from the module at *path*,
+        decomposed from its current bytes; returns removed count."""
         dotted = self._dotted(bundle, path)
-        source = path.read_text(encoding="utf-8")
-        decomposition = decompose_module(source, filename=str(path))
         if not decomposition.components:
             return 0
 

@@ -40,6 +40,8 @@ from repro.platform.faults import FaultInjector, FaultPlan
 from repro.platform.hosts import HostConfig, HostPool
 from repro.platform.instance import FunctionInstance, WarmPool
 from repro.platform.logs import (
+    _STATUS_INDEX,
+    _STATUS_TYPES,
     ExecutionLog,
     InvocationRecord,
     InvocationStatus,
@@ -50,12 +52,61 @@ from repro.platform.tuning import CpuScalingModel
 from repro.pricing import AwsLambdaPricing, PricingModel, SnapStartPricing
 from repro.vm import aggregate_charges
 
-__all__ = ["LambdaEmulator", "DeployedFunction"]
+__all__ = ["LambdaEmulator", "DeployedFunction", "settle"]
 
 DEFAULT_KEEP_ALIVE_S = 15 * 60  # GCP-style; AWS allows up to ~45-60 min
 DEFAULT_INSTANCE_INIT_S = 0.25
 DEFAULT_TRANSMISSION_MB_PER_S = 170.0  # Figure 1: 742 MB in ~4.4 s
 DEFAULT_ROUTING_S = 0.04
+
+_INF = float("inf")
+_SUCCESS = _STATUS_INDEX[InvocationStatus.SUCCESS]
+_ERROR = _STATUS_INDEX[InvocationStatus.ERROR]
+_TIMEOUT = _STATUS_INDEX[InvocationStatus.TIMEOUT]
+_OOM = _STATUS_INDEX[InvocationStatus.OOM]
+_CRASHED = _STATUS_INDEX[InvocationStatus.CRASHED]
+
+
+def settle(
+    exec_s: float,
+    error_type: str | None,
+    peak_mb: float,
+    memory_mb: int | None,
+    clamped_mb: int,
+    timeout_s: float | None,
+    crash_at: float = _INF,
+    host_at: float = _INF,
+) -> tuple[float, int, str | None, bool, bool]:
+    """How one execution of *exec_s* seconds ends: the one kill ladder.
+
+    Whichever kill lands within the execution earliest wins: an injected
+    instance crash at *crash_at*, a crash of the serving host at
+    *host_at* (both offsets into the execution), or the timeout, which
+    fires at *timeout_s* only when the execution runs past it.  On a tie
+    the host crash beats the instance crash (the machine disappearing
+    subsumes a process crash), and the timeout beats either.  With no
+    kill, the memory ceiling (only an explicit *memory_mb* enforces one)
+    is checked at the measured *peak_mb* against *clamped_mb*, at the end
+    of the execution.  Otherwise the handler's own *error_type* decides
+    between success and error; its value survives only those two.
+
+    Returns ``(exec_s, status, error_type, dies, host_killed)``: the
+    billed execution time (the time that ran), the status as an index
+    into ``logs._STATUS_TYPES``, the error type, whether the instance
+    dies (crash or OOM kill), and whether a host crash killed it.
+    """
+    kill_at = host_at if host_at <= crash_at else crash_at
+    timeout_at = timeout_s if timeout_s is not None and exec_s > timeout_s else _INF
+    if kill_at < timeout_at and kill_at <= exec_s:
+        host_killed = host_at <= crash_at
+        error_type = "HostCrash" if host_killed else "InstanceCrash"
+        return kill_at, _CRASHED, error_type, True, host_killed
+    if timeout_at <= exec_s:
+        return timeout_at, _TIMEOUT, "TimeoutError", False, False
+    if memory_mb is not None and peak_mb > clamped_mb:
+        return exec_s, _OOM, "OutOfMemoryError", True, False
+    status = _SUCCESS if error_type is None else _ERROR
+    return exec_s, status, error_type, False, False
 
 
 @dataclass
@@ -120,6 +171,8 @@ class LambdaEmulator:
         record_detail: bool = True,
         attribution: AttributionStore | None = None,
     ):
+        #: Fixed for the emulator's life: the pricing memo below relies on
+        #: it, so no caller may reassign it after construction.
         self.pricing = pricing if pricing is not None else AwsLambdaPricing()
         self.keep_alive_s = keep_alive_s
         self.clock = clock if clock is not None else VirtualClock()
@@ -177,6 +230,11 @@ class LambdaEmulator:
         self._pending_cold: tuple | None = None
         self._functions: dict[str, DeployedFunction] = {}
         self._request_ids = SerialCounter(1)
+        # Pricing memos keyed on exact float bits (see _memory_config and
+        # _price): the billed-duration quantization collapses exec-time
+        # drift onto few values, and every engine prices through them.
+        self._clamps: dict[int, int] = {}
+        self._prices: dict[tuple[float, int], tuple[float, float]] = {}
         # Batched observability counters for the disabled-recorder fast
         # path: _emit_telemetry folds into these plain floats/dicts and
         # flush_obs() publishes the totals in one burst.
@@ -335,7 +393,7 @@ class LambdaEmulator:
                     0.0,
                     0.0,
                     0.0,
-                    arrival=arrival,
+                    arrival,
                 )
             else:
                 placement = (
@@ -350,7 +408,7 @@ class LambdaEmulator:
                     record = self._throttle_record(function, error="CapacityExhausted")
                 else:
                     record = self._cold_start(
-                        function, event, context, arrival=arrival, placement=placement
+                        function, event, context, arrival, placement
                     )
                     # The cold start's instance is the newest in the list,
                     # unless it crashed before joining or was killed.
@@ -528,9 +586,8 @@ class LambdaEmulator:
         function: DeployedFunction,
         event: Any,
         context: Any,
-        *,
-        arrival: float | None = None,
-        placement=None,
+        arrival: float,
+        placement,
     ) -> InvocationRecord:
         instance_init_s, transmission_s = self.platform_overhead_s(function)
         self.clock.advance(instance_init_s + transmission_s)
@@ -581,8 +638,8 @@ class LambdaEmulator:
             instance.shutdown()
             if placement is not None:
                 self.hosts.cancel(placement)
-            configured = self._configured_mb(function, instance)
-            billed = billed_init_s
+            configured, clamped = self._memory_config(function, instance.peak_memory_mb)
+            billed_s, cost = self._price(billed_init_s, configured)
             if init_modules is not None:
                 self._pending_cold = (init_modules, billed_init_s, False)
             return InvocationRecord(
@@ -597,10 +654,10 @@ class LambdaEmulator:
                 init_duration_s=billed_init_s,
                 restore_duration_s=restore_s,
                 routing_s=self.routing_s,
-                billed_duration_s=self.pricing.billed_duration_s(billed),
-                memory_config_mb=self.pricing.clamp_memory_mb(configured),
+                billed_duration_s=billed_s,
+                memory_config_mb=clamped,
                 peak_memory_mb=instance.peak_memory_mb,
-                cost_usd=self.pricing.invocation_cost(billed, configured),
+                cost_usd=cost,
                 error_type="InstanceCrash",
                 status=InvocationStatus.CRASHED,
             )
@@ -620,16 +677,109 @@ class LambdaEmulator:
             transmission_s,
             billed_init_s,
             restore_s,
-            arrival=arrival,
+            arrival,
         )
 
-    def _configured_mb(
-        self, function: DeployedFunction, instance: FunctionInstance
-    ) -> int:
-        """The billed memory configuration (measured footprint when unset)."""
-        if function.memory_mb is not None:
-            return function.memory_mb
-        return max(int(instance.peak_memory_mb + 0.999), 1)
+    def _memory_config(
+        self, function: DeployedFunction, peak_mb: float
+    ) -> tuple[int, int]:
+        """``(configured, clamped)`` memory of an execution peaking at
+        *peak_mb*: the explicit ``memory_mb``, else the measured footprint
+        rounded up, and that configuration clamped to the provider's range
+        (memoized)."""
+        memory_mb = function.memory_mb
+        configured = (
+            memory_mb if memory_mb is not None else max(int(peak_mb + 0.999), 1)
+        )
+        clamped = self._clamps.get(configured)
+        if clamped is None:
+            clamped = self._clamps[configured] = self.pricing.clamp_memory_mb(
+                configured
+            )
+        return configured, clamped
+
+    def _price(self, duration_s: float, configured_mb: int) -> tuple[float, float]:
+        """``(billed duration, cost)`` of a billed *duration_s* (Eq. 1),
+        memoized on the exact float: pricing is a pure function of a
+        model that :attr:`pricing` fixes for the emulator's life."""
+        key = (duration_s, configured_mb)
+        priced = self._prices.get(key)
+        if priced is None:
+            pricing = self.pricing
+            priced = self._prices[key] = (
+                pricing.billed_duration_s(duration_s),
+                pricing.invocation_cost(duration_s, configured_mb),
+            )
+        return priced
+
+    def _settle_run(
+        self,
+        function: DeployedFunction,
+        instance: Any,
+        peak_mb: float,
+        arrival: float,
+        instance_init_s: float,
+        transmission_s: float,
+        billed_init_s: float,
+        restore_s: float,
+        exec_s: float,
+        error_type: str | None,
+    ) -> tuple[float, int, str | None, int, int]:
+        """Everything after the handler ran: the one post-execution step.
+
+        In order: the memory configuration from the measured *peak_mb*
+        and its clamp, CPU scaling, the exec-crash draw at the current
+        clock, the serving host's crash offset into the execution, the
+        kill ladder (:func:`settle`), the kill of an instance that dies
+        (and the host's in-flight loss), and the clock advance by the
+        execution that ran.  *instance* is a real instance or the fast
+        engine's simulated one; both live in ``function.instances``.
+
+        Returns ``(exec_s, status, error_type, configured, clamped)``.
+        """
+        configured, clamped = self._memory_config(function, peak_mb)
+        if self.cpu_scaling is not None:
+            exec_s *= self.cpu_scaling.duration_factor(clamped, peak_mb)
+        faults = self.faults
+        crash = (
+            faults.exec_crash(function.name, self.clock.now())
+            if faults is not None
+            else None
+        )
+        crash_at = exec_s * crash.fraction if crash is not None else _INF
+        # A scheduled crash of the serving host truncates the execution at
+        # the crash instant; one landing in the routing or init phases
+        # kills at offset zero.
+        host_at = _INF
+        hosts = self.hosts
+        if hosts is not None:
+            host_crash = hosts.crash_time(instance.instance_id)
+            if host_crash is not None:
+                offset = host_crash - (
+                    arrival
+                    + self.routing_s
+                    + instance_init_s
+                    + transmission_s
+                    + billed_init_s
+                    + restore_s
+                )
+                host_at = offset if offset > 0.0 else 0.0
+        exec_s, status, error_type, dies, host_killed = settle(
+            exec_s,
+            error_type,
+            peak_mb,
+            function.memory_mb,
+            clamped,
+            function.timeout_s,
+            crash_at,
+            host_at,
+        )
+        if dies:
+            self._kill_instance(function, instance)
+            if host_killed:
+                hosts.lost_in_flight(function.name, arrival)
+        self.clock.advance(exec_s)
+        return exec_s, status, error_type, configured, clamped
 
     def _run(
         self,
@@ -642,89 +792,29 @@ class LambdaEmulator:
         transmission_s: float,
         billed_init_s: float,
         restore_s: float,
-        *,
-        arrival: float | None = None,
+        arrival: float,
     ) -> InvocationRecord:
         output = instance.invoke(event, context)
-
-        configured = self._configured_mb(function, instance)
-        clamped_mb = self.pricing.clamp_memory_mb(configured)
-        exec_s = output.exec_time_s
-        if self.cpu_scaling is not None:
-            exec_s *= self.cpu_scaling.duration_factor(
-                clamped_mb, instance.peak_memory_mb
-            )
-
-        # Failure semantics: whichever kill fires earliest wins.  An
-        # injected instance crash dies ``fraction`` of the way through;
-        # a scheduled crash of the serving *host* truncates the execution
-        # at the crash instant (clamped into the exec window — a crash
-        # landing in the routing/init phases kills at offset zero); the
-        # configured timeout fires at ``timeout_s``; the memory ceiling
-        # (only enforced for an explicit memory_mb) is observed at the
-        # measured peak, i.e. end of execution.  Timeouts, OOM kills, and
-        # crashes are all billed for the time that ran.  On ties the host
-        # crash wins: the machine disappearing subsumes a process crash.
-        value = output.value
-        error_type = output.error_type
-        status = (
-            InvocationStatus.SUCCESS
-            if output.error_type is None
-            else InvocationStatus.ERROR
+        peak_mb = instance.peak_memory_mb
+        exec_s, status, error_type, configured, clamped = self._settle_run(
+            function,
+            instance,
+            peak_mb,
+            arrival,
+            instance_init_s,
+            transmission_s,
+            billed_init_s,
+            restore_s,
+            output.exec_time_s,
+            output.error_type,
         )
-        crash = (
-            self.faults.exec_crash(function.name, self.clock.now())
-            if self.faults is not None
-            else None
-        )
-        crash_at = exec_s * crash.fraction if crash is not None else float("inf")
-        host_at = float("inf")
-        if self.hosts is not None and arrival is not None:
-            host_crash = self.hosts.crash_time(instance.instance_id)
-            if host_crash is not None:
-                offset = host_crash - (
-                    arrival
-                    + self.routing_s
-                    + instance_init_s
-                    + transmission_s
-                    + billed_init_s
-                    + restore_s
-                )
-                host_at = offset if offset > 0.0 else 0.0
-        kill_at = host_at if host_at <= crash_at else crash_at
-        timeout_at = (
-            function.timeout_s
-            if function.timeout_s is not None and exec_s > function.timeout_s
-            else float("inf")
-        )
-        if kill_at < timeout_at and kill_at <= exec_s:
-            exec_s = kill_at
-            host_killed = host_at <= crash_at
-            value = None
-            error_type = "HostCrash" if host_killed else "InstanceCrash"
-            status = InvocationStatus.CRASHED
-            self._kill_instance(function, instance)
-            if host_killed:
-                self.hosts.lost_in_flight(function.name, arrival)
-        elif timeout_at <= exec_s:
-            exec_s = timeout_at
-            value, error_type = None, "TimeoutError"
-            status = InvocationStatus.TIMEOUT
-        elif function.memory_mb is not None and instance.peak_memory_mb > clamped_mb:
-            value, error_type = None, "OutOfMemoryError"
-            status = InvocationStatus.OOM
-            self._kill_instance(function, instance)
-        self.clock.advance(exec_s)
-
-        billed_duration = billed_init_s + exec_s
-        cost = self.pricing.invocation_cost(billed_duration, configured)
-
+        billed_s, cost = self._price(billed_init_s + exec_s, configured)
         return InvocationRecord(
             request_id=f"req-{next(self._request_ids):06d}",
             function=function.name,
             start_type=start_type,
             timestamp=self.clock.now(),
-            value=value,
+            value=output.value if status <= _ERROR else None,
             instance_id=instance.instance_id,
             instance_init_s=instance_init_s,
             transmission_s=transmission_s,
@@ -732,18 +822,17 @@ class LambdaEmulator:
             restore_duration_s=restore_s,
             exec_duration_s=exec_s,
             routing_s=self.routing_s,
-            billed_duration_s=self.pricing.billed_duration_s(billed_duration),
-            memory_config_mb=clamped_mb,
-            peak_memory_mb=instance.peak_memory_mb,
+            billed_duration_s=billed_s,
+            memory_config_mb=clamped,
+            peak_memory_mb=peak_mb,
             cost_usd=cost,
             error_type=error_type,
-            status=status,
+            status=_STATUS_TYPES[status],
         )
 
-    def _kill_instance(
-        self, function: DeployedFunction, instance: FunctionInstance
-    ) -> None:
-        """Discard one instance (OOM kill or crash): it never serves again."""
+    def _kill_instance(self, function: DeployedFunction, instance: Any) -> None:
+        """Discard one instance, real or simulated (OOM kill or crash): it
+        never serves again."""
         instance.shutdown()
         if instance in function.instances:
             function.instances.remove(instance)

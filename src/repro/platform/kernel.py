@@ -34,15 +34,19 @@ Because ``x + 0.0 == x`` and the charge replay performs the *same
 additions in the same order* as the real meter, every derived float —
 ``exec_duration_s`` (a difference of running sums, so it drifts across
 an instance's lifetime!), ``e2e_s``, billed durations, costs — comes out
-bit-identical to the reference engine.  Clock advancement, fault-RNG
-draw order, and request-id consumption are replicated exactly, and
-everything around the serve step is the reference engine's own code:
+bit-identical to the reference engine.  How an execution ends and what
+it costs is the emulator's own code, run on the simulated instance: its
+post-execution step (memory configuration, CPU scaling, the exec-crash
+draw, the host-crash offset, the kill ladder
+:func:`~repro.platform.emulator.settle`, the kill, and the clock
+advance) and its pricing memo.  So is everything around the serve step:
 the warm pool (:class:`~repro.platform.instance.WarmPool`), the retry
 timeline (:class:`~repro.platform.retry.RetryTimeline`), and the
 checkpoint snapshot and resume check
-(:func:`~repro.platform.checkpoint.restore_replay_state`).  Logs,
-ledgers, telemetry, and dead letters are therefore byte-identical at
-any worker count.
+(:func:`~repro.platform.checkpoint.restore_replay_state`).  The cold-start
+order (host admission, overhead, init, the cold-start crash draw, binding)
+and the request-id consumption are replicated.  Logs, ledgers, telemetry, and
+dead letters are therefore byte-identical at any worker count.
 
 **Two serve loops, one emitter.**  The *general path* walks the
 reference engine's attempt timeline, with or without a retry policy,
@@ -64,19 +68,26 @@ throttle rate or outage covering the function, no hosts, no CPU scaling,
 no checkpoint or resume — is served from its first arrival by the
 *columnar loop*, which makes only the decisions that depend on the
 previous invocation (the warm-pool MRU stack + busy heap, the clock
-fold) and gathers the rest from per-*j* outcome tables.  Two
+fold) and gathers the rest from a per-*j* outcome table.  Two
 observations make that exact:
 
-1. *Shared drift sequences.*  Every synthesized instance of a template
-   lives on one float-drift sequence: ``W[0]`` is the cold template's
-   post-exec meter time and ``W[j]`` folds the warm tape onto
-   ``W[j-1]`` with the meter's own addition order.  An instance about to
-   serve its ``j+1``-th invocation has ``t == W[j]`` exactly, so its
-   exec time ``W[j+1] - W[j]``, billed duration, cost, status ladder,
-   and e2e are pure functions of ``j`` — computed once per *j* instead
-   of once per invocation.  The same holds for live/peak memory.  Each
-   replay call starts with an empty pool, so every shadow it serves was
-   born on its own template's sequence.
+1. *One outcome table per template and settings.*  Every synthesized
+   instance of a template lives on one float-drift sequence: its meter
+   after ``j`` serves is the cold template's post-exec meter with the
+   warm tape folded onto it ``j - 1`` times, in the meter's own addition
+   order.  So the outcome of an instance's ``j+1``-th serve (exec time,
+   status, billed duration, cost, e2e, live/peak memory) is a pure
+   function of ``j`` and of the settings that enter it.  Entry *j* of
+   the table is computed once, in scalar code, as one warm serve of a
+   probe shadow: the general path's tape fold
+   (:meth:`_Shadow.serve`), settled by the emulator's kill ladder with
+   no crash and no host, and priced through the emulator's memo
+   (:class:`_OutcomeTable`).  The table lives on the template's entry,
+   keyed by the function's ``memory_mb`` and ``timeout_s``, the routing
+   delay, the platform overhead and the pricing model, so every function
+   of a shard with the same settings shares it.  Each replay call starts
+   with an empty pool, so every shadow it serves was born on its own
+   template's sequence.
 2. *Order-dependent sums stay sequential.*  The clock, the per-function
    billing sums, the telemetry histogram ``_sum`` folds, and the log's
    accounting folds are sequential float additions whose order is
@@ -117,7 +128,7 @@ from repro.platform.checkpoint import (
     restore_replay_state,
     snapshot_replay_state,
 )
-from repro.platform.emulator import DeployedFunction, LambdaEmulator
+from repro.platform.emulator import DeployedFunction, LambdaEmulator, settle
 from repro.platform.faults import ANY_FUNCTION
 from repro.platform.instance import FunctionInstance, WarmPool
 from repro.platform.logs import (
@@ -160,12 +171,9 @@ _WARM = _START_TYPE_INDEX[StartType.WARM]
 _THROTTLED_START = _START_TYPE_INDEX[StartType.THROTTLED]
 _S_SUCCESS = _STATUS_INDEX[InvocationStatus.SUCCESS]
 _S_ERROR = _STATUS_INDEX[InvocationStatus.ERROR]
-_S_TIMEOUT = _STATUS_INDEX[InvocationStatus.TIMEOUT]
-_S_OOM = _STATUS_INDEX[InvocationStatus.OOM]
 _S_THROTTLED = _STATUS_INDEX[InvocationStatus.THROTTLED]
 _S_CRASHED = _STATUS_INDEX[InvocationStatus.CRASHED]
 _STATUS_VALUES = tuple(s.value for s in _STATUS_TYPES)
-_INF = float("inf")
 
 #: Rows per bulk flush, so a single huge function keeps RSS flat; flush
 #: boundaries are unobservable (sums continue their sequential folds).
@@ -263,7 +271,7 @@ class _WarmTemplate:
 class _Entry:
     """The captured templates of one ``(bundle root, event)`` pair."""
 
-    __slots__ = ("cold", "warm", "drift")
+    __slots__ = ("cold", "warm", "tables")
 
     def __init__(
         self,
@@ -272,9 +280,9 @@ class _Entry:
     ) -> None:
         self.cold = cold
         self.warm = warm
-        #: Lazily built :class:`_DriftTables`, owned by the columnar
-        #: loop; None until it runs.
-        self.drift: Any = None
+        #: The columnar loop's :class:`_OutcomeTable` per settings key
+        #: (see :meth:`KernelReplayer._outcome_table`), built lazily.
+        self.tables: dict[tuple, _OutcomeTable] = {}
 
     @property
     def ready(self) -> bool:
@@ -428,6 +436,27 @@ class _Shadow:
         # carry identical placement state.
         self.host_id: str | None = None
 
+    def serve(self, warm: _WarmTemplate) -> float:
+        """Fold one warm invocation's charge tape into this meter and
+        return its exec time: identical additions, in identical order,
+        give identical floats as the real meter."""
+        start = running = self.t
+        for time_s in warm.times:
+            running += time_s
+        self.t = running
+        if warm.has_mem:
+            live = self.live
+            peak = self.peak
+            for mb in warm.mems:
+                if mb:
+                    live += mb
+                    if live > peak:
+                        peak = live
+            self.live = live
+            self.peak = peak
+        self.invocations += 1
+        return running - start
+
     def shutdown(self) -> None:
         self.alive = False
 
@@ -435,61 +464,114 @@ class _Shadow:
         return f"_Shadow({self.instance_id}, used {self.invocations}x)"
 
 
-class _DriftTables:
-    """Per-template meter drift: state after the j-th serve of an instance.
+class _OutcomeTable:
+    """The columnar loop's outcome of each serve index of one template.
 
-    ``t[j]``/``live[j]``/``peak[j]`` are the meter fields any synthesized
-    instance holds once it has served ``j + 1`` invocations (one cold
-    plus ``j`` warm), computed with the meter's own sequential folds so
-    the floats are bit-identical to per-instance replay.  Cached on
-    ``_Entry.drift`` — the tables are pure template math, shared by every
-    replayer that serves the same (bundle, event) pair.
+    Entry 0 is a cold start and entry ``j >= 1`` the warm serve of an
+    instance that has already served *j* invocations.  Every synthesized
+    instance of a template lives on one meter-drift sequence, so entry *j*
+    is the *j*-th warm serve of a probe shadow that starts from the cold
+    template's meter: the same tape fold as the general path
+    (:meth:`_Shadow.serve`), settled by the emulator's kill ladder with no
+    crash and no host (:meth:`KernelReplayer._homogeneous` excludes
+    both), and priced through the emulator's memo.  Each entry's
+    value/error class indexes
+    :attr:`cls_values`/:attr:`cls_errors`, one class per (cold, status)
+    the ladder returned; classes run-length encode for
+    :meth:`ExecutionLog.append_columns`.
+
+    The table is template math under fixed settings, so every function of
+    a shard with those settings shares it; it never holds the emulator or
+    function that extend it.
     """
 
-    __slots__ = ("t", "live", "peak")
+    __slots__ = (
+        "probe",
+        "specs",
+        "rows",
+        "cls_values",
+        "cls_errors",
+        "_classes",
+        "_columns",
+    )
 
-    def __init__(self, cold: _ColdTemplate) -> None:
-        self.t = [cold.post_t]
-        self.live = [cold.post_live]
-        self.peak = [cold.post_peak]
+    def __init__(
+        self, entry: _Entry, emulator: LambdaEmulator, function: DeployedFunction
+    ) -> None:
+        cold = entry.cold
+        self.probe = _Shadow(
+            "", t=cold.post_t, live=cold.post_live, peak=cold.post_peak
+        )
+        #: ``(exec_s, e2e, dies)`` per entry: what the loop itself reads.
+        self.specs: list[tuple[float, float, bool]] = []
+        #: ``(exec_s, e2e, status, billed_s, cost, peak, clamped, cls)`` per
+        #: entry: what a flush gathers, through :meth:`columns`.
+        self.rows: list[tuple] = []
+        self.cls_values: list[tuple[Any, Any]] = []
+        self.cls_errors: list[str | None] = []
+        self._classes: dict[tuple[bool, int], int] = {}
+        self._columns: tuple = ()
+        instance_init_s, transmission_s = emulator.platform_overhead_s(function)
+        # Same addition order as InvocationRecord.e2e_s, up to the exec.
+        e2e_base = (
+            emulator.routing_s + instance_init_s + transmission_s + cold.init_s + 0.0
+        )
+        self._add(emulator, function, cold, True, cold.exec1_s, cold.init_s, e2e_base)
 
-    def extend_array(self, upto: int, warm: _WarmTemplate) -> None:
-        """Grow the tables so index *upto* is valid, as numpy prefix scans.
+    def extend(
+        self,
+        upto: int,
+        warm: _WarmTemplate,
+        emulator: LambdaEmulator,
+        function: DeployedFunction,
+    ) -> None:
+        """Grow the table so index *upto* is valid, one warm serve each."""
+        probe = self.probe
+        add = self._add
+        e2e_base = emulator.routing_s + 0.0 + 0.0 + 0.0 + 0.0
+        for _ in range(len(self.specs), upto + 1):
+            add(emulator, function, warm, False, probe.serve(warm), 0.0, e2e_base)
 
-        ``cumsum`` is a strict left fold, so seeding it with the last
-        table entry and tiling the tape reproduces :meth:`KernelReplayer.
-        _synth_warm`'s additions bit for bit; every L-th prefix is a table
-        entry.  The memory fold includes the tape's zero entries the
-        scalar fold skips — adding ``±0.0`` is a no-op here because the
-        running live value can never be ``-0.0`` (it starts ``>= 0`` and
-        ``a + (-a)`` rounds to ``+0.0``), and the running max only moves
-        on strict increase.
-        """
-        t = self.t
-        need = upto + 1 - len(t)
-        if need <= 0:
-            return
-        times = warm.times
-        count = len(times)
-        if count:
-            folded = _np.cumsum(
-                _np.concatenate(((t[-1],), _np.tile(_np.asarray(times), need)))
+    def _add(self, emulator, function, template, cold, exec_raw, init_s, e2e_base):
+        """Settle and price one serve, which peaked at the probe's peak."""
+        peak = self.probe.peak
+        configured, clamped = emulator._memory_config(function, peak)
+        exec_s, status, error_type, dies, _ = settle(
+            exec_raw,
+            template.error_type,
+            peak,
+            function.memory_mb,
+            clamped,
+            function.timeout_s,
+        )
+        billed_s, cost = emulator._price(init_s + exec_s, configured)
+        e2e = e2e_base + exec_s
+        cls = self._classes.get((cold, status))
+        if cls is None:
+            cls = self._classes[cold, status] = len(self.cls_values)
+            value = (template.value, template.value_key)
+            self.cls_values.append(value if status <= _S_ERROR else (None, None))
+            self.cls_errors.append(error_type)
+        self.specs.append((exec_s, e2e, dies))
+        self.rows.append((exec_s, e2e, status, billed_s, cost, peak, clamped, cls))
+
+    def columns(self) -> tuple:
+        """The entries as numpy columns, in :attr:`rows` order; rebuilt
+        only after the table grew."""
+        columns = self._columns
+        if not columns or len(columns[0]) != len(self.rows):
+            exec_s, e2e, status, billed, cost, peak, clamped, cls = zip(*self.rows)
+            columns = self._columns = (
+                _np.asarray(exec_s),
+                _np.asarray(e2e),
+                _np.asarray(status, dtype=_np.int8),
+                _np.asarray(billed),
+                _np.asarray(cost),
+                _np.asarray(peak),
+                _np.asarray(clamped, dtype=_np.int64),
+                _np.asarray(cls, dtype=_np.int64),
             )
-            t.extend(folded[count::count].tolist())
-        else:
-            t.extend([t[-1]] * need)
-        live = self.live
-        peak = self.peak
-        if warm.has_mem and len(warm.mems):
-            mems = _np.asarray(warm.mems)
-            width = len(warm.mems)
-            lv = _np.cumsum(_np.concatenate(((live[-1],), _np.tile(mems, need))))
-            pk = _np.maximum.accumulate(_np.concatenate(((peak[-1],), lv[1:])))
-            live.extend(lv[width::width].tolist())
-            peak.extend(pk[width::width].tolist())
-        else:
-            live.extend([live[-1]] * need)
-            peak.extend([peak[-1]] * need)
+        return columns
 
 
 @dataclass
@@ -541,11 +623,9 @@ class KernelReplayer:
         self.emulator = emulator
         self.store = store if store is not None else TemplateStore()
         self._hosts = emulator.hosts
-        # Pricing caches keyed on exact float bits: the billed-duration
-        # quantization collapses exec-time drift onto few values.
-        self._clamp_cache: dict[int, int] = {}
-        self._billed_cache: dict[float, float] = {}
-        self._cost_cache: dict[tuple[float, int], float] = {}
+        # The emulator's post-execution step and pricing memo, bound once.
+        self._settle_run = emulator._settle_run
+        self._price = emulator._price
         #: The general path's emission buffer: one row tuple per billed or
         #: throttled attempt, in :meth:`ExecutionLog.append_rows` column
         #: order plus ``(e2e, arrival)``, at most ``_CHUNK_ROWS`` long; see
@@ -615,8 +695,6 @@ class KernelReplayer:
         instance_init_s, transmission_s = emulator.platform_overhead_s(function)
         self._overhead = (instance_init_s, transmission_s)
         self._overhead_sum = instance_init_s + transmission_s
-        self._timeout_s = function.timeout_s
-        self._memory_mb = function.memory_mb
         self._bill = emulator.ledger.bill_for(function_name)
         self._log = emulator.log
         self._sink = emulator.telemetry
@@ -886,7 +964,7 @@ class KernelReplayer:
             out = self._synth_warm(shadow, t, want_record)
         else:
             placement = (
-                hosts.admit(self._name, t, memory_mb=self._memory_mb)
+                hosts.admit(self._name, t, memory_mb=self._function.memory_mb)
                 if hosts is not None
                 else None
             )
@@ -912,14 +990,6 @@ class KernelReplayer:
             self._pool.release(shadow, out[2], hosts)
         return out[:5]
 
-    def _kill(self, shadow: _Shadow) -> None:
-        shadow.shutdown()
-        instances = self._function.instances
-        if shadow in instances:
-            instances.remove(shadow)
-        if self._hosts is not None:
-            self._hosts.release(shadow.instance_id)
-
     # -- synthesis paths (no interpreter) -----------------------------------
 
     def _synth_cold(self, t: float, want_record: bool, placement=None):
@@ -932,10 +1002,29 @@ class KernelReplayer:
         clock.advance(template.init_s)
         faults = self._faults
         if faults is not None and faults.cold_start_crash(function.name, clock.now()):
+            # The instance died during initialization: the init is billed,
+            # and the instance never joins the pool.
             if placement is not None:
                 self._hosts.cancel(placement)
-            return self._emit_cold_crash(
-                t, instance_id, template.init_s, template.init_peak, want_record
+            peak = template.init_peak
+            configured, clamped = self.emulator._memory_config(function, peak)
+            return self._emit(
+                _COLD,
+                _S_CRASHED,
+                instance_id,
+                instance_init_s,
+                transmission_s,
+                template.init_s,
+                0.0,
+                configured,
+                clamped,
+                peak,
+                None,
+                None,
+                "InstanceCrash",
+                t,
+                None,
+                want_record,
             )
         shadow = _Shadow(
             instance_id,
@@ -963,24 +1052,6 @@ class KernelReplayer:
 
     def _synth_warm(self, shadow: _Shadow, t: float, want_record: bool):
         template = self._entry.warm
-        # Replay the charge tape as sequential additions: identical
-        # operations, identical order, identical floats as the meter.
-        running = shadow.t
-        for time_s in template.times:
-            running += time_s
-        exec_raw = running - shadow.t
-        shadow.t = running
-        if template.has_mem:
-            live = shadow.live
-            peak = shadow.peak
-            for mb in template.mems:
-                if mb:
-                    live += mb
-                    if live > peak:
-                        peak = live
-            shadow.live = live
-            shadow.peak = peak
-        shadow.invocations += 1
         return self._finish_run(
             shadow,
             t,
@@ -988,14 +1059,12 @@ class KernelReplayer:
             0.0,
             0.0,
             0.0,
-            exec_raw,
+            shadow.serve(template),
             template.value,
             template.value_key,
             template.error_type,
             want_record,
         )
-
-    # -- shared post-execution math ----------------------------------------
 
     def _finish_run(
         self,
@@ -1011,66 +1080,22 @@ class KernelReplayer:
         error_type: str | None,
         want_record: bool,
     ):
-        """Everything the reference ``_run`` does after the invocation:
-        memory configuration, CPU scaling, the crash/timeout/OOM ladder,
-        the clock advance, and record emission."""
+        """The emulator's post-execution step on *shadow*, then its row."""
         peak = shadow.peak
-        memory_mb = self._memory_mb
-        configured = memory_mb if memory_mb is not None else max(int(peak + 0.999), 1)
-        clamped = self._clamp(configured)
-        exec_s = exec_raw
-        scaling = self.emulator.cpu_scaling
-        if scaling is not None:
-            exec_s *= scaling.duration_factor(clamped, peak)
-        status = _S_SUCCESS if error_type is None else _S_ERROR
-        faults = self._faults
-        crash = (
-            faults.exec_crash(self._name, self._clock.now())
-            if faults is not None
-            else None
+        exec_s, status, error_type, configured, clamped = self._settle_run(
+            self._function,
+            shadow,
+            peak,
+            arrival,
+            instance_init_s,
+            transmission_s,
+            billed_init_s,
+            0.0,
+            exec_raw,
+            error_type,
         )
-        crash_at = exec_s * crash.fraction if crash is not None else _INF
-        # Host-crash truncation, replicated float-for-float from the
-        # reference _run: the offset into the exec window is computed with
-        # the same addition order, and ties go to the host.
-        host_at = _INF
-        hosts = self._hosts
-        if hosts is not None:
-            host_crash = hosts.crash_time(shadow.instance_id)
-            if host_crash is not None:
-                offset = host_crash - (
-                    arrival
-                    + self._routing
-                    + instance_init_s
-                    + transmission_s
-                    + billed_init_s
-                    + 0.0
-                )
-                host_at = offset if offset > 0.0 else 0.0
-        kill_at = host_at if host_at <= crash_at else crash_at
-        timeout_s = self._timeout_s
-        timeout_at = (
-            timeout_s if timeout_s is not None and exec_s > timeout_s else _INF
-        )
-        if kill_at < timeout_at and kill_at <= exec_s:
-            exec_s = kill_at
-            host_killed = host_at <= crash_at
-            value, value_key = None, None
-            error_type = "HostCrash" if host_killed else "InstanceCrash"
-            status = _S_CRASHED
-            self._kill(shadow)
-            if host_killed:
-                hosts.lost_in_flight(self._name, arrival)
-        elif timeout_at <= exec_s:
-            exec_s = timeout_at
-            value, value_key, error_type = None, None, "TimeoutError"
-            status = _S_TIMEOUT
-        elif memory_mb is not None and peak > clamped:
-            value, value_key, error_type = None, None, "OutOfMemoryError"
-            status = _S_OOM
-            self._kill(shadow)
-        self._clock.advance(exec_s)
-        billed_duration = billed_init_s + exec_s
+        if status > _S_ERROR:
+            value = value_key = None
         return self._emit(
             start_index,
             status,
@@ -1085,43 +1110,8 @@ class KernelReplayer:
             value,
             value_key,
             error_type,
-            billed_duration,
             arrival,
             shadow,
-            want_record,
-        )
-
-    def _emit_cold_crash(
-        self,
-        arrival: float,
-        instance_id: str,
-        billed_init_s: float,
-        peak: float,
-        want_record: bool,
-    ):
-        """A cold start whose instance died during initialization: the
-        init is billed, the instance never joins the pool."""
-        memory_mb = self._memory_mb
-        configured = memory_mb if memory_mb is not None else max(int(peak + 0.999), 1)
-        clamped = self._clamp(configured)
-        instance_init_s, transmission_s = self._overhead
-        return self._emit(
-            _COLD,
-            _S_CRASHED,
-            instance_id,
-            instance_init_s,
-            transmission_s,
-            billed_init_s,
-            0.0,
-            configured,
-            clamped,
-            peak,
-            None,
-            None,
-            "InstanceCrash",
-            billed_init_s,
-            arrival,
-            None,
             want_record,
         )
 
@@ -1173,14 +1163,12 @@ class KernelReplayer:
         value: Any,
         value_key: Any,
         error_type: str | None,
-        billed_duration: float,
         arrival: float,
         shadow: _Shadow | None,
         want_record: bool,
     ):
         """Price one billed invocation and buffer its row for the sinks."""
-        billed_s = self._billed(billed_duration)
-        cost = self._cost(billed_duration, configured)
+        billed_s, cost = self._price(billed_init_s + exec_s, configured)
         timestamp = self._clock.now()
         request_num = next(self._request_ids)
         routing = self._routing
@@ -1313,155 +1301,27 @@ class KernelReplayer:
             outage.function in (ANY_FUNCTION, name) for outage in plan.outages
         )
 
-    def _init_spec_cols(self) -> tuple:
-        """Seed the per-*j* outcome columns with the cold outcome at 0.
+    def _outcome_table(self) -> _OutcomeTable:
+        """This run's outcome table, shared per template and settings.
 
-        Index 0 is the cold start and index ``j >= 1`` the warm outcome
-        after *j* prior serves (a warm instance always has at least the
-        cold behind it), so a per-row spec-index list gathers every log
-        and telemetry column with one fancy-index per column at flush
-        time.  ``value``/``value_key``/``error_type`` collapse to a tiny
-        class table — which branch of the outcome ladder fired — that
-        run-length encodes for :meth:`ExecutionLog.append_columns`.
-
-        Every synthesized cold start is identical up to its timestamp,
-        request id, and instance id; returns its ``(exec_s, e2e, kill,
-        clamped, billed_s, cost)`` for the loop.
+        Keyed by every setting that enters an entry: the function's
+        ``memory_mb`` and ``timeout_s``, the routing delay, the platform
+        overhead, and the pricing model (a value-hashable frozen model).
         """
-        entry = self._entry
-        if entry.drift is None:
-            entry.drift = _DriftTables(entry.cold)
-        cold = entry.cold
-        warm = entry.warm
-        peak = cold.post_peak
-        memory_mb = self._memory_mb
-        configured = memory_mb if memory_mb is not None else max(int(peak + 0.999), 1)
-        clamped = self._clamp(configured)
-        exec_s = cold.exec1_s
-        value, value_key, error_type = cold.value, cold.value_key, cold.error_type
-        status = _S_SUCCESS if error_type is None else _S_ERROR
-        kill = False
-        timeout_s = self._timeout_s
-        if timeout_s is not None and exec_s > timeout_s:
-            exec_s = timeout_s
-            value, value_key, error_type = None, None, "TimeoutError"
-            status = _S_TIMEOUT
-        elif memory_mb is not None and peak > clamped:
-            value, value_key, error_type = None, None, "OutOfMemoryError"
-            status = _S_OOM
-            kill = True
-        billed_duration = cold.init_s + exec_s
-        billed_s = self._billed(billed_duration)
-        cost = self._cost(billed_duration, configured)
-        instance_init_s, transmission_s = self._overhead
-        # Same addition order as InvocationRecord.e2e_s.
-        e2e = self._routing + instance_init_s + transmission_s + cold.init_s + 0.0 + exec_s
-        self._sc_exec = [exec_s]
-        self._sc_e2e = [e2e]
-        self._sc_status = [status]
-        self._sc_billed = [billed_s]
-        self._sc_cost = [cost]
-        self._sc_peak = [peak]
-        self._sc_clamped = [clamped]
-        self._sc_cls = [0]
-        self._cls_values = [
-            (value, value_key),
-            (warm.value, warm.value_key),
-            (None, None),
-            (None, None),
-        ]
-        self._cls_errors = [
-            error_type, warm.error_type, "TimeoutError", "OutOfMemoryError",
-        ]
-        self._warm_specs = [(exec_s, e2e, kill)]
-        return exec_s, e2e, kill, clamped, billed_s, cost
-
-    def _extend_spec_cols(self, upto: int) -> None:
-        """Grow the outcome columns so index *upto* is valid.
-
-        Entry *j* is the full billed outcome of an instance's serve when
-        it has already run *j* invocations, computed array-at-a-time:
-        exec times are exact ``diff``\\ s of the drift sequence, the
-        timeout/OOM masks select statuses, and billed duration / cost go
-        through the *scalar* pricing caches once per unique duration
-        (numpy's ``round`` is not Python's correctly-rounded one) and
-        scatter back.  Grows with doubling headroom so repeated
-        one-past-the-end requests stay amortized-vectorized.
-        """
-        specs = self._warm_specs
-        j0 = len(specs)
-        upto = max(upto, 2 * j0)
-        entry = self._entry
-        drift = entry.drift
-        template = entry.warm
-        drift.extend_array(upto, template)
-        w = _np.asarray(drift.t[j0 - 1 : upto + 1])
-        exec_new = _np.diff(w)
-        peaks = _np.asarray(drift.peak[j0 : upto + 1])
-        count = upto + 1 - j0
-        timeout_s = self._timeout_s
-        memory_mb = self._memory_mb
-        base_status = _S_SUCCESS if template.error_type is None else _S_ERROR
-        status = _np.full(count, base_status, dtype=_np.int64)
-        cls = _np.full(count, 1, dtype=_np.int64)
-        kill = None
-        tmask = None
-        if timeout_s is not None:
-            tmask = exec_new > timeout_s
-            if tmask.any():
-                exec_new = _np.where(tmask, timeout_s, exec_new)
-                status[tmask] = _S_TIMEOUT
-                cls[tmask] = 2
-            else:
-                tmask = None
-        if memory_mb is not None:
-            configured = memory_mb
-            clamped_const = self._clamp(configured)
-            omask = peaks > clamped_const
-            if tmask is not None:
-                omask &= ~tmask
-            if omask.any():
-                status[omask] = _S_OOM
-                cls[omask] = 3
-                kill = omask
-            clamped = _np.full(count, clamped_const, dtype=_np.int64)
-            du, dinv = _np.unique(exec_new, return_inverse=True)
-            durations = du.tolist()
-            billed = _np.asarray([self._billed(d) for d in durations])[dinv]
-            cost = _np.asarray([self._cost(d, configured) for d in durations])[dinv]
-        else:
-            conf = _np.maximum((peaks + 0.999).astype(_np.int64), 1)
-            cu, cinv = _np.unique(conf, return_inverse=True)
-            clamped = _np.asarray(
-                [self._clamp(c) for c in cu.tolist()], dtype=_np.int64
-            )[cinv]
-            du, dinv = _np.unique(exec_new, return_inverse=True)
-            durations = du.tolist()
-            billed = _np.asarray([self._billed(d) for d in durations])[dinv]
-            width = len(cu)
-            pu, pinv = _np.unique(dinv * width + cinv, return_inverse=True)
-            cost = _np.asarray(
-                [
-                    self._cost(durations[p // width], int(cu[p % width]))
-                    for p in pu.tolist()
-                ]
-            )[pinv]
-        # Same addition order as InvocationRecord.e2e_s on a warm start:
-        # ((((routing + 0.0) + 0.0) + 0.0) + 0.0) + exec_s.
-        base = self._routing + 0.0 + 0.0 + 0.0 + 0.0
-        e2e = base + exec_new
-        execs = exec_new.tolist()
-        e2es = e2e.tolist()
-        kills = [False] * count if kill is None else kill.tolist()
-        self._sc_exec += execs
-        self._sc_e2e += e2es
-        self._sc_status += status.tolist()
-        self._sc_billed += billed.tolist()
-        self._sc_cost += cost.tolist()
-        self._sc_peak += peaks.tolist()
-        self._sc_clamped += clamped.tolist()
-        self._sc_cls += cls.tolist()
-        specs.extend(zip(execs, e2es, kills))
+        emulator = self.emulator
+        function = self._function
+        key = (
+            function.memory_mb,
+            function.timeout_s,
+            emulator.routing_s,
+            self._overhead,
+            emulator.pricing,
+        )
+        tables = self._entry.tables
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = _OutcomeTable(self._entry, emulator, function)
+        return table
 
     def _run_columnar(
         self, arrivals, result, arrival_times, completion_times
@@ -1479,9 +1339,10 @@ class KernelReplayer:
         """
         entry = self._entry
         name = self._name
+        emulator = self.emulator
         function = self._function
         clock = self._clock
-        keep_alive = self.emulator.keep_alive_s
+        keep_alive = emulator.keep_alive_s
         instance_seq = function.instance_seq
         instances = function.instances
         attribution = self._attribution
@@ -1491,14 +1352,14 @@ class KernelReplayer:
         idle = pool.idle
         heappush = heapq.heappush
         heappop = heapq.heappop
-        kill_shadow = self._kill
+        kill = emulator._kill_instance
 
-        (
-            cold_exec, cold_e2e, cold_kill, cold_clamped, cold_billed_s,
-            cold_cost,
-        ) = self._init_spec_cols()
-        specs = self._warm_specs
-        extend_specs = self._extend_spec_cols
+        table = self._outcome_table()
+        specs = table.specs
+        extend_specs = table.extend
+        warm = entry.warm
+        cold_exec, cold_e2e, cold_dies = specs[0]
+        _, _, _, cold_billed_s, cold_cost, _, cold_clamped, _ = table.rows[0]
         cold = entry.cold
         cold_init_s = cold.init_s
         cold_modules = cold.modules
@@ -1541,17 +1402,17 @@ class KernelReplayer:
                 j = shadow.invocations
                 shadow.invocations = j + 1
                 if j >= spec_len:
-                    extend_specs(j)
+                    extend_specs(j, warm, emulator, function)
                     spec_len = len(specs)
-                exec_eff, e2e, kill = specs[j]
+                exec_eff, e2e, dies = specs[j]
                 now += exec_eff
                 idx_list.append(j)
                 ts_list.append(now)
                 comps.append(t + e2e)
                 warm_n += 1
                 iid = shadow.instance_id
-                if kill:
-                    kill_shadow(shadow)
+                if dies:
+                    kill(function, shadow)
                 else:
                     heappush(busy, (t + e2e, seq, shadow))
                     seq += 1
@@ -1582,7 +1443,7 @@ class KernelReplayer:
                 ts_list.append(now)
                 comps.append(t + cold_e2e)
                 cold_n += 1
-                if not cold_kill:
+                if not cold_dies:
                     shadow = _Shadow(iid, t=post_t, live=post_live, peak=post_peak)
                     shadow.invocations = 1
                     instances.append(shadow)
@@ -1600,7 +1461,7 @@ class KernelReplayer:
                 run_iid = None
                 run_count = 0
                 self._flush_cols(
-                    result, idx_list, ts_list, comps, inst_runs,
+                    table, result, idx_list, ts_list, comps, inst_runs,
                     arrivals[flushed : i + 1], rid_base, cold_n, warm_n,
                     arrival_times, completion_times,
                 )
@@ -1616,7 +1477,7 @@ class KernelReplayer:
         if idx_list:
             inst_runs.append((run_iid, run_count))
             self._flush_cols(
-                result, idx_list, ts_list, comps, inst_runs,
+                table, result, idx_list, ts_list, comps, inst_runs,
                 arrivals[flushed:n], rid_base, cold_n, warm_n,
                 arrival_times, completion_times,
             )
@@ -1629,10 +1490,10 @@ class KernelReplayer:
         clock._now = now
 
     def _flush_cols(
-        self, result, idx_list, ts_list, comps, inst_runs, served, rid_base,
-        cold_n, warm_n, arrival_times, completion_times,
+        self, table, result, idx_list, ts_list, comps, inst_runs, served,
+        rid_base, cold_n, warm_n, arrival_times, completion_times,
     ) -> None:
-        """Gather one chunk's columns from the outcome tables and bulk-emit.
+        """Gather one chunk's columns from the outcome table and bulk-emit.
 
         One fancy-index per column turns the per-row spec indices into
         full log/telemetry columns; the order-dependent float folds
@@ -1641,13 +1502,9 @@ class KernelReplayer:
         """
         count = len(idx_list)
         idx = _np.asarray(idx_list, dtype=_np.intp)
-        e2e = _np.asarray(self._sc_e2e)[idx]
-        status = _np.asarray(self._sc_status, dtype=_np.int8)[idx]
-        billed = _np.asarray(self._sc_billed)[idx]
-        cost = _np.asarray(self._sc_cost)[idx]
-        peak = _np.asarray(self._sc_peak)[idx]
-        clamped = _np.asarray(self._sc_clamped, dtype=_np.int64)[idx]
-        exec_col = _np.asarray(self._sc_exec)[idx]
+        exec_col, e2e, status, billed, cost, peak, clamped, cls = (
+            column[idx] for column in table.columns()
+        )
         cold_mask = idx == 0
         starts = _np.where(cold_mask, _np.int8(_COLD), _np.int8(_WARM)).astype(
             _np.int8
@@ -1656,11 +1513,10 @@ class KernelReplayer:
         iinit = _np.where(cold_mask, instance_init_s, 0.0)
         trans = _np.where(cold_mask, transmission_s, 0.0)
         init = _np.where(cold_mask, self._entry.cold.init_s, 0.0)
-        cls = _np.asarray(self._sc_cls, dtype=_np.int64)[idx]
         bounds = (_np.flatnonzero(cls[1:] != cls[:-1]) + 1).tolist()
         edges = [0, *bounds, count]
-        cls_values = self._cls_values
-        cls_errors = self._cls_errors
+        cls_values = table.cls_values
+        cls_errors = table.cls_errors
         value_runs = []
         error_runs = []
         for run in range(len(edges) - 1):
@@ -1720,30 +1576,3 @@ class KernelReplayer:
             )
         arrival_times.extend(served)
         completion_times.extend(comps)
-
-    # -- pricing caches ----------------------------------------------------
-
-    def _clamp(self, configured: int) -> int:
-        clamped = self._clamp_cache.get(configured)
-        if clamped is None:
-            clamped = self._clamp_cache[configured] = (
-                self._pricing.clamp_memory_mb(configured)
-            )
-        return clamped
-
-    def _billed(self, duration_s: float) -> float:
-        billed = self._billed_cache.get(duration_s)
-        if billed is None:
-            billed = self._billed_cache[duration_s] = (
-                self._pricing.billed_duration_s(duration_s)
-            )
-        return billed
-
-    def _cost(self, duration_s: float, configured: int) -> float:
-        key = (duration_s, configured)
-        cost = self._cost_cache.get(key)
-        if cost is None:
-            cost = self._cost_cache[key] = self._pricing.invocation_cost(
-                duration_s, configured
-            )
-        return cost

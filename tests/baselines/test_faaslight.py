@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import ast
+import hashlib
+import os
+from collections import Counter
+
 from repro.baselines import FaasLight
 from repro.core.execution import run_once
 from repro.core.oracle import OracleRunner
@@ -82,3 +87,43 @@ class TestFaasLight:
         fl_mem = run_once(faaslight.output, EVENT).init_memory_mb
         lt_mem = run_once(trimmed.output, EVENT).init_memory_mb
         assert lt_mem < fl_mem  # attribute granularity drops MSELoss too
+
+
+class TestOneParsePerFileContent:
+    """Across all passes of one run, each (absolute path, content) is
+    parsed once: the graph refresh's tree is the one the decomposition and
+    the import requirements use, and an unchanged file's tree carries over
+    to the next pass."""
+
+    def test_each_content_parsed_once(self, toy_app, tmp_path, monkeypatch):
+        working = toy_app.clone(tmp_path / "seeded")
+        torch_init = working.module_file("torch")
+        # A dead helper makes the fixpoint take a further pass: its removal
+        # frees the import only it referenced.
+        torch_init.write_text(
+            torch_init.read_text() + "def _dead_helper():\n    return SGD\n"
+        )
+        parses: Counter = Counter()
+        parse = ast.parse
+
+        def counted(source, filename="<unknown>", *args, **kwargs):
+            data = source if isinstance(source, bytes) else source.encode()
+            key = (os.path.abspath(filename), hashlib.sha256(data).hexdigest())
+            parses[key] += 1
+            return parse(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counted)
+        report = FaasLight().run(working, tmp_path / "fl")
+        assert report.statements_removed > 0
+        assert set(parses.values()) == {1}, parses
+        output = report.output
+        files = [output.handler_path, *output.site_packages.rglob("*.py")]
+        for path in files:
+            key = (
+                os.path.abspath(path),
+                hashlib.sha256(path.read_bytes()).hexdigest(),
+            )
+            assert key in parses, path
+        # The rewritten module was parsed once per content it had.
+        torch_file = os.path.abspath(output.module_file("torch"))
+        assert sum(path == torch_file for path, _ in parses) >= 3

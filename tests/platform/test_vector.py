@@ -237,6 +237,39 @@ class TestVectorVsReferenceDirect:
         self._assert_identical(ref, vec)
         assert ref.log.status_counts().get("oom", 0) > 0
 
+    def test_outcome_table_keyed_by_settings(self, tmp_path, columnar):
+        # One bundle on one emulator under four settings, replayed through
+        # one TemplateStore: the outcome table is shared per template and
+        # settings, so each setting that enters an entry must key it, and
+        # the repeated plain setting must reuse the first one's table.
+        bundle = build_toy_torch_app(tmp_path / "toy")
+        settings = {
+            "plain": {},
+            "big": {"memory_mb": 1024},
+            "timeout": {"timeout_s": 1e-6},
+            "plain-again": {},
+        }
+        arrivals = [i * 0.25 for i in range(30)]
+        store = kernel_mod.TemplateStore()
+        emulators = []
+        for engine in ("reference", "columnar"):
+            emulator = LambdaEmulator(keep_alive_s=60.0)
+            for name, deploy in settings.items():
+                emulator.deploy(bundle, name=name, **deploy)
+                if engine == "reference":
+                    TraceReplayer(emulator).replay(name, list(arrivals), EVENT)
+                else:
+                    KernelReplayer(emulator, store).replay(
+                        name, list(arrivals), EVENT
+                    )
+            emulators.append(emulator)
+        ref, vec = emulators
+        assert columnar == [len(arrivals)] * len(settings)
+        self._assert_identical(ref, vec)
+        assert ref.log.status_counts().get("timeout", 0) == len(arrivals)
+        key = kernel_mod.TemplateStore.key_for(vec.function("plain"), EVENT, None)
+        assert len(store.entry(key).tables) == 3
+
     def test_warm_pool_churn_identical(self, tmp_path, columnar):
         # Dense bursts grow the warm pool; the gaps between bursts
         # exceed keep-alive, so the whole pool expires and re-colds.
