@@ -20,6 +20,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
+import math
 from types import SimpleNamespace
 
 from hypothesis import given, settings
@@ -79,6 +80,18 @@ class TestWarmPool:
             ("retire", "b"),
         ]
         assert pool.idle == [] and pool.busy == []
+
+    def test_keep_alive_boundary_is_inclusive(self):
+        # Served exactly the keep-alive after its release, expired one ulp
+        # past it.  Replays rarely land on the boundary exactly, so the
+        # serve model in test_serve_model.py cannot pin it.
+        pool = WarmPool()
+        a = _instance("a")
+        pool.release(a, 1.0)
+        assert pool.acquire([], 1.0 + KEEP_ALIVE, KEEP_ALIVE) is a
+        pool.release(a, 2.0)
+        just_past = math.nextafter(2.0 + KEEP_ALIVE, math.inf)
+        assert pool.acquire([], just_past, KEEP_ALIVE) is None
 
     def test_dead_members_are_discarded(self):
         pool = WarmPool()
