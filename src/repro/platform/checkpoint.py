@@ -368,9 +368,9 @@ def snapshot_replay_state(
 ) -> dict:
     """Snapshot one replay of *function* at a loop boundary, JSON-safe.
 
-    Taken between attempts: none is in flight, the emulator's pending
-    cold-start stash is consumed, and the log's spill offset marks exactly
-    the rows already durable.  The *timeline* snapshot carries where the
+    Taken between attempts, after the engine emitted its buffered rows:
+    none is in flight, and the log's spill offset marks exactly the rows
+    already durable.  The *timeline* snapshot carries where the
     loop continues.  *instance_state* serializes one instance and whether
     ``function.instances`` owns it: owned instances come first, in list
     order (the cold-start recovery check reads ``function.instances[-1]``,

@@ -13,7 +13,15 @@ Lambda:
   plus execution.  Every warm start comes from a
   :class:`~repro.platform.instance.WarmPool` owned by one caller: each
   function's own pool for direct invokes, a per-call pool for each replay;
-  :meth:`LambdaEmulator._serve` is the one serve step they share;
+* **the serve step** — :meth:`LambdaEmulator._serve` decides this
+  lifecycle once for direct invokes and both replay engines: host
+  faults, the throttle draw, the warm pool, the cold start, the kill
+  ladder (:func:`settle`) and pricing.  It reaches instances through a
+  small protocol that real instances and the fast engine's tape
+  instances both implement, and returns one row tuple per attempt
+  (``ROW_*``); a record is built only where one is read, and replays
+  hand their rows to the log, bill and telemetry sink in bulk
+  (:meth:`LambdaEmulator._emit_rows`);
 * **forced cold starts** — :meth:`update_function` discards warm
   instances, the paper's trick of editing the function description;
 * **billing** — Eq. 1 with the provider's granularity, memory configured
@@ -26,7 +34,7 @@ Lambda:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.bundle import AppBundle
 from repro.checkpoint import Checkpoint, CriuSimulator
@@ -40,6 +48,8 @@ from repro.platform.faults import FaultInjector, FaultPlan
 from repro.platform.hosts import HostConfig, HostPool
 from repro.platform.instance import FunctionInstance, WarmPool
 from repro.platform.logs import (
+    _START_TYPE_INDEX,
+    _START_TYPES,
     _STATUS_INDEX,
     _STATUS_TYPES,
     ExecutionLog,
@@ -50,7 +60,6 @@ from repro.platform.logs import (
 from repro.platform.telemetry import TelemetrySink
 from repro.platform.tuning import CpuScalingModel
 from repro.pricing import AwsLambdaPricing, PricingModel, SnapStartPricing
-from repro.vm import aggregate_charges
 
 __all__ = ["LambdaEmulator", "DeployedFunction", "settle"]
 
@@ -65,6 +74,22 @@ _ERROR = _STATUS_INDEX[InvocationStatus.ERROR]
 _TIMEOUT = _STATUS_INDEX[InvocationStatus.TIMEOUT]
 _OOM = _STATUS_INDEX[InvocationStatus.OOM]
 _CRASHED = _STATUS_INDEX[InvocationStatus.CRASHED]
+_THROTTLED = _STATUS_INDEX[InvocationStatus.THROTTLED]
+_COLD = _START_TYPE_INDEX[StartType.COLD]
+_WARM = _START_TYPE_INDEX[StartType.WARM]
+_THROTTLED_START = _START_TYPE_INDEX[StartType.THROTTLED]
+
+#: Field positions of a serve row, the one tuple per attempt that
+#: :meth:`LambdaEmulator._serve` returns: the
+#: :meth:`~repro.platform.logs.ExecutionLog.append_rows` columns (start
+#: and status as table indices, the request as its number), then the
+#: end-to-end time and the arrival it was served at.
+(
+    ROW_REQUEST, ROW_START, ROW_STATUS, ROW_TIMESTAMP, ROW_VALUE,
+    ROW_VALUE_KEY, ROW_INSTANCE, ROW_INSTANCE_INIT, ROW_TRANSMISSION,
+    ROW_INIT, ROW_RESTORE, ROW_EXEC, ROW_BILLED, ROW_MEMORY, ROW_PEAK,
+    ROW_COST, ROW_ERROR, ROW_E2E, ROW_ARRIVAL,
+) = range(19)  # fmt: skip
 
 
 def settle(
@@ -225,9 +250,6 @@ class LambdaEmulator:
         # ColdStartProfile (repro.obs.attribution).  None (the default)
         # keeps the capture entirely off the hot path.
         self.attribution = attribution
-        # (module rows, billed_init_s, include_exec) stashed by
-        # _cold_start for the record finisher to price.
-        self._pending_cold: tuple | None = None
         self._functions: dict[str, DeployedFunction] = {}
         self._request_ids = SerialCounter(1)
         # Pricing memos keyed on exact float bits (see _memory_config and
@@ -242,6 +264,8 @@ class LambdaEmulator:
         self._obs_status: dict[str, int] = {}
         self._obs_peak_mb = 0.0
         self._obs_pending = 0
+        #: Telemetry row heads per function, built by _emit_rows.
+        self._row_heads: dict[str, list[list[tuple]]] = {}
 
     # -- deployment ----------------------------------------------------------
 
@@ -341,13 +365,20 @@ class LambdaEmulator:
 
         now = self.clock.now()
         self.clock.advance(self.routing_s)
-        record, served = self._serve(function, function.pool, now, event, context, ())
-        if served is not None and served.alive:
-            # Free as of the clock at completion: ``now + record.e2e_s``
-            # can land one ulp past the arrival of a back-to-back invoke,
-            # which would then find the instance still busy.
-            function.pool.release(served, self.clock.now(), self.hosts)
-        self._record_invocation(record)
+        record = self._record(
+            function.name,
+            self._serve(function, function.pool, now, event, context, clock_time=True),
+        )
+        self.log.append(record)
+        if record.billed:
+            self.ledger.charge_invocation(
+                record.function, record.cost_usd, cold=record.is_cold
+            )
+        else:
+            self.ledger.charge_throttle(record.function)
+        if self.telemetry is not None:
+            self.telemetry.observe(record)
+        self._emit_telemetry(record)
         return record
 
     def _serve(
@@ -357,134 +388,170 @@ class LambdaEmulator:
         arrival: float,
         event: Any,
         context: Any,
-        adopt: Iterable[FunctionInstance],
-    ) -> tuple[InvocationRecord, FunctionInstance | None]:
+        adopt: Iterable[Any] = (),
+        spawn: Callable[[DeployedFunction], Any] | None = None,
+        *,
+        clock_time: bool = False,
+    ) -> tuple:
         """Serve one request arriving at *arrival*: the one serve step.
 
         Host faults due by *arrival* fire first, then the throttle draw,
         then *pool* serves a warm start (adopting the alive instances in
-        *adopt* on its first acquire) or a host admits a cold start; the
-        served instance's reservation is then trued up to its measured
-        peak.  Returns the record and the instance that served it: None
-        for a throttle and for a cold start whose instance died, but a
-        warm instance even if it died serving.  The caller releases a
-        still-alive instance to *pool* at the request's completion in the
-        pool's time, then logs the record.
+        *adopt* on its first acquire) or a host admits a cold start on an
+        instance that *spawn* makes (a real :class:`FunctionInstance` by
+        default).  The served instance's reservation is then trued up to
+        its measured peak, unless it was a cold start's instance that died
+        serving, and an instance still alive goes back to *pool*, busy
+        until the request completes: in trace time, or in virtual-clock
+        time with *clock_time* (direct invokes).
+
+        Instances are reached only through the instance protocol:
+        ``instance_id``, ``alive``, ``host_id``, ``initialize()``,
+        ``init_charges()``, ``run(event, context)``, ``peak_memory_mb`` and
+        ``shutdown()``.  Returns the attempt's row (see ``ROW_*``).
         """
         hosts = self.hosts
         if hosts is not None:
             hosts.advance(arrival)
-        served: FunctionInstance | None = None
         if self.faults is not None and self.faults.throttled(function.name, arrival):
-            record = self._throttle_record(function)
+            return self._throttle(arrival, "Throttled")
+        served = pool.acquire(adopt, arrival, self.keep_alive_s, hosts)
+        if served is not None:
+            # Float zeros: warm rows must carry the same field types as
+            # cold ones, or exports that serialize a record object
+            # directly (dead letters) differ from the columnar log.
+            row = self._run(
+                function, served, event, context, _WARM, 0.0, 0.0, 0.0, 0.0, arrival
+            )
         else:
-            served = pool.acquire(adopt, arrival, self.keep_alive_s, hosts)
-            if served is not None:
-                # Float zeros: warm records must carry the same field types
-                # as cold ones, or exports that serialize the record object
-                # directly (dead letters) differ from the columnar log.
-                record = self._run(
-                    function,
-                    served,
-                    event,
-                    context,
-                    StartType.WARM,
-                    0.0,
-                    0.0,
-                    0.0,
-                    0.0,
-                    arrival,
+            placement = None
+            if hosts is not None:
+                placement = hosts.admit(
+                    function.name, arrival, memory_mb=function.memory_mb
                 )
-            else:
-                placement = (
-                    hosts.admit(function.name, arrival, memory_mb=function.memory_mb)
-                    if hosts is not None
-                    else None
-                )
-                if hosts is not None and placement is None:
+                if placement is None:
                     # No host can take a new instance and nothing idle is
                     # left to evict: the request bounces as a (retryable,
                     # unbilled) capacity throttle.
-                    record = self._throttle_record(function, error="CapacityExhausted")
-                else:
-                    record = self._cold_start(
-                        function, event, context, arrival, placement
-                    )
-                    # The cold start's instance is the newest in the list,
-                    # unless it crashed before joining or was killed.
-                    instances = function.instances
-                    if instances and instances[-1].instance_id == record.instance_id:
-                        served = instances[-1]
-        if hosts is not None and served is not None:
+                    return self._throttle(arrival, "CapacityExhausted")
+            row, served = self._cold_start(
+                function, event, context, arrival, placement, spawn or self._spawn
+            )
+            if not served.alive:
+                return row
+        if hosts is not None:
             # True the reservation up to the measured peak (may evict idle
             # neighbours under pressure) and remember the footprint for
             # future placements of this function.
-            hosts.adjust(served.instance_id, record.peak_memory_mb, arrival)
-            hosts.observe_footprint(function.name, record.peak_memory_mb)
-        return record, served
+            hosts.adjust(served.instance_id, row[ROW_PEAK], arrival)
+            hosts.observe_footprint(function.name, row[ROW_PEAK])
+        if served.alive:
+            # Free as of the clock at completion for direct invokes:
+            # ``arrival + e2e`` can land one ulp past the arrival of a
+            # back-to-back invoke, which would then find it still busy.
+            until = self.clock.now() if clock_time else arrival + row[ROW_E2E]
+            pool.release(served, until, hosts)
+        return row
 
-    def _record_invocation(
-        self,
-        record: InvocationRecord,
-        *,
-        arrival: float | None = None,
-        emit_obs: bool = True,
-    ) -> None:
-        """Log, bill, and publish one finished invocation record."""
-        if self.attribution is not None and record.start_type is StartType.COLD:
-            pending = self._pending_cold
-            self._pending_cold = None
-            if pending is not None:
-                modules, billed_init_s, include_exec = pending
-                self.attribution.record(
-                    attribute_cold_start(
-                        function=record.function,
-                        request_id=record.request_id,
-                        timestamp=record.timestamp,
-                        pricing=self.pricing,
-                        memory_config_mb=record.memory_config_mb,
-                        modules=modules,
-                        billed_init_s=billed_init_s,
-                        restore_s=record.restore_duration_s,
-                        exec_s=record.exec_duration_s,
-                        billed_duration_s=record.billed_duration_s,
-                        cost_usd=record.cost_usd,
-                        include_exec=include_exec,
-                    )
-                )
-        self.log.append(record)
-        if record.billed:
-            self.ledger.charge_invocation(
-                record.function, record.cost_usd, cold=record.is_cold
-            )
-        else:
-            self.ledger.charge_throttle(record.function)
-        if self.telemetry is not None:
-            self.telemetry.observe(record, arrival=arrival)
-        if emit_obs:
-            self._emit_telemetry(record)
+    def _throttle(self, arrival: float, error: str) -> tuple:
+        """The row of a rejected request: no instance work, nothing billed.
 
-    def _throttle_record(
-        self, function: DeployedFunction, *, error: str = "Throttled"
-    ) -> InvocationRecord:
-        """A rejected request: no instance work, nothing billed.
-
-        ``error="CapacityExhausted"`` marks a host-pool capacity throttle
-        (no host could take the instance); both flavours share the
-        THROTTLED status, so retry policies treat them alike.
+        ``"CapacityExhausted"`` marks a host-pool capacity throttle (no
+        host could take the instance); both flavours share the THROTTLED
+        status, so retry policies treat them alike.
         """
+        return (
+            next(self._request_ids), _THROTTLED_START, _THROTTLED,
+            self.clock.now(), None, None, "-", 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+            128, 0.0, 0.0, error, self.routing_s, arrival,
+        )  # fmt: skip
+
+    def _record(self, name: str, row: tuple) -> InvocationRecord:
+        """*row* of function *name* as a record, for callers that read one."""
+        (
+            request_num, start, status, timestamp, value, _, instance_id,
+            instance_init_s, transmission_s, init_s, restore_s, exec_s,
+            billed_s, clamped, peak, cost, error_type, _, _,
+        ) = row  # fmt: skip
         return InvocationRecord(
-            request_id=f"req-{next(self._request_ids):06d}",
-            function=function.name,
-            start_type=StartType.THROTTLED,
-            timestamp=self.clock.now(),
-            value=None,
-            instance_id="-",
+            request_id=f"req-{request_num:06d}",
+            function=name,
+            start_type=_START_TYPES[start],
+            timestamp=timestamp,
+            value=value,
+            instance_id=instance_id,
+            instance_init_s=instance_init_s,
+            transmission_s=transmission_s,
+            init_duration_s=init_s,
+            restore_duration_s=restore_s,
+            exec_duration_s=exec_s,
             routing_s=self.routing_s,
-            cost_usd=0.0,
-            error_type=error,
-            status=InvocationStatus.THROTTLED,
+            billed_duration_s=billed_s,
+            memory_config_mb=clamped,
+            peak_memory_mb=peak,
+            cost_usd=cost,
+            error_type=error_type,
+            status=_STATUS_TYPES[status],
         )
+
+    def _emit_rows(self, name: str, rows: list[tuple]) -> None:
+        """Bulk-emit function *name*'s served rows, in serve order.
+
+        One log append, one bill fold and one telemetry ingest per call:
+        replays buffer their rows and flush them here.  Billing and log
+        accounting continue their sequential float folds in row order;
+        only the int counters are batch aggregates, so where a caller
+        cuts its batches never shows.
+        """
+        if not rows:
+            return
+        (
+            request_nums, starts, statuses, timestamps, values, value_keys,
+            instance_ids, instance_init_s, transmission_s, init_s, restore_s,
+            exec_s, billed_s, clamped, peaks, costs, errors, e2es, arrivals,
+        ) = zip(*rows)  # fmt: skip
+        self.log.append_rows(
+            name, self.routing_s, request_nums, starts, statuses, timestamps,
+            values, value_keys, instance_ids, instance_init_s, transmission_s,
+            init_s, exec_s, billed_s, clamped, peaks, costs, errors,
+            restore_duration_s=restore_s,
+        )  # fmt: skip
+        self.ledger.bill_for(name).charge_batch(
+            statuses,
+            costs,
+            throttled_status=_THROTTLED,
+            cold_starts=starts.count(_COLD),
+            throttles=statuses.count(_THROTTLED),
+        )
+        sink = self.telemetry
+        if sink is not None:
+            heads = self._row_heads.get(name)
+            if heads is None:
+                # Telemetry row heads per (start, status): everything but
+                # the per-row floats and request number.
+                heads = self._row_heads[name] = [
+                    [
+                        (
+                            name,
+                            status.value,
+                            status is InvocationStatus.SUCCESS,
+                            status is not InvocationStatus.THROTTLED,
+                            start is StartType.COLD,
+                            start is StartType.WARM,
+                        )
+                        for status in _STATUS_TYPES
+                    ]
+                    for start in _START_TYPES
+                ]
+            sink.observe_rows(
+                [
+                    heads[start][status] + (e2e, cost, billed, request_num)
+                    for start, status, e2e, cost, billed, request_num in zip(
+                        starts, statuses, e2es, costs, billed_s, request_nums
+                    )
+                ],
+                arrivals=arrivals,
+            )
 
     def _emit_telemetry(self, record: InvocationRecord) -> None:
         """Re-emit the REPORT accounting as structured observability data.
@@ -581,6 +648,15 @@ class LambdaEmulator:
         self._obs_peak_mb = 0.0
         self._obs_pending = 0
 
+    def _spawn(self, function: DeployedFunction) -> FunctionInstance:
+        """A new real instance of *function*: the default instance factory."""
+        return FunctionInstance(
+            function.name,
+            function.bundle,
+            created_at=self.clock.now(),
+            sequence=function.instance_seq,
+        )
+
     def _cold_start(
         self,
         function: DeployedFunction,
@@ -588,24 +664,24 @@ class LambdaEmulator:
         context: Any,
         arrival: float,
         placement,
-    ) -> InvocationRecord:
+        spawn: Callable[[DeployedFunction], Any],
+    ) -> tuple[tuple, Any]:
+        """A cold start on a new instance from *spawn*: its row and instance.
+
+        In order: the unbilled platform overhead, the instance (and its
+        id), Function Initialization, the cold-start crash draw, and the
+        binding to the host placement; then the first run.  SnapStart
+        restores apply to real instances only (the fast engine refuses
+        SnapStart functions).
+        """
         instance_init_s, transmission_s = self.platform_overhead_s(function)
         self.clock.advance(instance_init_s + transmission_s)
 
-        instance = FunctionInstance(
-            function.name,
-            function.bundle,
-            created_at=self.clock.now(),
-            sequence=function.instance_seq,
-        )
-        init_s = instance.initialize()  # the real import happens here
-        # Snapshot the init-phase charge stream before the handler runs:
-        # invoke() appends exec-phase events to the same meter.
-        init_modules = (
-            aggregate_charges(instance.app.meter.events)
-            if self.attribution is not None
-            else None
-        )
+        instance = spawn(function)
+        init_s = instance.initialize()  # a real instance imports here
+        # Snapshot the init-phase charges before the handler runs: a real
+        # instance's first run appends exec-phase events to the same meter.
+        modules = instance.init_charges() if self.attribution is not None else None
 
         restore_s = 0.0
         if function.snapstart:
@@ -638,47 +714,47 @@ class LambdaEmulator:
             instance.shutdown()
             if placement is not None:
                 self.hosts.cancel(placement)
-            configured, clamped = self._memory_config(function, instance.peak_memory_mb)
-            billed_s, cost = self._price(billed_init_s, configured)
-            if init_modules is not None:
-                self._pending_cold = (init_modules, billed_init_s, False)
-            return InvocationRecord(
-                request_id=f"req-{next(self._request_ids):06d}",
-                function=function.name,
-                start_type=StartType.COLD,
-                timestamp=self.clock.now(),
-                value=None,
-                instance_id=instance.instance_id,
-                instance_init_s=instance_init_s,
-                transmission_s=transmission_s,
-                init_duration_s=billed_init_s,
-                restore_duration_s=restore_s,
-                routing_s=self.routing_s,
-                billed_duration_s=billed_s,
-                memory_config_mb=clamped,
-                peak_memory_mb=instance.peak_memory_mb,
-                cost_usd=cost,
-                error_type="InstanceCrash",
-                status=InvocationStatus.CRASHED,
+            peak = instance.peak_memory_mb
+            configured, clamped = self._memory_config(function, peak)
+            row = self._row(
+                function.name,
+                _COLD,
+                _CRASHED,
+                arrival,
+                instance.instance_id,
+                instance_init_s,
+                transmission_s,
+                billed_init_s,
+                restore_s,
+                0.0,
+                configured,
+                clamped,
+                peak,
+                None,
+                None,
+                "InstanceCrash",
+                modules,
+                False,
             )
+            return row, instance
 
-        if init_modules is not None:
-            self._pending_cold = (init_modules, billed_init_s, True)
         function.instances.append(instance)
         if placement is not None:
             self.hosts.bind(placement, instance, function.instances)
-        return self._run(
+        row = self._run(
             function,
             instance,
             event,
             context,
-            StartType.COLD,
+            _COLD,
             instance_init_s,
             transmission_s,
             billed_init_s,
             restore_s,
             arrival,
+            modules,
         )
+        return row, instance
 
     def _memory_config(
         self, function: DeployedFunction, peak_mb: float
@@ -784,51 +860,115 @@ class LambdaEmulator:
     def _run(
         self,
         function: DeployedFunction,
-        instance: FunctionInstance,
+        instance: Any,
         event: Any,
         context: Any,
-        start_type: StartType,
+        start: int,
         instance_init_s: float,
         transmission_s: float,
         billed_init_s: float,
         restore_s: float,
         arrival: float,
-    ) -> InvocationRecord:
-        output = instance.invoke(event, context)
-        peak_mb = instance.peak_memory_mb
+        modules: Any = None,
+    ) -> tuple:
+        """Run the handler on *instance*, settle the execution, build its row.
+
+        *modules* are a cold start's aggregated init charges when dollar
+        attribution is on.
+        """
+        exec_s, value, value_key, error_type = instance.run(event, context)
+        peak = instance.peak_memory_mb
         exec_s, status, error_type, configured, clamped = self._settle_run(
             function,
             instance,
-            peak_mb,
+            peak,
             arrival,
             instance_init_s,
             transmission_s,
             billed_init_s,
             restore_s,
-            output.exec_time_s,
-            output.error_type,
+            exec_s,
+            error_type,
         )
+        if status > _ERROR:
+            value = value_key = None
+        return self._row(
+            function.name,
+            start,
+            status,
+            arrival,
+            instance.instance_id,
+            instance_init_s,
+            transmission_s,
+            billed_init_s,
+            restore_s,
+            exec_s,
+            configured,
+            clamped,
+            peak,
+            value,
+            value_key,
+            error_type,
+            modules,
+            True,
+        )
+
+    def _row(
+        self,
+        name: str,
+        start: int,
+        status: int,
+        arrival: float,
+        instance_id: str,
+        instance_init_s: float,
+        transmission_s: float,
+        billed_init_s: float,
+        restore_s: float,
+        exec_s: float,
+        configured: int,
+        clamped: int,
+        peak: float,
+        value: Any,
+        value_key: Any,
+        error_type: str | None,
+        modules: Any,
+        include_exec: bool,
+    ) -> tuple:
+        """Price one billed attempt, record its attribution, build its row.
+
+        *modules* (a cold start's init charges, None otherwise) are priced
+        into a :class:`~repro.obs.attribution.ColdStartProfile`, with the
+        execution unless the instance died during initialization.
+        """
         billed_s, cost = self._price(billed_init_s + exec_s, configured)
-        return InvocationRecord(
-            request_id=f"req-{next(self._request_ids):06d}",
-            function=function.name,
-            start_type=start_type,
-            timestamp=self.clock.now(),
-            value=output.value if status <= _ERROR else None,
-            instance_id=instance.instance_id,
-            instance_init_s=instance_init_s,
-            transmission_s=transmission_s,
-            init_duration_s=billed_init_s,
-            restore_duration_s=restore_s,
-            exec_duration_s=exec_s,
-            routing_s=self.routing_s,
-            billed_duration_s=billed_s,
-            memory_config_mb=clamped,
-            peak_memory_mb=peak_mb,
-            cost_usd=cost,
-            error_type=error_type,
-            status=_STATUS_TYPES[status],
-        )
+        request_num = next(self._request_ids)
+        timestamp = self.clock.now()
+        if modules is not None:
+            self.attribution.record(
+                attribute_cold_start(
+                    function=name,
+                    request_id=f"req-{request_num:06d}",
+                    timestamp=timestamp,
+                    pricing=self.pricing,
+                    memory_config_mb=clamped,
+                    modules=modules,
+                    billed_init_s=billed_init_s,
+                    restore_s=restore_s,
+                    exec_s=exec_s,
+                    billed_duration_s=billed_s,
+                    cost_usd=cost,
+                    include_exec=include_exec,
+                )
+            )
+        # Same addition order as InvocationRecord.e2e_s.
+        e2e = self.routing_s + instance_init_s + transmission_s + billed_init_s
+        e2e = e2e + restore_s + exec_s
+        return (
+            request_num, start, status, timestamp, value, value_key,
+            instance_id, instance_init_s, transmission_s, billed_init_s,
+            restore_s, exec_s, billed_s, clamped, peak, cost, error_type, e2e,
+            arrival,
+        )  # fmt: skip
 
     def _kill_instance(self, function: DeployedFunction, instance: Any) -> None:
         """Discard one instance, real or simulated (OOM kill or crash): it

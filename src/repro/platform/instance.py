@@ -10,6 +10,7 @@ from repro.bundle import AppBundle
 from repro.core.execution import InvocationOutput, LoadedApp
 from repro.errors import InvocationError
 from repro.platform.checkpoint import SerialCounter
+from repro.vm import aggregate_charges
 
 __all__ = ["FunctionInstance", "WarmPool"]
 
@@ -19,6 +20,10 @@ class FunctionInstance:
 
     Wraps a :class:`LoadedApp` with the lifecycle metadata the emulator
     needs: creation time, invocation count, liveness, and host placement.
+    It implements the instance protocol of the emulator's serve step
+    (:meth:`~repro.platform.emulator.LambdaEmulator._serve`) by really
+    importing and running the application; the fast engine's tape
+    instances implement the same protocol from captured charge tapes.
     When it may serve again is not its own state: the :class:`WarmPool`
     that holds it decides, so keep-alive follows one rule everywhere.
 
@@ -83,10 +88,23 @@ class FunctionInstance:
     def peak_memory_mb(self) -> float:
         return self.app.peak_memory_mb
 
+    def init_charges(self) -> list:
+        """The init phase's charges aggregated per module, for dollar
+        attribution; read before the first run appends exec charges."""
+        return aggregate_charges(self.app.meter.events)
+
     def invoke(self, event, context) -> InvocationOutput:
         output = self.app.invoke(event, context)
         self.invocations += 1
         return output
+
+    def run(self, event, context) -> tuple[float, Any, Any, str | None]:
+        """Serve one request: ``(exec_s, value, value_key, error_type)``.
+
+        The value key is left to the log, which derives it from the value.
+        """
+        output = self.invoke(event, context)
+        return output.exec_time_s, output.value, None, output.error_type
 
     def shutdown(self) -> None:
         self.alive = False

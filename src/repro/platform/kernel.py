@@ -24,44 +24,51 @@ every warm invocation from the second onwards replays the same charge
    refuses it and :func:`~repro.platform.fleet.replay_fleet` serves it
    on the reference engine.
 3. **Synthesize.**  Every invocation, from the first arrival on, is
-   synthesized without an interpreter: the kernel replays the captured
-   charges as the same sequence of float additions against a
-   per-instance simulated meter (running time, live MB, peak MB) — no
-   :class:`~repro.platform.logs.InvocationRecord` objects, no enum
-   lookups, no dict churn.
+   synthesized without an interpreter on a *tape instance*
+   (:class:`_Shadow`): a simulated meter (running time, live MB, peak
+   MB) whose first run replays the cold template's constants and whose
+   every later run replays the warm tape's charges as the same sequence
+   of float additions as the real meter.
 
 Because ``x + 0.0 == x`` and the charge replay performs the *same
 additions in the same order* as the real meter, every derived float —
 ``exec_duration_s`` (a difference of running sums, so it drifts across
 an instance's lifetime!), ``e2e_s``, billed durations, costs — comes out
-bit-identical to the reference engine.  How an execution ends and what
-it costs is the emulator's own code, run on the simulated instance: its
-post-execution step (memory configuration, CPU scaling, the exec-crash
-draw, the host-crash offset, the kill ladder
-:func:`~repro.platform.emulator.settle`, the kill, and the clock
-advance) and its pricing memo.  So is everything around the serve step:
-the warm pool (:class:`~repro.platform.instance.WarmPool`), the retry
-timeline (:class:`~repro.platform.retry.RetryTimeline`), and the
-checkpoint snapshot and resume check
-(:func:`~repro.platform.checkpoint.restore_replay_state`).  The cold-start
-order (host admission, overhead, init, the cold-start crash draw, binding)
-and the request-id consumption are replicated.  Logs, ledgers, telemetry, and
-dead letters are therefore byte-identical at any worker count.
+bit-identical to the reference engine.  Everything else is the
+emulator's own code: a tape instance implements the emulator's instance
+protocol, so :meth:`LambdaEmulator._serve
+<repro.platform.emulator.LambdaEmulator._serve>` serves it exactly as
+it serves a real instance — host faults, the throttle draw, the warm
+pool (:class:`~repro.platform.instance.WarmPool`), host admission, the
+cold-start order (overhead, instance id, init, the cold-start crash
+draw, binding), the post-execution step (memory configuration, CPU
+scaling, the exec-crash draw, the host-crash offset, the kill ladder
+:func:`~repro.platform.emulator.settle`, the kill, the clock advance),
+pricing, attribution and request ids.  So is everything around the
+serve step: the retry timeline
+(:class:`~repro.platform.retry.RetryTimeline`) and the checkpoint
+snapshot and resume check
+(:func:`~repro.platform.checkpoint.restore_replay_state`).  Logs,
+ledgers, telemetry, and dead letters are therefore byte-identical at any
+worker count.
 
-**Two serve loops, one emitter.**  The *general path* walks the
+**Two serve loops, bulk emission.**  The *general path* walks the
 reference engine's attempt timeline, with or without a retry policy,
-and serves one attempt at a time through :meth:`KernelReplayer._serve`
-— synthesis, faults, hosts, CPU scaling, retries, checkpoints — and
-buffers every billed or throttled row in one bounded chunk.  The chunk
-reaches the sinks in bulk (:meth:`ExecutionLog.append_rows
+serves one attempt at a time through the emulator's step with a
+tape-instance factory (:meth:`KernelReplayer._spawn`) — synthesis,
+faults, hosts, CPU scaling, retries, checkpoints — and buffers each
+attempt's row in one bounded chunk, as the reference engine does.  The
+chunk reaches the sinks in bulk through :meth:`LambdaEmulator._emit_rows
+<repro.platform.emulator.LambdaEmulator._emit_rows>`
+(:meth:`ExecutionLog.append_rows
 <repro.platform.logs.ExecutionLog.append_rows>`,
 :meth:`TelemetrySink.observe_rows
 <repro.platform.telemetry.TelemetrySink.observe_rows>`,
 :meth:`FunctionBill.charge_batch
 <repro.platform.billing.FunctionBill.charge_batch>`) when it fills,
-before every checkpoint snapshot, and when :meth:`~KernelReplayer.replay`
-returns.  Flush boundaries are unobservable: every order-dependent float
-sum continues its sequential fold in serve order.
+before every checkpoint snapshot, and when the loop ends.  Flush
+boundaries are unobservable: every order-dependent float sum continues
+its sequential fold in serve order.
 
 A *homogeneous* retry-free run — numpy importable, no crash faults, no
 throttle rate or outage covering the function, no hosts, no CPU scaling,
@@ -128,15 +135,21 @@ from repro.platform.checkpoint import (
     restore_replay_state,
     snapshot_replay_state,
 )
-from repro.platform.emulator import DeployedFunction, LambdaEmulator, settle
+from repro.platform.emulator import (
+    ROW_COST,
+    ROW_E2E,
+    ROW_START,
+    ROW_STATUS,
+    DeployedFunction,
+    LambdaEmulator,
+    settle,
+)
 from repro.platform.faults import ANY_FUNCTION
 from repro.platform.instance import FunctionInstance, WarmPool
 from repro.platform.logs import (
     _START_TYPE_INDEX,
-    _START_TYPES,
     _STATUS_INDEX,
     _STATUS_TYPES,
-    InvocationRecord,
     InvocationStatus,
     StartType,
     _intern_key,
@@ -164,22 +177,21 @@ __all__ = [
     "KernelResult",
     "TemplateStore",
     "peak_concurrency",
+    "publish_run",
 ]
 
 _COLD = _START_TYPE_INDEX[StartType.COLD]
 _WARM = _START_TYPE_INDEX[StartType.WARM]
-_THROTTLED_START = _START_TYPE_INDEX[StartType.THROTTLED]
 _S_SUCCESS = _STATUS_INDEX[InvocationStatus.SUCCESS]
 _S_ERROR = _STATUS_INDEX[InvocationStatus.ERROR]
 _S_THROTTLED = _STATUS_INDEX[InvocationStatus.THROTTLED]
-_S_CRASHED = _STATUS_INDEX[InvocationStatus.CRASHED]
 _STATUS_VALUES = tuple(s.value for s in _STATUS_TYPES)
 
 #: Rows per bulk flush, so a single huge function keeps RSS flat; flush
 #: boundaries are unobservable (sums continue their sequential folds).
-#: A general-path row is a full tuple whose flush may also render it to
-#: the log spill, while a columnar row is one spec index, so the general
-#: path flushes far more often.
+#: A serve row (both engines' non-columnar loops, read at call time) is a
+#: full tuple whose flush may also render it to the log spill, while a
+#: columnar row is one spec index, so the row loops flush far more often.
 _CHUNK_ROWS = 4096
 _FLUSH_ROWS = 131072
 
@@ -221,6 +233,45 @@ def peak_concurrency(
         if depth > peak:
             peak = depth
     return peak
+
+
+def publish_run(
+    emulator: LambdaEmulator, result: Any, requests: int, recorder: Any, span: Any
+) -> None:
+    """Publish a finished replay's run-level counters and span attributes.
+
+    Both engines call it once their serve loop is done, with a
+    :class:`KernelResult` or a :class:`~repro.platform.replay.ReplayResult`
+    and its count of final requests: the emulator's counters batched on
+    the disabled-recorder fast path first, then the replay's own
+    aggregates.  Only the reference engine serves fallbacks.
+    """
+    emulator.flush_obs()
+    cold_starts = result.cold_starts
+    warm_starts = result.warm_starts
+    total_cost = result.total_cost
+    peak = result.peak_concurrency
+    recorder.counter_add("replay.requests", requests)
+    recorder.counter_add("replay.cold_starts", cold_starts)
+    recorder.counter_add("replay.warm_starts", warm_starts)
+    recorder.counter_add("replay.cost_usd", total_cost)
+    recorder.gauge_max("replay.peak_concurrency", peak)
+    if result.retries:
+        recorder.counter_add("replay.retries", result.retries)
+    if result.throttled:
+        recorder.counter_add("replay.throttled", result.throttled)
+    if result.fallbacks:
+        recorder.counter_add("replay.fallbacks", result.fallbacks)
+    if result.dead_letters:
+        recorder.counter_add("replay.dead_letters", len(result.dead_letters))
+    if span is not None:
+        span.set_attr("cold_starts", cold_starts)
+        span.set_attr("warm_starts", warm_starts)
+        span.set_attr("peak_concurrency", peak)
+        span.set_attr("cost_usd", round(total_cost, 9))
+        span.set_attr("attempts", result.attempts)
+        span.set_attr("retries", result.retries)
+        span.set_attr("dead_letters", len(result.dead_letters))
 
 
 @dataclass
@@ -410,22 +461,38 @@ class TemplateStore:
 
 
 class _Shadow:
-    """A pool entry: one synthesized instance's simulated meter state.
+    """A tape instance: one synthesized instance's simulated meter state.
 
-    Lives in ``function.instances`` like a real instance so
-    ``discard_instances`` and kill bookkeeping work unchanged.
+    Implements the emulator's instance protocol by replaying the charge
+    tapes captured for its template (*entry*): :meth:`initialize` sets the
+    init-phase meter, the first :meth:`run` returns the cold template's
+    constants and post-execution meter, and every later run folds the
+    warm tape (:meth:`serve`).  Lives in ``function.instances`` like a
+    real instance so ``discard_instances``, kills and host bookkeeping
+    work unchanged.
     """
 
-    __slots__ = ("instance_id", "alive", "t", "live", "peak", "invocations", "host_id")
+    __slots__ = (
+        "instance_id",
+        "entry",
+        "alive",
+        "t",
+        "live",
+        "peak",
+        "invocations",
+        "host_id",
+    )
 
     def __init__(
         self,
         instance_id: str,
+        entry: _Entry,
         t: float = 0.0,
         live: float = 0.0,
         peak: float = 0.0,
     ) -> None:
         self.instance_id = instance_id
+        self.entry = entry
         self.alive = True
         self.t = t
         self.live = live
@@ -435,6 +502,33 @@ class _Shadow:
         # mirrors FunctionInstance.host_id so kernel and reference engines
         # carry identical placement state.
         self.host_id: str | None = None
+
+    def initialize(self) -> float:
+        """The init phase: its meter, and the billed init duration."""
+        cold = self.entry.cold
+        self.live = cold.init_live
+        self.peak = cold.init_peak
+        return cold.init_s
+
+    def init_charges(self) -> tuple:
+        """The init phase's charges per module, captured once per template."""
+        return self.entry.cold.modules
+
+    @property
+    def peak_memory_mb(self) -> float:
+        return self.peak
+
+    def run(self, event: Any, context: Any) -> tuple[float, Any, Any, str | None]:
+        """Serve one request: ``(exec_s, value, value_key, error_type)``."""
+        if self.invocations:
+            warm = self.entry.warm
+            return self.serve(warm), warm.value, warm.value_key, warm.error_type
+        cold = self.entry.cold
+        self.t = cold.post_t
+        self.live = cold.post_live
+        self.peak = cold.post_peak
+        self.invocations = 1
+        return cold.exec1_s, cold.value, cold.value_key, cold.error_type
 
     def serve(self, warm: _WarmTemplate) -> float:
         """Fold one warm invocation's charge tape into this meter and
@@ -500,7 +594,7 @@ class _OutcomeTable:
     ) -> None:
         cold = entry.cold
         self.probe = _Shadow(
-            "", t=cold.post_t, live=cold.post_live, peak=cold.post_peak
+            "", entry, t=cold.post_t, live=cold.post_live, peak=cold.post_peak
         )
         #: ``(exec_s, e2e, dies)`` per entry: what the loop itself reads.
         self.specs: list[tuple[float, float, bool]] = []
@@ -622,15 +716,6 @@ class KernelReplayer:
     ) -> None:
         self.emulator = emulator
         self.store = store if store is not None else TemplateStore()
-        self._hosts = emulator.hosts
-        # The emulator's post-execution step and pricing memo, bound once.
-        self._settle_run = emulator._settle_run
-        self._price = emulator._price
-        #: The general path's emission buffer: one row tuple per billed or
-        #: throttled attempt, in :meth:`ExecutionLog.append_rows` column
-        #: order plus ``(e2e, arrival)``, at most ``_CHUNK_ROWS`` long; see
-        #: :meth:`_flush_chunk`.
-        self._chunk: list[tuple] = []
 
     # -- driving -----------------------------------------------------------
 
@@ -691,35 +776,7 @@ class KernelReplayer:
         self._pool = WarmPool()
         self._function = function
         self._entry = entry
-        self._routing = emulator.routing_s
-        instance_init_s, transmission_s = emulator.platform_overhead_s(function)
-        self._overhead = (instance_init_s, transmission_s)
-        self._overhead_sum = instance_init_s + transmission_s
-        self._bill = emulator.ledger.bill_for(function_name)
-        self._log = emulator.log
-        self._sink = emulator.telemetry
-        self._faults = emulator.faults
-        self._hosts = emulator.hosts
-        self._clock = emulator.clock
-        self._pricing = emulator.pricing
-        self._request_ids = emulator._request_ids
-        self._attribution = emulator.attribution
-        # Telemetry row heads per (start, status): everything but the
-        # per-row floats and request number.
-        self._row_heads = [
-            [
-                (
-                    function_name,
-                    status_value,
-                    status == _S_SUCCESS,
-                    status != _S_THROTTLED,
-                    start == _COLD,
-                    start == _WARM,
-                )
-                for status, status_value in enumerate(_STATUS_VALUES)
-            ]
-            for start in range(len(_START_TYPES))
-        ]
+        self._overhead = emulator.platform_overhead_s(function)
 
         timeline = RetryTimeline(
             function_name, arrivals, retry.session() if retry is not None else None
@@ -741,52 +798,39 @@ class KernelReplayer:
         with recorder.span(
             "replay.run", label=function_name, arrivals=len(arrivals)
         ) as span:
-            try:
-                if (
-                    HAVE_NUMPY
-                    and retry is None
-                    and checkpoint is None
-                    and resume_state is None
-                    and self._homogeneous()
-                ):
-                    self._run_columnar(
-                        arrivals, result, arrival_times, completion_times
-                    )
-                else:
-                    self._run_general(
-                        timeline, result, arrival_times, completion_times, checkpoint
-                    )
-            finally:
-                self._flush_chunk()
-
-            emulator.flush_obs()
+            if (
+                HAVE_NUMPY
+                and retry is None
+                and checkpoint is None
+                and resume_state is None
+                and self._homogeneous()
+            ):
+                self._run_columnar(arrivals, result, arrival_times, completion_times)
+            else:
+                self._run_general(
+                    timeline,
+                    event,
+                    result,
+                    arrival_times,
+                    completion_times,
+                    checkpoint,
+                )
             result.peak_concurrency = peak_concurrency(
                 arrival_times, completion_times
             )
-            recorder.counter_add("replay.requests", result.requests)
-            recorder.counter_add("replay.cold_starts", result.cold_starts)
-            recorder.counter_add("replay.warm_starts", result.warm_starts)
-            recorder.counter_add("replay.cost_usd", result.total_cost)
-            recorder.gauge_max("replay.peak_concurrency", result.peak_concurrency)
-            if result.retries:
-                recorder.counter_add("replay.retries", result.retries)
-            if result.throttled:
-                recorder.counter_add("replay.throttled", result.throttled)
-            if result.dead_letters:
-                recorder.counter_add("replay.dead_letters", len(result.dead_letters))
-            if span is not None:
-                span.set_attr("cold_starts", result.cold_starts)
-                span.set_attr("warm_starts", result.warm_starts)
-                span.set_attr("peak_concurrency", result.peak_concurrency)
-                span.set_attr("cost_usd", round(result.total_cost, 9))
-                span.set_attr("attempts", result.attempts)
-                span.set_attr("retries", result.retries)
-                span.set_attr("dead_letters", len(result.dead_letters))
+            publish_run(emulator, result, result.requests, recorder, span)
         return result
+
+    def _spawn(self, function: DeployedFunction) -> _Shadow:
+        """A new tape instance of this run's template: the instance
+        factory the emulator's serve step calls on a cold start."""
+        instance_id = f"{function.name}-i{next(function.instance_seq):05d}"
+        return _Shadow(instance_id, self._entry)
 
     def _run_general(
         self,
         timeline: RetryTimeline,
+        event: Any,
         result: KernelResult,
         arrival_times: list[float],
         completion_times: list[float],
@@ -794,46 +838,70 @@ class KernelReplayer:
     ) -> None:
         """The general serve loop: every attempt the timeline yields.
 
-        Without a retry session every attempt is final.  With one, failed
-        attempts materialise real records (the retry decision and dead
-        letters consume them) while successes stay on the record-free
-        path.
+        Each attempt is the emulator's serve step on tape instances
+        (:meth:`_spawn`).  Its row joins one bounded chunk, which reaches
+        the sinks through :meth:`LambdaEmulator._emit_rows
+        <repro.platform.emulator.LambdaEmulator._emit_rows>` when it
+        fills, before every checkpoint snapshot, and when the loop ends,
+        by an exception too.  Without a retry session every attempt is
+        final.  With one, a failed attempt becomes a record for the retry
+        decision and its dead letter, while successes stay rows.
         """
+        emulator = self.emulator
+        serve = emulator._serve
+        emit = emulator._emit_rows
+        function = self._function
+        name = self._name
+        pool = self._pool
+        spawn = self._spawn
         arrivals = timeline.arrivals
         retrying = timeline.session is not None
-        serve = self._serve
-        for t, seq, attempt in timeline:
-            status, start, completion, cost, record = serve(t, retrying)
-            result.attempts += 1
-            if status == _S_THROTTLED:
-                result.throttled += 1
-            if status == _S_SUCCESS or not retrying:
-                if attempt > 1:
-                    # Only a re-drive has failed attempts to drop.
-                    timeline.settle(seq)
-                result.requests += 1
-                if status == _S_SUCCESS:
-                    result.delivered += 1
-                if start == _COLD:
-                    result.cold_starts += 1
-                elif start == _WARM:
-                    result.warm_starts += 1
-                result.total_cost += cost
-                arrival_times.append(arrivals[seq])
-                completion_times.append(completion)
-            else:
-                letter = timeline.fail(seq, attempt, record, completion)
-                if letter is None:
-                    result.retries += 1
+        limit = _CHUNK_ROWS
+        chunk: list[tuple] = []
+        try:
+            for t, seq, attempt in timeline:
+                row = serve(function, pool, t, event, None, (), spawn)
+                chunk.append(row)
+                if len(chunk) >= limit:
+                    emit(name, chunk)
+                    chunk.clear()
+                status = row[ROW_STATUS]
+                completion = t + row[ROW_E2E]
+                result.attempts += 1
+                if status == _S_THROTTLED:
+                    result.throttled += 1
+                if status == _S_SUCCESS or not retrying:
+                    if attempt > 1:
+                        # Only a re-drive has failed attempts to drop.
+                        timeline.settle(seq)
+                    result.requests += 1
+                    if status == _S_SUCCESS:
+                        result.delivered += 1
+                    start = row[ROW_START]
+                    if start == _COLD:
+                        result.cold_starts += 1
+                    elif start == _WARM:
+                        result.warm_starts += 1
+                    result.total_cost += row[ROW_COST]
+                    arrival_times.append(arrivals[seq])
+                    completion_times.append(completion)
                 else:
-                    result.dead_letters.append(letter)
-            if checkpoint is not None and checkpoint.tick():
-                self._flush_chunk()
-                checkpoint.write(
-                    self._snapshot_state(
-                        result, timeline, arrival_times, completion_times
+                    record = emulator._record(name, row)
+                    letter = timeline.fail(seq, attempt, record, completion)
+                    if letter is None:
+                        result.retries += 1
+                    else:
+                        result.dead_letters.append(letter)
+                if checkpoint is not None and checkpoint.tick():
+                    emit(name, chunk)
+                    chunk.clear()
+                    checkpoint.write(
+                        self._snapshot_state(
+                            result, timeline, arrival_times, completion_times
+                        )
                     )
-                )
+        finally:
+            emit(name, chunk)
 
     # -- checkpointing -----------------------------------------------------
 
@@ -885,10 +953,10 @@ class KernelReplayer:
             "host_id": shadow.host_id,
         }
 
-    @staticmethod
-    def _shadow_from_state(item: dict) -> _Shadow:
+    def _shadow_from_state(self, item: dict) -> _Shadow:
         shadow = _Shadow(
             item["instance_id"],
+            self._entry,
             t=float(item["t"]),
             live=float(item["live"]),
             peak=float(item["peak"]),
@@ -908,21 +976,16 @@ class KernelReplayer:
         state: dict,
     ) -> None:
         """Adopt a :meth:`_snapshot_state` dict."""
-        emulator = self.emulator
         result.reexecuted = restore_replay_state(
             state,
             "kernel",
-            emulator,
+            self.emulator,
             self._function,
             arrivals=len(arrivals),
             timeline=timeline,
             pool=self._pool,
             instance_from_state=self._shadow_from_state,
         )
-        # The ledger restore replaced every FunctionBill object; re-bind
-        # the bill _flush_chunk charges against.
-        self._bill = emulator.ledger.bill_for(self._name)
-
         res = state["result"]
         result.requests = int(res["requests"])
         result.delivered = int(res["delivered"])
@@ -939,341 +1002,6 @@ class KernelReplayer:
         arrival_times.extend(float(t) for t in state["times"]["arrivals"])
         completion_times.extend(float(t) for t in state["times"]["completions"])
 
-    # -- serving one attempt ----------------------------------------------
-
-    def _serve(
-        self, t: float, want_record: bool
-    ) -> tuple[int, int, float, float, InvocationRecord | None]:
-        """Serve one attempt at trace time *t*.
-
-        Returns ``(status_index, start_index, completion, cost,
-        record)`` — *record* is materialised only for non-success
-        outcomes when *want_record* (the retry path needs them).
-        """
-        hosts = self._hosts
-        if hosts is not None:
-            # Same serve ordering as the reference engine: due host faults
-            # fire first, then the throttle draw, then warm acquisition.
-            hosts.advance(t)
-        faults = self._faults
-        if faults is not None and faults.throttled(self._name, t):
-            return self._emit_throttle(t, want_record)[:5]
-        shadow = self._pool.acquire((), t, self.emulator.keep_alive_s, hosts)
-        warm_attempt = shadow is not None
-        if shadow is not None:
-            out = self._synth_warm(shadow, t, want_record)
-        else:
-            placement = (
-                hosts.admit(self._name, t, memory_mb=self._function.memory_mb)
-                if hosts is not None
-                else None
-            )
-            if hosts is not None and placement is None:
-                return self._emit_throttle(
-                    t, want_record, error="CapacityExhausted"
-                )[:5]
-            out = self._synth_cold(t, want_record, placement)
-        shadow = out[5]
-        # The reference engine only feeds the footprint tracker when the
-        # served instance is still owned by the function: a cold start
-        # whose instance crashed mid-execution was already discarded and
-        # never reports a peak (warm crashes do — the instance served
-        # from the pool before dying).
-        if (
-            hosts is not None
-            and shadow is not None
-            and (warm_attempt or shadow.alive)
-        ):
-            hosts.adjust(shadow.instance_id, shadow.peak, t)
-            hosts.observe_footprint(self._name, shadow.peak)
-        if shadow is not None and shadow.alive:
-            self._pool.release(shadow, out[2], hosts)
-        return out[:5]
-
-    # -- synthesis paths (no interpreter) -----------------------------------
-
-    def _synth_cold(self, t: float, want_record: bool, placement=None):
-        function = self._function
-        clock = self._clock
-        template = self._entry.cold
-        instance_init_s, transmission_s = self._overhead
-        clock.advance(self._overhead_sum)
-        instance_id = f"{function.name}-i{next(function.instance_seq):05d}"
-        clock.advance(template.init_s)
-        faults = self._faults
-        if faults is not None and faults.cold_start_crash(function.name, clock.now()):
-            # The instance died during initialization: the init is billed,
-            # and the instance never joins the pool.
-            if placement is not None:
-                self._hosts.cancel(placement)
-            peak = template.init_peak
-            configured, clamped = self.emulator._memory_config(function, peak)
-            return self._emit(
-                _COLD,
-                _S_CRASHED,
-                instance_id,
-                instance_init_s,
-                transmission_s,
-                template.init_s,
-                0.0,
-                configured,
-                clamped,
-                peak,
-                None,
-                None,
-                "InstanceCrash",
-                t,
-                None,
-                want_record,
-            )
-        shadow = _Shadow(
-            instance_id,
-            t=template.post_t,
-            live=template.post_live,
-            peak=template.post_peak,
-        )
-        shadow.invocations = 1
-        function.instances.append(shadow)
-        if placement is not None:
-            self._hosts.bind(placement, shadow, function.instances)
-        return self._finish_run(
-            shadow,
-            t,
-            _COLD,
-            instance_init_s,
-            transmission_s,
-            template.init_s,
-            template.exec1_s,
-            template.value,
-            template.value_key,
-            template.error_type,
-            want_record,
-        )
-
-    def _synth_warm(self, shadow: _Shadow, t: float, want_record: bool):
-        template = self._entry.warm
-        return self._finish_run(
-            shadow,
-            t,
-            _WARM,
-            0.0,
-            0.0,
-            0.0,
-            shadow.serve(template),
-            template.value,
-            template.value_key,
-            template.error_type,
-            want_record,
-        )
-
-    def _finish_run(
-        self,
-        shadow: _Shadow,
-        arrival: float,
-        start_index: int,
-        instance_init_s: float,
-        transmission_s: float,
-        billed_init_s: float,
-        exec_raw: float,
-        value: Any,
-        value_key: Any,
-        error_type: str | None,
-        want_record: bool,
-    ):
-        """The emulator's post-execution step on *shadow*, then its row."""
-        peak = shadow.peak
-        exec_s, status, error_type, configured, clamped = self._settle_run(
-            self._function,
-            shadow,
-            peak,
-            arrival,
-            instance_init_s,
-            transmission_s,
-            billed_init_s,
-            0.0,
-            exec_raw,
-            error_type,
-        )
-        if status > _S_ERROR:
-            value = value_key = None
-        return self._emit(
-            start_index,
-            status,
-            shadow.instance_id,
-            instance_init_s,
-            transmission_s,
-            billed_init_s,
-            exec_s,
-            configured,
-            clamped,
-            peak,
-            value,
-            value_key,
-            error_type,
-            arrival,
-            shadow,
-            want_record,
-        )
-
-    def _emit_throttle(
-        self, arrival: float, want_record: bool, error: str = "Throttled"
-    ):
-        request_num = next(self._request_ids)
-        timestamp = self._clock.now()
-        routing = self._routing
-        chunk = self._chunk
-        chunk.append(
-            (
-                request_num, _THROTTLED_START, _S_THROTTLED, timestamp, None,
-                None, "-", 0.0, 0.0, 0.0, 0.0, 0.0, 128, 0.0, 0.0, error,
-                routing, arrival,
-            )
-        )
-        if len(chunk) >= _CHUNK_ROWS:
-            self._flush_chunk()
-        completion = arrival + routing
-        record = None
-        if want_record:
-            record = InvocationRecord(
-                request_id=f"req-{request_num:06d}",
-                function=self._name,
-                start_type=StartType.THROTTLED,
-                timestamp=timestamp,
-                value=None,
-                instance_id="-",
-                routing_s=routing,
-                cost_usd=0.0,
-                error_type=error,
-                status=InvocationStatus.THROTTLED,
-            )
-        return (_S_THROTTLED, _THROTTLED_START, completion, 0.0, record, None)
-
-    def _emit(
-        self,
-        start_index: int,
-        status_index: int,
-        instance_id: str,
-        instance_init_s: float,
-        transmission_s: float,
-        billed_init_s: float,
-        exec_s: float,
-        configured: int,
-        clamped: int,
-        peak: float,
-        value: Any,
-        value_key: Any,
-        error_type: str | None,
-        arrival: float,
-        shadow: _Shadow | None,
-        want_record: bool,
-    ):
-        """Price one billed invocation and buffer its row for the sinks."""
-        billed_s, cost = self._price(billed_init_s + exec_s, configured)
-        timestamp = self._clock.now()
-        request_num = next(self._request_ids)
-        routing = self._routing
-        name = self._name
-        if self._attribution is not None and start_index == _COLD:
-            # Every cold start is synthesized from the captured template;
-            # one that crashed during init has no instance and no exec.
-            self._attribution.record(
-                attribute_cold_start(
-                    function=name,
-                    request_id=f"req-{request_num:06d}",
-                    timestamp=timestamp,
-                    pricing=self._pricing,
-                    memory_config_mb=clamped,
-                    modules=self._entry.cold.modules,
-                    billed_init_s=billed_init_s,
-                    restore_s=0.0,
-                    exec_s=exec_s,
-                    billed_duration_s=billed_s,
-                    cost_usd=cost,
-                    include_exec=shadow is not None,
-                )
-            )
-        # Same addition order as InvocationRecord.e2e_s.
-        e2e = routing + instance_init_s + transmission_s + billed_init_s + 0.0 + exec_s
-        chunk = self._chunk
-        chunk.append(
-            (
-                request_num, start_index, status_index, timestamp, value,
-                value_key, instance_id, instance_init_s, transmission_s,
-                billed_init_s, exec_s, billed_s, clamped, peak, cost,
-                error_type, e2e, arrival,
-            )
-        )
-        if len(chunk) >= _CHUNK_ROWS:
-            self._flush_chunk()
-        completion = arrival + e2e
-        record = None
-        if want_record and status_index != _S_SUCCESS:
-            record = InvocationRecord(
-                request_id=f"req-{request_num:06d}",
-                function=name,
-                start_type=_START_TYPES[start_index],
-                timestamp=timestamp,
-                value=value,
-                instance_id=instance_id,
-                instance_init_s=instance_init_s,
-                transmission_s=transmission_s,
-                init_duration_s=billed_init_s,
-                restore_duration_s=0.0,
-                exec_duration_s=exec_s,
-                routing_s=routing,
-                billed_duration_s=billed_s,
-                memory_config_mb=clamped,
-                peak_memory_mb=peak,
-                cost_usd=cost,
-                error_type=error_type,
-                status=_STATUS_TYPES[status_index],
-            )
-        return (status_index, start_index, completion, cost, record, shadow)
-
-    # -- bulk emission -------------------------------------------------------
-
-    def _flush_chunk(self) -> None:
-        """Bulk-emit the buffered rows in serve order.
-
-        One log append, one bill fold, and one telemetry ingest per chunk.
-        Billing and log accounting continue their sequential float folds
-        in row order; only the int counters are chunk aggregates.
-        """
-        chunk = self._chunk
-        if not chunk:
-            return
-        self._chunk = []
-        (
-            request_nums, starts, statuses, timestamps, values, value_keys,
-            instance_ids, instance_init_s, transmission_s, init_s, exec_s,
-            billed_s, clamped, peaks, costs, errors, e2es, arrivals,
-        ) = zip(*chunk)
-        self._log.append_rows(
-            self._name, self._routing, request_nums, starts, statuses,
-            timestamps, values, value_keys, instance_ids, instance_init_s,
-            transmission_s, init_s, exec_s, billed_s, clamped, peaks, costs,
-            errors,
-        )
-        self._bill.charge_batch(
-            statuses,
-            costs,
-            throttled_status=_S_THROTTLED,
-            cold_starts=starts.count(_COLD),
-            throttles=statuses.count(_S_THROTTLED),
-        )
-        sink = self._sink
-        if sink is not None:
-            heads = self._row_heads
-            sink.observe_rows(
-                [
-                    heads[start][status] + (e2e, cost, billed, request_num)
-                    for start, status, e2e, cost, billed, request_num in zip(
-                        starts, statuses, e2es, costs, billed_s, request_nums
-                    )
-                ],
-                arrivals=arrivals,
-            )
-
     # -- the columnar loop ---------------------------------------------------
 
     def _homogeneous(self) -> bool:
@@ -1285,9 +1013,10 @@ class KernelReplayer:
         injection counters are observable), and throttled rows break the
         all-billed contract of the columnar emitters.
         """
-        if self._hosts is not None or self.emulator.cpu_scaling is not None:
+        emulator = self.emulator
+        if emulator.hosts is not None or emulator.cpu_scaling is not None:
             return False
-        faults = self._faults
+        faults = emulator.faults
         if faults is None:
             return True
         plan = faults.plan
@@ -1341,12 +1070,12 @@ class KernelReplayer:
         name = self._name
         emulator = self.emulator
         function = self._function
-        clock = self._clock
+        clock = emulator.clock
         keep_alive = emulator.keep_alive_s
         instance_seq = function.instance_seq
         instances = function.instances
-        attribution = self._attribution
-        pricing = self._pricing
+        attribution = emulator.attribution
+        pricing = emulator.pricing
         pool = self._pool
         busy = pool.busy
         idle = pool.idle
@@ -1366,11 +1095,12 @@ class KernelReplayer:
         post_t = cold.post_t
         post_live = cold.post_live
         post_peak = cold.post_peak
-        overhead_sum = self._overhead_sum
+        instance_init_s, transmission_s = self._overhead
+        overhead_sum = instance_init_s + transmission_s
 
         now = clock.now()
         seq = pool.seq.value
-        ids = self._request_ids
+        ids = emulator._request_ids
         rid_base = ids.value
 
         idx_list: list = []
@@ -1444,7 +1174,9 @@ class KernelReplayer:
                 comps.append(t + cold_e2e)
                 cold_n += 1
                 if not cold_dies:
-                    shadow = _Shadow(iid, t=post_t, live=post_live, peak=post_peak)
+                    shadow = _Shadow(
+                        iid, entry, t=post_t, live=post_live, peak=post_peak
+                    )
                     shadow.invocations = 1
                     instances.append(shadow)
                     heappush(busy, (t + cold_e2e, seq, shadow))
@@ -1500,6 +1232,8 @@ class KernelReplayer:
         (billing, total cost, sketch sums) continue as seeded ``cumsum``
         left-folds inside the columnar emitters.
         """
+        emulator = self.emulator
+        name = self._name
         count = len(idx_list)
         idx = _np.asarray(idx_list, dtype=_np.intp)
         exec_col, e2e, status, billed, cost, peak, clamped, cls = (
@@ -1525,9 +1259,9 @@ class KernelReplayer:
             value, value_key = cls_values[which]
             value_runs.append((value, value_key, b - a))
             error_runs.append((cls_errors[which], b - a))
-        self._log.append_columns(
-            self._name,
-            self._routing,
+        emulator.log.append_columns(
+            name,
+            emulator.routing_s,
             rid_base,
             start_types=starts,
             status_indices=status,
@@ -1544,7 +1278,7 @@ class KernelReplayer:
             peak_memory_mb=peak,
             cost_usd=cost,
         )
-        bill = self._bill
+        bill = emulator.ledger.bill_for(name)
         bill.charge_block(
             invocation_cost=float(
                 _np.cumsum(_np.concatenate(((bill.invocation_cost,), cost)))[-1]
@@ -1560,10 +1294,10 @@ class KernelReplayer:
         result.delivered += int((status == _S_SUCCESS).sum())
         result.cold_starts += cold_n
         result.warm_starts += warm_n
-        sink = self._sink
+        sink = emulator.telemetry
         if sink is not None:
             sink.observe_columns(
-                self._name,
+                name,
                 statuses=status,
                 status_names=_STATUS_VALUES,
                 ok=status == _S_SUCCESS,

@@ -18,7 +18,9 @@ adopts its alive instances on the first acquire, so a replay after
 direct invokes (or after an earlier replay) starts warm; a function
 holding the kernel's simulated instances is refused.  Each attempt goes
 through the emulator's one serve step,
-:meth:`~repro.platform.emulator.LambdaEmulator._serve`.
+:meth:`~repro.platform.emulator.LambdaEmulator._serve`, which returns a
+row; the replay keeps a record of each request and emits the rows to
+the log, bill and telemetry sink in bulk.
 
 Every replay walks its trace through one
 :class:`~repro.platform.retry.RetryTimeline`: a cursor over the sorted
@@ -37,12 +39,17 @@ This module is the *reference semantics* the fast engine is judged
 against: :class:`~repro.platform.kernel.KernelReplayer` (template
 capture, synthesis, bulk emission) must be byte-identical to a
 :class:`TraceReplayer` run in every export, and the parity suite in
-``tests/platform/test_kernel.py`` holds it to that.  Only the serve step
-differs between the engines: both drive the same
+``tests/platform/test_kernel.py`` holds it to that.  Both engines serve
+every non-columnar attempt through the same step, over the same
 :class:`~repro.platform.instance.WarmPool`,
-:class:`~repro.platform.retry.RetryTimeline`, and checkpoint functions
+:class:`~repro.platform.retry.RetryTimeline`, bulk emission and
+checkpoint functions
 (:func:`~repro.platform.checkpoint.snapshot_replay_state`,
-:func:`~repro.platform.checkpoint.restore_replay_state`).
+:func:`~repro.platform.checkpoint.restore_replay_state`).  They differ
+in the instance factory (real instances here, captured charge tapes
+there) and in the result: :class:`ReplayResult` keeps each request's
+record, for its callers and the fallback detour, while the kernel's
+result only counts.
 """
 
 from __future__ import annotations
@@ -59,9 +66,9 @@ from repro.platform.checkpoint import (
     restore_replay_state,
     snapshot_replay_state,
 )
-from repro.platform.emulator import DeployedFunction, LambdaEmulator
+from repro.platform import kernel
+from repro.platform.emulator import ROW_E2E, DeployedFunction, LambdaEmulator
 from repro.platform.instance import FunctionInstance, WarmPool
-from repro.platform.kernel import peak_concurrency
 from repro.platform.logs import InvocationRecord, StartType
 from repro.platform.retry import (
     DeadLetter,
@@ -139,7 +146,7 @@ class ReplayResult:
     @property
     def peak_concurrency(self) -> int:
         """Maximum number of simultaneously in-flight requests."""
-        return peak_concurrency(
+        return kernel.peak_concurrency(
             [r.arrival for r in self.requests],
             [r.completion for r in self.requests],
         )
@@ -222,71 +229,100 @@ class TraceReplayer:
                 function, arrivals, timeline, pool, result, resume_state
             )
 
+        emulator = self.emulator
+        serve = emulator._serve
+        emit = emulator._emit_rows
+        instances = function.instances
+        limit = kernel._CHUNK_ROWS
+        # Rows reach the sinks in bulk, as the fast engine's do: when the
+        # chunk fills, before each checkpoint and fallback detour, and
+        # when the loop ends (by an exception too).  Trace-time arrivals,
+        # not the forward-only virtual clock, place each row in its
+        # telemetry window.
+        chunk: list[tuple] = []
         with recorder.span(
             "replay.run", label=function_name, arrivals=len(arrivals)
         ) as span:
-            for t, seq, attempt in timeline:
-                arrival = arrivals[seq]
-                record, completion = self._serve_attempt(
-                    function, pool, t, event, context
-                )
-                result.attempts += 1
-                if not record.billed:
-                    result.throttled += 1
-
-                if (
-                    fallback is not None
-                    and fallback.primary == function_name
-                    and fallback.is_trigger(record)
-                ):
-                    # The trimmed bundle is missing code this input needs:
-                    # pay the wrapper detour, serve the original, feed the
-                    # breaker (which may un-trim the primary for everyone).
-                    fallback.record_trigger(t)
-                    fb_record, fb_completion = self._serve_attempt(
-                        fallback_function,
-                        fallback_pool,
-                        completion + SETUP_OVERHEAD_S,
-                        event,
-                        context,
-                    )
-                    if fb_record.ok:
-                        fallback.recovered += 1
+            try:
+                for t, seq, attempt in timeline:
+                    arrival = arrivals[seq]
+                    row = serve(function, pool, t, event, context, instances)
+                    chunk.append(row)
+                    record = emulator._record(function_name, row)
+                    completion = t + row[ROW_E2E]
                     result.attempts += 1
-                    result.fallbacks += 1
-                    timeline.settle(seq)
-                    result.requests.append(
-                        ReplayedRequest(
-                            arrival=arrival,
-                            completion=fb_completion,
-                            record=fb_record,
-                            attempt=attempt,
-                            used_fallback=True,
+                    if not record.billed:
+                        result.throttled += 1
+
+                    if (
+                        fallback is not None
+                        and fallback.primary == function_name
+                        and fallback.is_trigger(record)
+                    ):
+                        # The trimmed bundle is missing code this input
+                        # needs: pay the wrapper detour, serve the original,
+                        # feed the breaker (which may un-trim the primary
+                        # for everyone).  The detour's row is emitted at
+                        # once, so the log stays in serve order.
+                        emit(function_name, chunk)
+                        chunk.clear()
+                        fallback.record_trigger(t)
+                        detour = completion + SETUP_OVERHEAD_S
+                        fb_row = serve(
+                            fallback_function,
+                            fallback_pool,
+                            detour,
+                            event,
+                            context,
+                            fallback_function.instances,
                         )
-                    )
-                elif record.ok or session is None:
-                    timeline.settle(seq)
-                    result.requests.append(
-                        ReplayedRequest(
-                            arrival=arrival,
-                            completion=completion,
-                            record=record,
-                            attempt=attempt,
+                        emit(fallback_function.name, [fb_row])
+                        fb_record = emulator._record(fallback_function.name, fb_row)
+                        if fb_record.ok:
+                            fallback.recovered += 1
+                        result.attempts += 1
+                        result.fallbacks += 1
+                        timeline.settle(seq)
+                        result.requests.append(
+                            ReplayedRequest(
+                                arrival=arrival,
+                                completion=detour + fb_row[ROW_E2E],
+                                record=fb_record,
+                                attempt=attempt,
+                                used_fallback=True,
+                            )
                         )
-                    )
-                else:
-                    letter = timeline.fail(seq, attempt, record, completion)
-                    if letter is None:
-                        result.retries += 1
+                    elif record.ok or session is None:
+                        timeline.settle(seq)
+                        result.requests.append(
+                            ReplayedRequest(
+                                arrival=arrival,
+                                completion=completion,
+                                record=record,
+                                attempt=attempt,
+                            )
+                        )
                     else:
-                        result.dead_letters.append(letter)
+                        letter = timeline.fail(seq, attempt, record, completion)
+                        if letter is None:
+                            result.retries += 1
+                        else:
+                            result.dead_letters.append(letter)
 
-                if checkpoint is not None and checkpoint.tick():
-                    checkpoint.write(
-                        self._snapshot_state(function, pool, result, timeline)
-                    )
+                    if len(chunk) >= limit:
+                        emit(function_name, chunk)
+                        chunk.clear()
+                    if checkpoint is not None and checkpoint.tick():
+                        emit(function_name, chunk)
+                        chunk.clear()
+                        checkpoint.write(
+                            self._snapshot_state(function, pool, result, timeline)
+                        )
+            finally:
+                emit(function_name, chunk)
 
-            return self._finish(result, recorder, span)
+            kernel.publish_run(emulator, result, len(result.requests), recorder, span)
+            return result
 
     # -- checkpointing -----------------------------------------------------
 
@@ -419,55 +455,3 @@ class TraceReplayer:
         else:
             instance.alive = False
         return instance
-
-    def _finish(self, result: ReplayResult, recorder, span) -> ReplayResult:
-        """Publish run-level counters once a replay's serving loop is done."""
-        # Publish emulator counters batched on the disabled-recorder
-        # fast path before reporting the replay's own aggregates.
-        self.emulator.flush_obs()
-        recorder.counter_add("replay.requests", len(result.requests))
-        recorder.counter_add("replay.cold_starts", result.cold_starts)
-        recorder.counter_add("replay.warm_starts", result.warm_starts)
-        recorder.counter_add("replay.cost_usd", result.total_cost)
-        recorder.gauge_max("replay.peak_concurrency", result.peak_concurrency)
-        if result.retries:
-            recorder.counter_add("replay.retries", result.retries)
-        if result.throttled:
-            recorder.counter_add("replay.throttled", result.throttled)
-        if result.fallbacks:
-            recorder.counter_add("replay.fallbacks", result.fallbacks)
-        if result.dead_letters:
-            recorder.counter_add("replay.dead_letters", len(result.dead_letters))
-        if span is not None:
-            span.set_attr("cold_starts", result.cold_starts)
-            span.set_attr("warm_starts", result.warm_starts)
-            span.set_attr("peak_concurrency", result.peak_concurrency)
-            span.set_attr("cost_usd", round(result.total_cost, 9))
-            span.set_attr("attempts", result.attempts)
-            span.set_attr("retries", result.retries)
-            span.set_attr("dead_letters", len(result.dead_letters))
-        return result
-
-    def _serve_attempt(
-        self,
-        function: DeployedFunction,
-        pool: WarmPool,
-        arrival: float,
-        event: Any,
-        context: Any,
-    ) -> tuple[InvocationRecord, float]:
-        """Serve one attempt at trace time *arrival*; log/bill/observe it."""
-        emulator = self.emulator
-        record, served = emulator._serve(
-            function, pool, arrival, event, context, function.instances
-        )
-        completion = arrival + record.e2e_s
-        if served is not None and served.alive:
-            # Still alive after serving (not OOM-killed / crashed): it is
-            # busy until this request's trace-time completion.
-            pool.release(served, completion, emulator.hosts)
-        # Trace-time accounting, not the forward-only virtual clock:
-        # windows and concurrency follow the arrivals.  Replay does not
-        # re-emit per-record obs counters (it reports in aggregate).
-        emulator._record_invocation(record, arrival=arrival, emit_obs=False)
-        return record, completion

@@ -11,8 +11,8 @@ columnar loop) and with the engine's numpy gate off and a tiny emission
 chunk (every run takes the general path, flushing mid-replay), so both
 serve loops are pinned on the same workloads
 (``tests/platform/test_vector.py`` asserts which loop served each one).
-Plus: the general path reaches the sinks only through their bulk entry
-points, the vectorized peak-concurrency sweep equals the pure-Python
+Plus: both engines' row loops reach the sinks only through their bulk
+entry points, the vectorized peak-concurrency sweep equals the pure-Python
 reference, and non-replayable workloads are rejected (or silently fall
 back) rather than silently diverging.
 """
@@ -29,6 +29,7 @@ from repro.bundle import AppBundle, BundleManifest
 from repro.errors import PlatformError
 from repro.platform import LambdaEmulator, replay_fleet
 from repro.platform import kernel as kernel_mod
+from repro.platform.billing import BillingLedger
 from repro.platform.faults import FaultPlan, FaultRates
 from repro.platform.hosts import HostConfig
 from repro.platform.kernel import KernelReplayer, TemplateStore, peak_concurrency
@@ -298,17 +299,23 @@ class TestGeneralPathVsReferenceDirect(TestKernelVsReferenceDirect):
 
 
 class TestBulkEmission:
+    @pytest.mark.parametrize("engine", ["auto", "reference"])
     def test_chaos_fleet_never_takes_the_per_row_entry_points(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, engine
     ):
-        # Crash faults, hosts, and retries keep every function on the
-        # general path; its rows must still reach the log and the sink
-        # through their bulk doors only.
-        calls = {"append_row": 0, "observe_row": 0}
-        for cls, name in (
+        # Crash faults, hosts, and retries keep every function off the
+        # columnar loop; on either engine its rows must still reach the
+        # log, the sink and the bill through their bulk doors only.
+        per_row = (
+            (ExecutionLog, "append"),
             (ExecutionLog, "append_row"),
+            (TelemetrySink, "observe"),
             (TelemetrySink, "observe_row"),
-        ):
+            (BillingLedger, "charge_invocation"),
+            (BillingLedger, "charge_throttle"),
+        )
+        calls = {name: 0 for _, name in per_row}
+        for cls, name in per_row:
             original = getattr(cls, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
@@ -334,10 +341,11 @@ class TestBulkEmission:
             hosts=HostConfig(count=3, memory_mb=1024.0),
             retry=RetryPolicy(max_attempts=3, seed=5),
             log_dir=tmp_path / "logs",
+            engine=engine,
         )
         counts = result.status_counts()
         assert counts.get("crashed", 0) > 0  # the fleet really is chaotic
-        assert calls == {"append_row": 0, "observe_row": 0}
+        assert calls == {name: 0 for _, name in per_row}
 
 
 class TestPeakConcurrency:
