@@ -189,9 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--spill-threshold", type=int, default=None,
                         help="spill worker logs to disk every N records "
                              "(bounded memory; requires --log-dir)")
-    replay.add_argument("--record-detail", action="store_true",
-                        help="emit the per-invocation observability event "
-                             "(slower; off by default for fleet scale)")
     replay.add_argument("--engine",
                         choices=("auto", "reference"),
                         default="auto",
@@ -605,7 +602,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         faults=faults,
         hosts=hosts,
         dead_letters=args.dead_letters,
-        record_detail=args.record_detail,
         log_dir=args.log_dir,
         merged_log=args.merged_log,
         profile_dir=args.profile_dir,

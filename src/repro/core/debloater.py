@@ -206,11 +206,11 @@ class ModuleDebloater:
         resume without losing work.
     seed:
         The run's scoring seed, stamped into probe records for provenance.
-    verify_seeds / quorum:
+    verify_seeds:
         Flaky-oracle defence: with ``verify_seeds=True`` journal-sourced
-        verdicts are re-checked live and disagreements decided by a
-        majority vote over up to ``quorum`` runs (see
-        :class:`~repro.core.dd.DeltaDebugger`).
+        verdicts are re-checked live and disagreements decided by
+        :class:`~repro.core.dd.DeltaDebugger`'s majority vote over
+        three live runs.
     trees:
         The call-graph cache the caller refreshes against *bundle*: a
         module is decomposed from the tree it parsed, if any (see
@@ -228,7 +228,6 @@ class ModuleDebloater:
         journal: ProbeJournal | None = None,
         seed: int = 0,
         verify_seeds: bool = False,
-        quorum: int = 3,
         trees: CallGraphCache | None = None,
     ):
         self.bundle = bundle
@@ -239,7 +238,6 @@ class ModuleDebloater:
         self._journal = journal
         self._seed = seed
         self._verify_seeds = verify_seeds
-        self._quorum = quorum
         self._trees = trees
 
     @staticmethod
@@ -358,7 +356,6 @@ class ModuleDebloater:
                 key_fn=self.component_key,
                 seed_verdicts=journal_seeds,
                 verify_seeds=self._verify_seeds,
-                quorum=self._quorum,
                 on_probe=journal_probe,
             )
             outcome = debugger.minimize(removable)

@@ -62,25 +62,19 @@ class TrimConfig:
     use_call_graph: bool = True
     record_trace: bool = False
     max_oracle_calls_per_module: int | None = None
-    local_modules: frozenset[str] = frozenset()
     # Section 6.1's design axis: "attribute" (λ-trim) or "statement".
     granularity: str = GRANULARITY_ATTRIBUTE
     # Flaky-oracle defence: re-check journal-sourced verdicts live and
-    # adjudicate disagreements with a majority vote over ``probe_quorum``
-    # runs.  Off by default — the journal is trusted, which keeps resume
-    # re-probe counts bounded.
+    # adjudicate disagreements with a majority vote over three live
+    # runs (DeltaDebugger's quorum).  Off by default — the journal is
+    # trusted, which keeps resume re-probe counts bounded.
     verify_journal_probes: bool = False
-    probe_quorum: int = 3
 
     def __post_init__(self) -> None:
         if self.k < 0:
             raise DebloatError(f"k must be non-negative, got {self.k}")
         if self.granularity not in (GRANULARITY_ATTRIBUTE, GRANULARITY_STATEMENT):
             raise DebloatError(f"unknown granularity: {self.granularity!r}")
-        if self.probe_quorum < 1:
-            raise DebloatError(
-                f"probe_quorum must be positive, got {self.probe_quorum}"
-            )
 
 
 @dataclass
@@ -204,8 +198,9 @@ class LambdaTrim:
         filename = str(bundle.handler_path)
         tree = parse_source(source, filename=filename)
         analysis = analyze_source(source, filename=filename, tree=tree)
-        local = set(self.config.local_modules) | {bundle.manifest.handler_module}
-        external = analysis.external_modules(local_modules=local)
+        external = analysis.external_modules(
+            local_modules={bundle.manifest.handler_module}
+        )
         graph = build_call_graph(source, filename=filename, tree=tree)
         return external, graph
 
@@ -335,7 +330,6 @@ class LambdaTrim:
                 journal=journal,
                 seed=self.config.seed,
                 verify_seeds=self.config.verify_journal_probes,
-                quorum=self.config.probe_quorum,
                 trees=graphs,
             )
 

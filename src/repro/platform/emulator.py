@@ -193,7 +193,6 @@ class LambdaEmulator:
         faults: FaultInjector | FaultPlan | None = None,
         hosts: HostPool | HostConfig | None = None,
         log: ExecutionLog | None = None,
-        record_detail: bool = True,
         attribution: AttributionStore | None = None,
     ):
         #: Fixed for the emulator's life: the pricing memo below relies on
@@ -241,10 +240,6 @@ class LambdaEmulator:
         # settings; the default is an unbounded in-memory columnar store.
         self.log = log if log is not None else ExecutionLog()
         self.ledger = BillingLedger()
-        # With ``record_detail=False`` the per-invocation ``emulator.report``
-        # obs event (a 14-key dict per record) is skipped even when a
-        # recorder is active; counters still flow.
-        self.record_detail = record_detail
         # Optional dollar attribution: with a store attached, every cold
         # start's init-phase charge stream is folded into a priced
         # ColdStartProfile (repro.obs.attribution).  None (the default)
@@ -554,12 +549,15 @@ class LambdaEmulator:
             )
 
     def _emit_telemetry(self, record: InvocationRecord) -> None:
-        """Re-emit the REPORT accounting as structured observability data.
+        """Re-emit a direct invoke's REPORT accounting as observability data.
 
-        With the null recorder active this takes the batched fast path:
-        totals accumulate in plain dicts (no instrument dispatch, no
-        per-record key strings) and :meth:`flush_obs` publishes them in
-        one burst — worth ~15% of replay wall time at fleet scale.
+        Only :meth:`invoke` calls it; replays bulk-emit their rows through
+        :meth:`_emit_rows` instead.  With the null recorder active this
+        takes the batched fast path: totals accumulate in plain dicts (no
+        instrument dispatch, no per-record key strings) and
+        :meth:`flush_obs` publishes them in one burst.  With a recorder
+        active, each record adds its counters and one ``emulator.report``
+        event.
         """
         recorder = get_recorder()
         if not recorder.enabled:
@@ -608,26 +606,25 @@ class LambdaEmulator:
             recorder.counter_add("emulator.errors")
             recorder.counter_add(f"emulator.status.{record.status.value}")
         recorder.gauge_max("emulator.peak_memory_mb", record.peak_memory_mb)
-        if self.record_detail:
-            recorder.event(
-                "emulator.report",
-                {
-                    "request_id": record.request_id,
-                    "function": record.function,
-                    "start_type": record.start_type.value,
-                    "instance_init_s": record.instance_init_s,
-                    "transmission_s": record.transmission_s,
-                    "init_duration_s": record.init_duration_s,
-                    "restore_duration_s": record.restore_duration_s,
-                    "exec_duration_s": record.exec_duration_s,
-                    "billed_duration_s": record.billed_duration_s,
-                    "memory_config_mb": record.memory_config_mb,
-                    "peak_memory_mb": record.peak_memory_mb,
-                    "cost_usd": record.cost_usd,
-                    "error_type": record.error_type,
-                    "status": record.status.value,
-                },
-            )
+        recorder.event(
+            "emulator.report",
+            {
+                "request_id": record.request_id,
+                "function": record.function,
+                "start_type": record.start_type.value,
+                "instance_init_s": record.instance_init_s,
+                "transmission_s": record.transmission_s,
+                "init_duration_s": record.init_duration_s,
+                "restore_duration_s": record.restore_duration_s,
+                "exec_duration_s": record.exec_duration_s,
+                "billed_duration_s": record.billed_duration_s,
+                "memory_config_mb": record.memory_config_mb,
+                "peak_memory_mb": record.peak_memory_mb,
+                "cost_usd": record.cost_usd,
+                "error_type": record.error_type,
+                "status": record.status.value,
+            },
+        )
 
     def flush_obs(self) -> None:
         """Publish observability counters batched on the fast path.

@@ -287,7 +287,6 @@ def _replay_one_inner(
         # byte-identity holds at any worker count.
         hosts=cfg.get("hosts"),
         log=log,
-        record_detail=cfg["record_detail"],
         attribution=attribution,
     )
     function = emulator.deploy(bundle, name=name)
@@ -708,7 +707,6 @@ def replay_fleet(
     faults: FaultPlan | None = None,
     hosts: HostConfig | None = None,
     dead_letters: Path | str | None = None,
-    record_detail: bool = False,
     log_dir: Path | str | None = None,
     merged_log: Path | str | None = None,
     profile_dir: Path | str | None = None,
@@ -844,7 +842,6 @@ def replay_fleet(
         "faults": faults,
         "hosts": hosts,
         "dead_letters": dead_letters is not None,
-        "record_detail": record_detail,
         "log_dir": str(log_dir) if log_dir is not None else None,
         "profile_dir": str(profile_dir) if profile_dir is not None else None,
         "spill_threshold": spill_threshold,

@@ -73,10 +73,16 @@ its sequential fold in serve order.
 A *homogeneous* retry-free run — numpy importable, no crash faults, no
 throttle rate or outage covering the function, no hosts, no CPU scaling,
 no checkpoint or resume — is served from its first arrival by the
-*columnar loop*, which makes only the decisions that depend on the
-previous invocation (the warm-pool MRU stack + busy heap, the clock
-fold) and gathers the rest from a per-*j* outcome table.  Two
-observations make that exact:
+*columnar loop*.  Its only logic of its own is the warm hit: the
+warm-pool MRU stack + busy heap (an inlined
+:meth:`WarmPool.acquire <repro.platform.instance.WarmPool.acquire>`),
+the clock fold, and a per-*j* outcome table that the rest of the row is
+gathered from.  A miss is the emulator's own cold start
+(:meth:`LambdaEmulator._cold_start
+<repro.platform.emulator.LambdaEmulator._cold_start>`) on a tape
+instance, so every cold start in the system, its dollar attribution
+included, runs through one method.  Two observations make the warm
+hit exact:
 
 1. *One outcome table per template and settings.*  Every synthesized
    instance of a template lives on one float-drift sequence: its meter
@@ -160,7 +166,6 @@ from repro.platform.retry import (
     RetryTimeline,
     check_arrivals,
 )
-from repro.obs.attribution import attribute_cold_start
 from repro.vm import aggregate_charges
 
 try:  # numpy is an optional [perf] extra; pure Python is the reference
@@ -805,7 +810,9 @@ class KernelReplayer:
                 and resume_state is None
                 and self._homogeneous()
             ):
-                self._run_columnar(arrivals, result, arrival_times, completion_times)
+                self._run_columnar(
+                    arrivals, event, result, arrival_times, completion_times
+                )
             else:
                 self._run_general(
                     timeline,
@@ -1053,29 +1060,32 @@ class KernelReplayer:
         return table
 
     def _run_columnar(
-        self, arrivals, result, arrival_times, completion_times
+        self, arrivals, event, result, arrival_times, completion_times
     ) -> None:
         """The columnar serve loop: one spec index and timestamp per row,
         from the first arrival to the last.
 
-        The same pool/clock/id decisions as the general path (an inlined
-        :meth:`WarmPool.acquire <repro.platform.instance.WarmPool.acquire>`
-        on the pool's own lists, the host layer excluded by
-        :meth:`_homogeneous`), but per-row emission shrinks to three list
-        appends (spec index, timestamp, completion) plus run-length
-        tracking of the serving instance; everything else gathers from
-        the outcome columns at flush time.
+        A warm hit is the loop's own: an inlined :meth:`WarmPool.acquire
+        <repro.platform.instance.WarmPool.acquire>` on the pool's lists
+        (the host layer excluded by :meth:`_homogeneous`), the outcome
+        table's entry for the shadow's serve index, and a local clock fold.
+        A miss is the emulator's cold start
+        (:meth:`LambdaEmulator._cold_start
+        <repro.platform.emulator.LambdaEmulator._cold_start>`) on a tape
+        instance from :meth:`_spawn`, handed the loop's clock and request
+        number and read back; of its row the loop keeps only the e2e,
+        since the flush gathers a cold row from the table's entry 0, which
+        holds the same values.  Per-row emission is three list appends
+        (spec index, timestamp, completion) plus run-length tracking of
+        the serving instance; everything else gathers from the outcome
+        columns at flush time.
         """
-        entry = self._entry
-        name = self._name
         emulator = self.emulator
         function = self._function
         clock = emulator.clock
         keep_alive = emulator.keep_alive_s
-        instance_seq = function.instance_seq
-        instances = function.instances
-        attribution = emulator.attribution
-        pricing = emulator.pricing
+        cold_start = emulator._cold_start
+        spawn = self._spawn
         pool = self._pool
         busy = pool.busy
         idle = pool.idle
@@ -1086,17 +1096,7 @@ class KernelReplayer:
         table = self._outcome_table()
         specs = table.specs
         extend_specs = table.extend
-        warm = entry.warm
-        cold_exec, cold_e2e, cold_dies = specs[0]
-        _, _, _, cold_billed_s, cold_cost, _, cold_clamped, _ = table.rows[0]
-        cold = entry.cold
-        cold_init_s = cold.init_s
-        cold_modules = cold.modules
-        post_t = cold.post_t
-        post_live = cold.post_live
-        post_peak = cold.post_peak
-        instance_init_s, transmission_s = self._overhead
-        overhead_sum = instance_init_s + transmission_s
+        warm = self._entry.warm
 
         now = clock.now()
         seq = pool.seq.value
@@ -1140,47 +1140,25 @@ class KernelReplayer:
                 ts_list.append(now)
                 comps.append(t + e2e)
                 warm_n += 1
-                iid = shadow.instance_id
                 if dies:
                     kill(function, shadow)
                 else:
                     heappush(busy, (t + e2e, seq, shadow))
                     seq += 1
             else:
-                now += overhead_sum
-                iid = f"{name}-i{next(instance_seq):05d}"
-                now += cold_init_s
-                now += cold_exec
-                if attribution is not None:
-                    rid = rid_base + len(idx_list)
-                    attribution.record(
-                        attribute_cold_start(
-                            function=name,
-                            request_id=f"req-{rid:06d}",
-                            timestamp=now,
-                            pricing=pricing,
-                            memory_config_mb=cold_clamped,
-                            modules=cold_modules,
-                            billed_init_s=cold_init_s,
-                            restore_s=0.0,
-                            exec_s=cold_exec,
-                            billed_duration_s=cold_billed_s,
-                            cost_usd=cold_cost,
-                            include_exec=True,
-                        )
-                    )
+                clock.advance_to(now)
+                ids.value = rid_base + len(idx_list)
+                row, shadow = cold_start(function, event, None, t, None, spawn)
+                now = clock.now()
+                e2e = row[ROW_E2E]
                 idx_list.append(0)
                 ts_list.append(now)
-                comps.append(t + cold_e2e)
+                comps.append(t + e2e)
                 cold_n += 1
-                if not cold_dies:
-                    shadow = _Shadow(
-                        iid, entry, t=post_t, live=post_live, peak=post_peak
-                    )
-                    shadow.invocations = 1
-                    instances.append(shadow)
-                    heappush(busy, (t + cold_e2e, seq, shadow))
+                if shadow.alive:
+                    heappush(busy, (t + e2e, seq, shadow))
                     seq += 1
+            iid = shadow.instance_id
             if iid is run_iid:
                 run_count += 1
             else:
@@ -1219,7 +1197,7 @@ class KernelReplayer:
         # The local clock fold is authoritative.  Shadow meters are not
         # written back: the pool ends with this call, and no later replay
         # serves its shadows.
-        clock._now = now
+        clock.advance_to(now)
 
     def _flush_cols(
         self, table, result, idx_list, ts_list, comps, inst_runs, served,

@@ -532,7 +532,7 @@ def _repr_column(column) -> list[str]:
 
 
 #: One spill line with every field pre-rendered; keys mirror json.dumps of
-#: :meth:`ExecutionLog._row_dict` exactly (order, separators, spacing).
+#: :meth:`InvocationRecord.to_dict` exactly (order, separators, spacing).
 _ROW_TEMPLATE = (
     '{"request_id": %s, "function": %s, "start_type": %s, "timestamp": %s'
     ', "value": %s, "instance_id": %s, "instance_init_s": %s'
@@ -926,34 +926,6 @@ class ExecutionLog:
                 return value
         return self._value_cache.setdefault(key, value)
 
-    def _row_dict(self, i: int) -> dict[str, Any]:
-        """The :meth:`InvocationRecord.to_dict` payload, straight from the
-        columns (identical key order, so spilled bytes match)."""
-        floats = self._floats
-        error_index = self._errors[i]
-        return {
-            "request_id": self._request_id(i),
-            "function": self._function_table.values[self._functions[i]],
-            "start_type": _START_TYPES[self._start_types[i]].value,
-            "timestamp": floats["timestamp"][i],
-            "value": self._values[i],
-            "instance_id": self._instance_table.values[self._instances[i]],
-            "instance_init_s": floats["instance_init_s"][i],
-            "transmission_s": floats["transmission_s"][i],
-            "init_duration_s": floats["init_duration_s"][i],
-            "restore_duration_s": floats["restore_duration_s"][i],
-            "exec_duration_s": floats["exec_duration_s"][i],
-            "routing_s": floats["routing_s"][i],
-            "billed_duration_s": floats["billed_duration_s"][i],
-            "memory_config_mb": self._memory_config[i],
-            "peak_memory_mb": floats["peak_memory_mb"][i],
-            "cost_usd": floats["cost_usd"][i],
-            "error_type": (
-                None if error_index < 0 else self._error_table.values[error_index]
-            ),
-            "status": _STATUS_TYPES[self._statuses[i]].value,
-        }
-
     def _request_id(self, i: int) -> str:
         num = self._request_nums[i]
         if num >= 0:
@@ -989,7 +961,7 @@ class ExecutionLog:
     def _render_lines(self) -> list[str] | None:
         """Every in-memory row as its spill line (trailing newline included).
 
-        Byte-identical to ``json.dumps(self._row_dict(i)) + "\\n"`` but an
+        Byte-identical to ``json.dumps(record.to_dict()) + "\\n"`` but an
         order of magnitude cheaper: strings encode once per interned table
         entry, enum fragments come from module tables, and the numeric
         fields go through ``repr`` — exactly what the C encoder emits for
@@ -1075,7 +1047,8 @@ class ExecutionLog:
         lines = self._render_lines()
         if lines is None:
             lines = [
-                json.dumps(self._row_dict(i)) + "\n" for i in range(self._size)
+                json.dumps(self._materialize(i).to_dict()) + "\n"
+                for i in range(self._size)
             ]
         return "".join(lines).encode("utf-8")
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import tracemalloc
 
 import pytest
@@ -193,6 +194,29 @@ class TestSpill:
         _fill(log, 5)
         with pytest.raises(PlatformError, match="live spill file"):
             log.write_jsonl(tmp_path / "log.jsonl")
+
+    def test_non_finite_rows_render_as_record_dicts(self, tmp_path):
+        # A chunk holding an infinite float takes the per-row encoder,
+        # which spells it the json way; a finite chunk takes the fast
+        # renderer.  Either way each line is the record's own to_dict.
+        costs = (1e-6, float("inf"), 2e-6, -float("inf"), 3e-6)
+        records = [
+            make_record(f"req-{i:06d}", timestamp=float(i), cost_usd=cost)
+            for i, cost in enumerate(costs)
+        ]
+        spilled = ExecutionLog(
+            spill_threshold=2, spill_path=tmp_path / "spilled.jsonl"
+        )
+        plain = ExecutionLog()
+        for record in records:
+            spilled.append(record)
+            plain.append(record)
+        spilled.flush_spill()
+        expected = "".join(json.dumps(r.to_dict()) + "\n" for r in records)
+        assert "Infinity" in expected
+        assert (tmp_path / "spilled.jsonl").read_text() == expected
+        reference = plain.write_jsonl(tmp_path / "plain.jsonl")
+        assert reference.read_text() == expected
 
     def test_flush_spill_completes_the_export(self, tmp_path):
         path = tmp_path / "log.jsonl"

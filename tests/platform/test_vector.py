@@ -9,8 +9,9 @@ flush size shrunk so flush boundaries land inside every columnar run, and
 that the exports — logs, ledgers, telemetry, stats — stay
 **byte-identical** to the reference
 :class:`~repro.platform.replay.TraceReplayer`, to the general path, and
-across worker counts.  Plus the engine plumbing: ``auto`` without numpy
-and one replayer serving several functions.
+across worker counts.  Plus the engine plumbing: ``auto`` without numpy,
+one replayer serving several functions, and every columnar cold start
+served by the emulator's own cold start.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 
 import pytest
 
+from repro.obs.attribution import AttributionStore
 from repro.platform import LambdaEmulator, replay_fleet
 from repro.platform import kernel as kernel_mod
 from repro.platform.faults import FaultPlan, FaultRates
@@ -286,6 +288,52 @@ class TestVectorVsReferenceDirect:
         self._assert_identical(ref, vec)
         assert len(ref.log.cold_starts()) > 8  # pool grew per burst
         assert len(ref.log.warm_starts()) > 0
+
+
+@needs_numpy
+class TestColumnarColdStarts:
+    """Every cold start the columnar loop serves is the emulator's own."""
+
+    @pytest.fixture
+    def cold_starts(self, monkeypatch):
+        """Record the function name of every emulator cold start."""
+        calls = []
+        cold_start = LambdaEmulator._cold_start
+
+        def spy(self, function, *rest):
+            calls.append(function.name)
+            return cold_start(self, function, *rest)
+
+        monkeypatch.setattr(LambdaEmulator, "_cold_start", spy)
+        return calls
+
+    def test_cold_starts_go_through_the_emulator(
+        self, tmp_path, columnar, cold_starts
+    ):
+        # Two gaps past keep-alive: three cold starts, four warm hits,
+        # and one attribution profile per cold start.
+        store = AttributionStore()
+        emulator = LambdaEmulator(keep_alive_s=60.0, attribution=store)
+        emulator.deploy(build_toy_torch_app(tmp_path / "toy"), name="fn")
+        arrivals = [0.0, 5.0, 10.0, 15.0, 300.0, 305.0, 600.0]
+        result = KernelReplayer(emulator).replay("fn", arrivals, EVENT)
+        assert columnar == [len(arrivals)]
+        assert (result.cold_starts, result.warm_starts) == (3, 4)
+        assert cold_starts == ["fn"] * result.cold_starts
+        assert len(store) == result.cold_starts
+
+    def test_oom_cold_starts_go_through_the_emulator(
+        self, tmp_path, columnar, cold_starts
+    ):
+        # Every instance dies at its cold start, so every arrival is one.
+        emulator = LambdaEmulator(keep_alive_s=60.0)
+        emulator.deploy(build_fat_app(tmp_path / "fat"), name="fn", memory_mb=150)
+        arrivals = [i * 0.25 for i in range(12)]
+        result = KernelReplayer(emulator).replay("fn", arrivals, EVENT)
+        assert columnar == [len(arrivals)]
+        assert result.cold_starts == len(arrivals)
+        assert len(cold_starts) == len(arrivals)
+        assert emulator.function("fn").instances == []
 
 
 class TestVectorEngineSelection:

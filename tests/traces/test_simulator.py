@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TraceError
+from repro.platform.instance import WarmPool
 from repro.traces import AzureTraceGenerator, TraceSimulator
 from repro.traces.azure import FunctionTrace
 
@@ -93,6 +96,22 @@ def reference_classify_starts(
     return flags
 
 
+def pool_classify_starts(
+    timestamps: list[float], duration_s: float, keep_alive_s: float
+) -> list[bool]:
+    """The platform's keep-alive rule: every arrival served by one
+    :class:`WarmPool`, busy for *duration_s* after it arrives."""
+    pool = WarmPool()
+    flags: list[bool] = []
+    for n, arrival in enumerate(timestamps):
+        member = pool.acquire((), arrival, keep_alive_s)
+        flags.append(member is None)
+        if member is None:
+            member = SimpleNamespace(instance_id=f"i{n}", alive=True)
+        pool.release(member, arrival + duration_s)
+    return flags
+
+
 # Small integer stamps force bursts, exact ties and zero idle gaps.
 stamp = st.one_of(
     st.integers(min_value=0, max_value=40).map(float),
@@ -111,9 +130,11 @@ class TestClassifyStartsMatchesReferenceSweep:
     def test_identical_flags(self, stamps, duration, keep_alive):
         stamps = sorted(stamps)
         sim = TraceSimulator(keep_alive_s=keep_alive)
-        assert sim.classify_starts(stamps, duration) == reference_classify_starts(
-            stamps, duration, keep_alive
-        )
+        flags = sim.classify_starts(stamps, duration)
+        assert flags == reference_classify_starts(stamps, duration, keep_alive)
+        # The analytic sweep and the replay engines share one keep-alive
+        # rule: the platform's warm pool.
+        assert flags == pool_classify_starts(stamps, duration, keep_alive)
 
     def test_zero_keep_alive_reuses_only_at_the_free_instant(self):
         sim = TraceSimulator(keep_alive_s=0.0)
